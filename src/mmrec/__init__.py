@@ -62,6 +62,7 @@ from .models import (
     TripleBatch,
     build_adjacency,
     calculate_loss,
+    encode,
     full_sort_predict,
     init_params,
     load_checkpoint,

@@ -78,6 +78,10 @@ class IndexOutOfRange(MmrecError):
     """A user or item index falls outside the dataset."""
 
 
+class MalformedCheckpoint(MmrecError):
+    """Checkpoint meta is incomplete or disagrees with the stored tensors."""
+
+
 # ------------------------------------------------------------------ trainer
 
 class NoNegativeAvailable(MmrecError):
@@ -96,6 +100,10 @@ class EmptyGroundTruth(MmrecError):
 
 class EmptySplit(MmrecError):
     """No user has ground truth in the requested split."""
+
+
+class DatasetMismatch(MmrecError):
+    """Model was built for another number of users or items than the dataset has."""
 
 
 # ------------------------------------------------------------ configuration

@@ -4,6 +4,19 @@ Protocol: for every user with ground truth in the target split, score the
 whole catalog, mask the user's train items (and only those), take the
 top-K by descending score with ties broken by ascending item index, and
 average each metric over the evaluated users in user-index order.
+
+The model is encoded once per evaluation (``models.encode``); users are
+then scored, masked and ranked 512 at a time. ``mask_trained`` and
+``top_k`` accept one score row or a chunk of rows: the chunk's train items
+are masked in one scatter, and ``top_k`` finds each row's K-th best score
+by partition, then orders every item scoring at least that much by
+(-score, item), so the tie rule is exact. The four metrics come from the
+chunk's hit matrix by cumulative sums and are summed over users in order;
+the scalar ``*_at_k`` functions define the same values for one list and
+serve as the reference the tests compare against.
+
+A model whose user or item count differs from the dataset's is refused
+with ``DatasetMismatch`` (``mmrec eval`` exits 1).
 """
 
 from __future__ import annotations
@@ -14,13 +27,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import EmptyGroundTruth, EmptySplit
-from .models import ModelState, full_sort_predict
+from .data import Dataset, InteractionSet
+from .errors import DatasetMismatch, EmptyGroundTruth, EmptySplit
+from .models import ModelState, encode, full_sort_predict
 
 METRICS = ("recall", "precision", "ndcg", "map")
 DEFAULT_CUTOFFS = (5, 10, 20, 50)
 _EVAL_CHUNK = 512
+# rows partitioned at a time in top_k, so its scratch copy stays small
+# next to the chunk's score matrix
+_PARTITION_ROWS = 64
 
 
 def parse_metric_spec(spec: str) -> tuple[str, int]:
@@ -42,25 +58,60 @@ class MetricReport:
         return self.values[metric][k]
 
 
-def mask_trained(scores: np.ndarray, train_row: np.ndarray) -> np.ndarray:
-    """Copy of a score row with the user's train items set to -inf."""
-    masked = np.array(scores, dtype=np.float64)
-    masked[np.asarray(train_row, dtype=np.int64)] = -np.inf
+def mask_trained(
+    scores: np.ndarray,
+    train: np.ndarray | tuple[np.ndarray, np.ndarray],
+    inplace: bool = False,
+) -> np.ndarray:
+    """Scores with the users' train items set to -inf.
+
+    ``train`` indexes ``scores``: a user's train item indices for one row,
+    or a ``(rows, items)`` pair for a chunk of rows. The input is copied
+    unless ``inplace`` is set, in which case it must be a float64 array.
+    """
+    masked = scores if inplace else np.array(scores, dtype=np.float64)
+    masked[train if isinstance(train, tuple) else np.asarray(train, dtype=np.int64)] = -np.inf
     return masked
 
 
 def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the K best non-masked items.
+    """Indices of the K best non-masked items of one row, or of each row.
 
-    Descending score; equal scores fall to the lower item index. Stable
-    argsort on the negated row gives exactly that order, with masked
-    entries pushed to the tail.
+    Descending score; equal scores fall to the lower item index; masked
+    (-inf) and NaN items never appear. A 1-D row gives its min(k,
+    unmasked) items. A 2-D chunk gives a (rows, min(k, n_items)) array; a
+    row with fewer than k unmasked items is padded with -1 after its last
+    item.
+
+    Partition finds each row's K-th best score. Every unmasked item scoring
+    at least that much, so every item tied with it, is a candidate, and the
+    candidates are sorted by (-score, item) before the first K are kept.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    order = np.argsort(-masked_scores, kind="stable")
-    n_masked = int(np.isneginf(masked_scores).sum())
-    return order[: min(k, len(masked_scores) - n_masked)]
+    scores = np.asarray(masked_scores, dtype=np.float64)
+    if scores.ndim == 1:
+        row = top_k(scores[None], k)[0]
+        return row[row >= 0]
+    n_rows, n_items = scores.shape
+    width = min(k, n_items)
+    kth = np.full(n_rows, -np.inf)
+    if k < n_items:
+        for lo in range(0, n_rows, _PARTITION_ROWS):
+            block = scores[lo:lo + _PARTITION_ROWS]
+            kth[lo:lo + _PARTITION_ROWS] = np.partition(block, n_items - k, axis=1)[:, n_items - k]
+    # no row's floor is below the lowest finite score, so masked items drop out
+    floor = np.maximum(kth, np.nextafter(-np.inf, 0.0))
+    rows, items = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_items)
+    # lexsort is stable and the candidates come in item order, so equal
+    # scores stay in ascending item order
+    order = np.lexsort((-scores[rows, items], rows))
+    rows, items = rows[order], items[order]
+    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    keep = rank < width
+    lists = np.full((n_rows, width), -1, dtype=np.int64)
+    lists[rows[keep], rank[keep]] = items[keep]
+    return lists
 
 
 def recall_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
@@ -85,9 +136,11 @@ def ndcg_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
     for pos, item in enumerate(topk[:k], start=1):
         if int(item) in ground_truth:
             dcg += 1.0 / math.log2(pos + 1)
-    ideal_len = min(len(ground_truth), k)
-    idcg = sum(1.0 / math.log2(pos + 1) for pos in range(1, ideal_len + 1))
-    return dcg / idcg
+    return dcg / _ideal_dcg(min(len(ground_truth), k))
+
+
+def _ideal_dcg(n_hits: int) -> float:
+    return sum(1.0 / math.log2(pos + 1) for pos in range(1, n_hits + 1))
 
 
 def map_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
@@ -104,17 +157,46 @@ def map_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
     return precision_sum / min(len(ground_truth), k)
 
 
-_METRIC_FNS = {
-    "recall": recall_at_k,
-    "precision": precision_at_k,
-    "ndcg": ndcg_at_k,
-    "map": map_at_k,
-}
+def _target_split(dataset: Dataset, target: str) -> InteractionSet:
+    if target not in ("valid", "test"):
+        raise ValueError(f"target split must be valid or test, got {target!r}")
+    return getattr(dataset, target)
 
 
-def evaluable_users(dataset: Dataset, target: str) -> np.ndarray:
-    split = getattr(dataset, target)
-    return np.flatnonzero(np.diff(split.indptr) > 0)
+def _entries(matrix: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(position in ``users``, column) of every stored entry of those rows."""
+    starts = matrix.indptr[users]
+    counts = matrix.indptr[users + 1] - starts
+    firsts = np.cumsum(counts) - counts
+    positions = np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
+    return np.repeat(np.arange(len(users)), counts), matrix.indices[positions]
+
+
+def _ranked_chunks(
+    state: ModelState,
+    dataset: Dataset,
+    target: str,
+    k: int,
+    fused: np.ndarray | None,
+    adjacency,
+):
+    """Yield (users, top-k lists as from ``top_k``) per chunk of evaluable
+    users, in user-index order, from one encoding of the model."""
+    split = _target_split(dataset, target)
+    if (state.n_users, state.n_items) != (dataset.n_users, dataset.n_items):
+        raise DatasetMismatch(
+            f"model has {state.n_users} users and {state.n_items} items, "
+            f"dataset has {dataset.n_users} and {dataset.n_items}"
+        )
+    users = np.flatnonzero(np.diff(split.indptr) > 0)
+    if users.size == 0:
+        raise EmptySplit(f"no user has ground truth in the {target} split")
+    rep = encode(state, fused, adjacency)
+    for start in range(0, len(users), _EVAL_CHUNK):
+        chunk = users[start:start + _EVAL_CHUNK]
+        scores = full_sort_predict(rep, chunk)
+        masked = mask_trained(scores, _entries(dataset.train, chunk), inplace=True)
+        yield chunk, top_k(masked, k)
 
 
 def iter_topk_lists(
@@ -126,19 +208,35 @@ def iter_topk_lists(
     adjacency=None,
 ):
     """Yield (user, top-k item indices, ground-truth set) per evaluable user,
-    in user-index order and in fixed-size score chunks."""
-    if target not in ("valid", "test"):
-        raise ValueError(f"target split must be valid or test, got {target!r}")
-    split = getattr(dataset, target)
-    users = evaluable_users(dataset, target)
-    if users.size == 0:
-        raise EmptySplit(f"no user has ground truth in the {target} split")
-    for start in range(0, len(users), _EVAL_CHUNK):
-        chunk = users[start:start + _EVAL_CHUNK]
-        scores = full_sort_predict(state, chunk, fused, adjacency)
-        for row, u in enumerate(chunk):
-            masked = mask_trained(scores[row], dataset.train.row(u))
-            yield int(u), top_k(masked, k), {int(i) for i in split.row(u)}
+    in user-index order."""
+    split = _target_split(dataset, target)
+    for users, lists in _ranked_chunks(state, dataset, target, k, fused, adjacency):
+        for u, row in zip(users, lists):
+            yield int(u), row[row >= 0], {int(i) for i in split.row(u)}
+
+
+def _metric_values(hits: np.ndarray, n_truth: np.ndarray, cutoffs: tuple[int, ...]) -> np.ndarray:
+    """Per-user metric values, shape (users, len(METRICS), len(cutoffs)) in
+    ``METRICS`` order, from a chunk's hit matrix. Each value is computed
+    with the same operations, in the same order, as the scalar ``*_at_k``
+    functions."""
+    width = hits.shape[1]
+    pos = np.arange(1, width + 1)
+    hit_count = np.cumsum(hits, axis=1)
+    discounts = np.array([1.0 / math.log2(p + 1) for p in range(1, width + 1)])
+    dcg = np.cumsum(np.where(hits, discounts, 0.0), axis=1)
+    precision_sum = np.cumsum(np.where(hits, hit_count / pos, 0.0), axis=1)
+    ideal = np.minimum(n_truth[:, None], np.array(cutoffs))
+    lengths, inverse = np.unique(ideal, return_inverse=True)
+    idcg = np.array([_ideal_dcg(int(n)) for n in lengths])[inverse].reshape(ideal.shape)
+    values = np.empty((len(hits), len(METRICS), len(cutoffs)))
+    for j, k in enumerate(cutoffs):
+        col = min(k, width) - 1
+        values[:, 0, j] = hit_count[:, col] / n_truth
+        values[:, 1, j] = hit_count[:, col] / k
+        values[:, 2, j] = dcg[:, col] / idcg[:, j]
+        values[:, 3, j] = precision_sum[:, col] / ideal[:, j]
+    return values
 
 
 def evaluate(
@@ -150,19 +248,26 @@ def evaluate(
     adjacency=None,
 ) -> MetricReport:
     """Mean ranking metrics over users with ground truth in ``target``."""
-    cutoffs = tuple(sorted(int(k) for k in cutoffs))
+    cutoffs = tuple(sorted({int(k) for k in cutoffs}))
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError("cutoffs must be positive integers")
-    k_max = cutoffs[-1]
-    sums = {m: {k: 0.0 for k in cutoffs} for m in METRICS}
-    n_evaluated = 0
-    for _, topk, gt in iter_topk_lists(state, dataset, target, k_max, fused, adjacency):
-        n_evaluated += 1
-        for metric, fn in _METRIC_FNS.items():
-            for k in cutoffs:
-                sums[metric][k] += fn(topk, gt, k)
-    values = {m: {k: sums[m][k] / n_evaluated for k in cutoffs} for m in METRICS}
-    return MetricReport(cutoffs=cutoffs, values=values, n_evaluated=n_evaluated)
+    split = _target_split(dataset, target)
+    per_user = []
+    for users, lists in _ranked_chunks(state, dataset, target, cutoffs[-1], fused, adjacency):
+        truth_rows, truth_items = _entries(split, users)
+        keys = np.arange(len(users))[:, None] * dataset.n_items + lists
+        hits = np.isin(keys, truth_rows * dataset.n_items + truth_items) & (lists >= 0)
+        n_truth = split.indptr[users + 1] - split.indptr[users]
+        per_user.append(_metric_values(hits, n_truth, cutoffs))
+    values = np.concatenate(per_user)
+    n_evaluated = len(values)
+    # summed in user order, as a running total would be
+    sums = np.add.accumulate(values, axis=0)[-1]
+    report = {
+        m: {k: float(sums[i, j] / n_evaluated) for j, k in enumerate(cutoffs)}
+        for i, m in enumerate(METRICS)
+    }
+    return MetricReport(cutoffs=cutoffs, values=report, n_evaluated=n_evaluated)
 
 
 def write_metric_report(report: MetricReport, path: str | os.PathLike) -> None:

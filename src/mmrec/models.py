@@ -2,7 +2,9 @@
 
 Every model is a named-tensor :class:`ModelState` plus two operations:
 ``calculate_loss`` (pairwise BPR loss with exact analytic gradients) and
-``full_sort_predict`` (scores for every item). Three kinds are provided:
+``full_sort_predict`` (scores for every item). Scoring goes through
+``encode``, which reduces every kind to a pair of user and item
+representations whose inner product is the score. Three kinds are provided:
 
 * ``mf_bpr``     score(u, i) = <U_u, V_i>
 * ``vbpr_mm``    score(u, i) = <U_u, V_i> + <M_u, P^T f_i> for fused item
@@ -29,6 +31,7 @@ from .data import InteractionSet
 from .errors import (
     EmptyBatch,
     IndexOutOfRange,
+    MalformedCheckpoint,
     MissingAdjacency,
     MissingFeatures,
 )
@@ -189,21 +192,41 @@ def _final_embeddings(state: ModelState, fused: np.ndarray, adjacency) -> np.nda
     return propagate_mean(adjacency, e0, state.n_layers)
 
 
+def encode(
+    state: ModelState,
+    fused: np.ndarray | None = None,
+    adjacency: sp.csr_matrix | None = None,
+) -> ModelState:
+    """The model's final user and item representations as a plain ``mf_bpr``
+    state, so that score(u, i) = <user_emb[u], item_emb[i]> for every kind.
+
+    ``mf_bpr`` returns the state itself; ``vbpr_mm`` stacks ``[U, M]`` and
+    ``[V, fP]``; ``graph_mm`` splits the propagated embeddings into user
+    rows and item rows. Encode once and score many user chunks from it.
+    """
+    _check_inputs(state, fused, adjacency)
+    if state.kind == "mf_bpr":
+        return state
+    u, v = state.tensors["user_emb"], state.tensors["item_emb"]
+    if state.kind == "vbpr_mm":
+        user_rep = np.hstack([u, state.tensors["user_mod_emb"]])
+        item_rep = np.hstack([v, fused @ state.tensors["proj"]])
+    else:
+        ef = _final_embeddings(state, fused, adjacency)
+        user_rep, item_rep = ef[: state.n_users], ef[state.n_users:]
+    return ModelState(
+        "mf_bpr", state.n_users, state.n_items, user_rep.shape[1],
+        {"user_emb": user_rep, "item_emb": item_rep},
+    )
+
+
 def score_all(
     state: ModelState,
     fused: np.ndarray | None = None,
     adjacency: sp.csr_matrix | None = None,
 ) -> np.ndarray:
     """Score matrix for every (user, item) pair, n_users x n_items."""
-    _check_inputs(state, fused, adjacency)
-    u, v = state.tensors["user_emb"], state.tensors["item_emb"]
-    if state.kind == "mf_bpr":
-        return u @ v.T
-    if state.kind == "vbpr_mm":
-        q = fused @ state.tensors["proj"]
-        return u @ v.T + state.tensors["user_mod_emb"] @ q.T
-    ef = _final_embeddings(state, fused, adjacency)
-    return ef[: state.n_users] @ ef[state.n_users:].T
+    return full_sort_predict(state, np.arange(state.n_users), fused, adjacency)
 
 
 def full_sort_predict(
@@ -212,21 +235,16 @@ def full_sort_predict(
     fused: np.ndarray | None = None,
     adjacency: sp.csr_matrix | None = None,
 ) -> np.ndarray:
-    """Rows of the full score matrix for the requested users; pure."""
-    _check_inputs(state, fused, adjacency)
+    """Rows of the full score matrix for the requested users; pure.
+
+    The state is encoded on every call; to score many user chunks, pass
+    ``encode(state, fused, adjacency)`` instead, which needs no features.
+    """
     users = np.asarray(users, dtype=np.int64)
-    if users.size == 0:
-        return np.zeros((0, state.n_items))
-    if users.min() < 0 or users.max() >= state.n_users:
+    if users.size and (users.min() < 0 or users.max() >= state.n_users):
         raise IndexOutOfRange(f"user indices must lie in [0, {state.n_users})")
-    u, v = state.tensors["user_emb"], state.tensors["item_emb"]
-    if state.kind == "mf_bpr":
-        return u[users] @ v.T
-    if state.kind == "vbpr_mm":
-        q = fused @ state.tensors["proj"]
-        return u[users] @ v.T + state.tensors["user_mod_emb"][users] @ q.T
-    ef = _final_embeddings(state, fused, adjacency)
-    return ef[users] @ ef[state.n_users:].T
+    rep = encode(state, fused, adjacency)
+    return rep.tensors["user_emb"][users] @ rep.tensors["item_emb"].T
 
 
 def calculate_loss(
@@ -335,7 +353,28 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
         write_matrix(os.path.join(out, f"{name}.mmf8"), tensor, magic=b"MMF8")
 
 
+# (rows, columns) of each tensor as ModelState fields; None is not checked
+_TENSOR_SHAPES = {
+    "user_emb": ("n_users", "d"),
+    "item_emb": ("n_items", "d"),
+    "user_mod_emb": ("n_users", "d_p"),
+    "proj": (None, "d_p"),
+    "mod_proj": (None, "d"),
+}
+_KIND_TENSORS = {
+    "mf_bpr": {"user_emb", "item_emb"},
+    "vbpr_mm": {"user_emb", "item_emb", "user_mod_emb", "proj"},
+    "graph_mm": {"user_emb", "item_emb", "mod_proj"},
+}
+
+
 def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
+    """Read a checkpoint written by :func:`save_checkpoint`.
+
+    A `meta` file with a missing key or a bad value, a tensor list that does
+    not fit the model kind, or a tensor whose shape disagrees with `meta`
+    raises MalformedCheckpoint.
+    """
     src = os.fspath(in_dir)
     meta: dict[str, str] = {}
     with open(os.path.join(src, "meta"), encoding="utf-8") as fh:
@@ -343,18 +382,33 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
             if line.strip():
                 key, _, value = line.partition(":")
                 meta[key.strip()] = value.strip()
-    tensors = {
-        name: read_matrix(os.path.join(src, f"{name}.mmf8"), magic=b"MMF8")
-        for name in meta["tensors"].split(",")
-    }
-    return ModelState(
-        kind=meta["kind"],
-        n_users=int(meta["n_users"]),
-        n_items=int(meta["n_items"]),
-        d=int(meta["d"]),
-        tensors=tensors,
-        lambda_reg=float(meta["lambda_reg"]),
-        d_p=int(meta["d_p"]) if meta["d_p"] else None,
-        n_layers=int(meta["n_layers"]) if meta["n_layers"] else None,
-        seed=int(meta["seed"]),
-    )
+    try:
+        state = ModelState(
+            kind=meta["kind"],
+            n_users=int(meta["n_users"]),
+            n_items=int(meta["n_items"]),
+            d=int(meta["d"]),
+            tensors={},
+            lambda_reg=float(meta["lambda_reg"]),
+            d_p=int(meta["d_p"]) if meta["d_p"] else None,
+            n_layers=int(meta["n_layers"]) if meta["n_layers"] else None,
+            seed=int(meta["seed"]),
+        )
+        names = meta["tensors"].split(",")
+    except KeyError as exc:
+        raise MalformedCheckpoint(f"{src}: meta has no {exc.args[0]!r} key") from None
+    except ValueError as exc:
+        raise MalformedCheckpoint(f"{src}: bad meta value: {exc}") from None
+    if state.kind not in _KIND_TENSORS or set(names) != _KIND_TENSORS[state.kind]:
+        raise MalformedCheckpoint(f"{src}: {state.kind!r} checkpoint with tensors {names}")
+    if state.kind == "graph_mm" and state.n_layers is None:
+        raise MalformedCheckpoint(f"{src}: graph_mm checkpoint without n_layers")
+    for name in names:
+        tensor = read_matrix(os.path.join(src, f"{name}.mmf8"), magic=b"MMF8")
+        expected = tuple(None if f is None else getattr(state, f) for f in _TENSOR_SHAPES[name])
+        if any(want is not None and want != got for want, got in zip(expected, tensor.shape)):
+            raise MalformedCheckpoint(
+                f"{src}: {name} has shape {tensor.shape}, meta implies {expected}"
+            )
+        state.tensors[name] = tensor
+    return state

@@ -1,5 +1,6 @@
 from mmrec.cli import main
-from mmrec.data import load_dataset
+from mmrec.data import Dataset, InteractionSet, SplitSpec, load_dataset, save_dataset
+from mmrec.models import init_params, save_checkpoint
 
 from test_experiment import write_toy_workspace
 
@@ -131,3 +132,32 @@ class TestEval:
         printed = capsys.readouterr().out
         stored = (tmp_path / "out" / "test_report.tsv").read_text()
         assert printed == stored
+
+    def test_eval_refuses_checkpoint_of_another_size(self, tmp_path, capsys):
+        save_checkpoint(init_params("mf_bpr", 20, 15, 4, seed=1), tmp_path / "ckpt")
+        split = lambda pairs: InteractionSet.from_pairs(pairs, 5, 4)
+        dataset = Dataset(
+            5, 4, {f"u{u}": u for u in range(5)}, {f"i{i}": i for i in range(4)},
+            split({(u, u % 4) for u in range(5)}),
+            split(set()),
+            split({(u, (u + 1) % 4) for u in range(5)}),
+        )
+        save_dataset(dataset, SplitSpec("per_user_random", (0.8, 0.1, 0.1), 1), tmp_path / "ds")
+        code = run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "20 users and 15 items" in captured.err
+
+    def test_eval_of_checkpoint_without_seed_is_an_error(self, tmp_path, capsys):
+        config = write_toy_workspace(tmp_path)
+        run(["train", "--config", config, "--out", tmp_path / "out"])
+        meta = tmp_path / "out" / "checkpoint" / "meta"
+        meta.write_text("".join(
+            line for line in meta.read_text().splitlines(keepends=True) if not line.startswith("seed:")
+        ))
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", tmp_path / "out" / "checkpoint",
+                    "--data", tmp_path / "out" / "dataset"])
+        assert code == 1
+        assert "'seed'" in capsys.readouterr().err

@@ -2,10 +2,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import mmrec.models
 
 from mmrec.data import Dataset, InteractionSet
 from mmrec.errors import EmptyGroundTruth, EmptySplit
 from mmrec.evaluation import (
+    METRICS,
     MetricReport,
     evaluate,
     format_metric_report,
@@ -19,7 +25,7 @@ from mmrec.evaluation import (
     top_k,
     write_metric_report,
 )
-from mmrec.models import init_params, score_all
+from mmrec.models import ModelState, build_adjacency, init_params, score_all
 
 
 # ------------------------------------------------------------------ oracles
@@ -80,6 +86,10 @@ class TestTopK:
     def test_masked_items_never_returned(self):
         row = mask_trained(np.array([0.9, 0.8, 0.7, 0.6]), np.array([0, 1]))
         assert top_k(row, 4).tolist() == [2, 3]
+
+    def test_nan_scores_never_list_a_masked_item(self):
+        row = mask_trained(np.array([np.nan, 1.0, 2.0, 0.5]), np.array([2]))
+        assert top_k(row, 4).tolist() == [1, 3]
 
     def test_matches_argsort_oracle(self):
         rng = np.random.default_rng(0)
@@ -259,7 +269,8 @@ class TestEvaluate:
     def test_values_in_unit_interval(self):
         rng = np.random.default_rng(7)
         ds, state = self.make(rng)
-        report = evaluate(state, ds, "test", (5, 10, 20))
+        report = evaluate(state, ds, "test", (20, 5, 10, 5))
+        assert report.cutoffs == (5, 10, 20)  # sorted, each cutoff once
         for metric in ("recall", "precision", "ndcg", "map"):
             for k in report.cutoffs:
                 assert 0.0 <= report.get(metric, k) <= 1.0
@@ -309,3 +320,130 @@ def test_parse_metric_spec():
     for bad in ("recall", "recall@", "hits@5", "recall@0", "recall@x"):
         with pytest.raises(ValueError):
             parse_metric_spec(bad)
+
+
+# --------------------------------------------- chunked evaluator vs oracle
+
+SCALAR_METRICS = {"recall": recall_at_k, "precision": precision_at_k, "ndcg": ndcg_at_k, "map": map_at_k}
+
+
+def oracle_report(state, ds, cutoffs):
+    """Per-user 1-D top_k(mask_trained(...)) scored by the scalar *_at_k
+    functions and summed in user order, as a loop over users would."""
+    scores = score_all(state)
+    sums = {m: {k: 0.0 for k in cutoffs} for m in METRICS}
+    n_eval = 0
+    for u in range(ds.n_users):
+        gt = set(ds.test.row(u).tolist())
+        if not gt:
+            continue
+        n_eval += 1
+        ranked = top_k(mask_trained(scores[u], ds.train.row(u)), max(cutoffs))
+        assert ranked.tolist() == naive_topk(scores[u], ds.train.row(u).tolist(), max(cutoffs))
+        for metric, fn in SCALAR_METRICS.items():
+            for k in cutoffs:
+                sums[metric][k] += fn(ranked, gt, k)
+    return n_eval, {m: {k: sums[m][k] / n_eval for k in cutoffs} for m in METRICS}
+
+
+def integer_state(user_emb, item_emb):
+    """A mf_bpr state whose scores are small integers, so ties abound."""
+    n_users, n_items, d = len(user_emb), len(item_emb), user_emb.shape[1]
+    tensors = {"user_emb": user_emb.astype(np.float64), "item_emb": item_emb.astype(np.float64)}
+    return ModelState("mf_bpr", n_users, n_items, d, tensors)
+
+
+def dataset_from_masks(train, test):
+    n_users, n_items = train.shape
+    pairs = lambda mask: {(int(u), int(i)) for u, i in zip(*np.nonzero(mask))}
+    return manual_dataset(n_users, n_items, pairs(train), pairs(test))
+
+
+def assert_matches_oracle(state, ds, cutoffs):
+    n_eval, expected = oracle_report(state, ds, cutoffs)
+    report = evaluate(state, ds, "test", cutoffs)
+    assert report.n_evaluated == n_eval
+    assert report.values == expected  # exact: same lists, same arithmetic, same order
+    lists = [(u, topk.tolist()) for u, topk, _ in iter_topk_lists(state, ds, "test", max(cutoffs))]
+    scores = score_all(state)
+    assert lists == [
+        (u, naive_topk(scores[u], ds.train.row(u).tolist(), max(cutoffs)))
+        for u in range(ds.n_users) if ds.test.row(u).size
+    ]
+
+
+@st.composite
+def tied_instances(draw, max_users):
+    n_users = draw(st.integers(1, max_users))
+    n_items = draw(st.integers(1, 25))
+    d = draw(st.integers(1, 3))
+    small = st.integers(-2, 2)
+    user_emb = draw(arrays(np.int64, (n_users, d), elements=small))
+    item_emb = draw(arrays(np.int64, (n_items, d), elements=small))
+    # dense train rows leave fewer than K items unmasked, or none at all
+    density = draw(st.sampled_from([0.0, 0.3, 0.7, 1.0]))
+    coins = draw(arrays(np.float64, (n_users, n_items), elements=st.floats(0, 1)))
+    train = coins < density
+    test = draw(arrays(np.bool_, (n_users, n_items))) & ~train
+    cutoffs = draw(st.lists(st.integers(1, n_items + 5), min_size=1, max_size=4, unique=True))
+    return integer_state(user_emb, item_emb), train, test, tuple(cutoffs)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tied_instances(max_users=30))
+def test_chunked_evaluator_equals_scalar_oracle(instance):
+    state, train, test, cutoffs = instance
+    assume(test.any())
+    assert_matches_oracle(state, dataset_from_masks(train, test), cutoffs)
+
+
+@settings(max_examples=8, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.integers(0, 2**32 - 1), st.integers(513, 1300))
+def test_chunked_evaluator_equals_oracle_across_chunk_boundaries(seed, n_users):
+    rng = np.random.default_rng(seed)
+    n_items = int(rng.integers(5, 40))
+    state = integer_state(rng.integers(-2, 3, (n_users, 2)), rng.integers(-2, 3, (n_items, 2)))
+    train = rng.random((n_users, n_items)) < rng.choice([0.2, 0.9])
+    test = (rng.random((n_users, n_items)) < 0.15) & ~train
+    assume(np.count_nonzero(test.any(axis=1)) > 512)
+    assert_matches_oracle(state, dataset_from_masks(train, test), (1, 5, 10, n_items + 3))
+
+
+def test_graph_model_is_propagated_once_per_evaluation(monkeypatch):
+    rng = np.random.default_rng(8)
+    n_users, n_items = 1100, 30
+    picks = [rng.choice(n_items, 4, replace=False) for _ in range(n_users)]
+    train = {(u, int(i)) for u, items in enumerate(picks) for i in items[:3]}
+    test = {(u, int(items[3])) for u, items in enumerate(picks)}
+    ds = manual_dataset(n_users, n_items, train, test)
+    fused = rng.normal(size=(n_items, 4))
+    state = init_params("graph_mm", n_users, n_items, 4, seed=3, d_fused=4, n_layers=2)
+    calls = []
+    propagate = mmrec.models.propagate_mean
+
+    def counted(*args):
+        calls.append(1)
+        return propagate(*args)
+
+    monkeypatch.setattr(mmrec.models, "propagate_mean", counted)
+    report = evaluate(state, ds, "test", (5, 20), fused, build_adjacency(ds.train))
+    assert report.n_evaluated > 2 * 512  # three chunks
+    assert len(calls) == 1
+
+
+class TestChunkedMaskAndTopK:
+    def test_mask_scatters_a_chunk_index(self):
+        scores = np.arange(6.0).reshape(2, 3)
+        out = mask_trained(scores, (np.array([0, 1, 1]), np.array([2, 0, 1])))
+        assert np.isneginf(out).tolist() == [[False, False, True], [True, True, False]]
+        assert scores[0, 2] == 2.0  # copied, not written through
+
+    def test_mask_in_place(self):
+        scores = np.zeros((1, 2))
+        assert mask_trained(scores, (np.array([0]), np.array([1])), inplace=True) is scores
+        assert np.isneginf(scores[0, 1])
+
+    def test_short_rows_padded_with_minus_one(self):
+        chunk = np.array([[1.0, -np.inf, 3.0], [-np.inf, -np.inf, -np.inf], [2.0, 2.0, 2.0]])
+        assert top_k(chunk, 2).tolist() == [[2, 0], [-1, -1], [0, 1]]
+        assert top_k(chunk, 5).tolist() == [[2, 0, -1], [-1, -1, -1], [0, 1, 2]]

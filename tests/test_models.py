@@ -7,10 +7,12 @@ from mmrec.data import InteractionSet
 from mmrec.errors import (
     EmptyBatch,
     IndexOutOfRange,
+    MalformedCheckpoint,
     MissingAdjacency,
     MissingFeatures,
 )
 from mmrec.evaluation import top_k
+from mmrec.modality import write_matrix
 from mmrec.models import (
     ModelState,
     TripleBatch,
@@ -287,3 +289,42 @@ class TestCheckpoint:
             save_checkpoint(init_params("mf_bpr", 3, 3, 2, seed=9), tmp_path / sub)
         for name in ("meta", "user_emb.mmf8", "item_emb.mmf8"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    @pytest.mark.parametrize("key", ["kind", "n_users", "d_p", "seed", "tensors"])
+    def test_meta_missing_key_is_typed(self, tmp_path, key):
+        save_checkpoint(init_params("mf_bpr", 3, 4, 2, seed=9), tmp_path)
+        meta = tmp_path / "meta"
+        kept = [line for line in meta.read_text().splitlines() if not line.startswith(f"{key}:")]
+        meta.write_text("\n".join(kept) + "\n")
+        with pytest.raises(MalformedCheckpoint, match=key):
+            load_checkpoint(tmp_path)
+
+    def test_meta_bad_value_is_typed(self, tmp_path):
+        save_checkpoint(init_params("mf_bpr", 3, 4, 2, seed=9), tmp_path)
+        meta = tmp_path / "meta"
+        meta.write_text(meta.read_text().replace("n_items: 4", "n_items: four"))
+        with pytest.raises(MalformedCheckpoint):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("name,shape", [
+        ("user_emb", (2, 2)), ("item_emb", (4, 3)), ("user_mod_emb", (3, 1)), ("proj", (5, 1)),
+    ])
+    def test_tensor_shape_disagreeing_with_meta_is_typed(self, tmp_path, name, shape):
+        save_checkpoint(init_params("vbpr_mm", 3, 4, 2, seed=9, d_p=2, d_fused=5), tmp_path)
+        write_matrix(tmp_path / f"{name}.mmf8", np.zeros(shape), magic=b"MMF8")
+        with pytest.raises(MalformedCheckpoint, match=name):
+            load_checkpoint(tmp_path)
+
+    def test_tensor_list_must_fit_the_kind(self, tmp_path):
+        save_checkpoint(init_params("mf_bpr", 3, 4, 2, seed=9), tmp_path)
+        meta = tmp_path / "meta"
+        meta.write_text(meta.read_text().replace("kind: mf_bpr", "kind: graph_mm"))
+        with pytest.raises(MalformedCheckpoint):
+            load_checkpoint(tmp_path)
+
+    def test_graph_checkpoint_needs_n_layers(self, tmp_path):
+        save_checkpoint(init_params("graph_mm", 3, 4, 2, seed=9, d_fused=5, n_layers=2), tmp_path)
+        meta = tmp_path / "meta"
+        meta.write_text(meta.read_text().replace("n_layers: 2", "n_layers: "))
+        with pytest.raises(MalformedCheckpoint, match="n_layers"):
+            load_checkpoint(tmp_path)

@@ -13,6 +13,7 @@ from .data import (
     Dataset,
     FilterParams,
     InteractionRecord,
+    Interactions,
     InteractionSet,
     SplitSpec,
     build_id_maps,

@@ -5,19 +5,45 @@ The raw input is a UTF-8 TSV with a header naming at least ``userID`` and
 pipeline is pure and deterministic: parse -> dedupe -> k-core -> id maps ->
 split, ending in a :class:`Dataset` whose train/valid/test splits are stored
 CSR-style (row offsets plus sorted column indices).
+
+Interactions travel through the pipeline as one columnar
+:class:`Interactions` table: the sorted distinct raw user and item IDs, an
+int64 code per row into each (so code order is the lexicographic order of
+the raw IDs), a float64 rating (NaN where absent) and an int64 timestamp
+with a presence mask. Every stage works on whole columns; the table still
+reads as a sequence of :class:`InteractionRecord`, and every stage also
+accepts a plain iterable of records. The rules:
+
+- parsing skips empty lines, strips trailing ``\\r`` and reads an empty
+  rating or timestamp field as absent. Ratings go through ``float`` and must
+  be finite; timestamps go through ``int`` and must fit in int64. The first
+  malformed line raises :class:`MalformedLine` with its 1-based line number
+  (the header is line 1);
+- dedupe keeps one row per (user, item) pair, the one with the greatest
+  ``float(timestamp)``; a missing timestamp compares lowest and the later
+  input position wins a tie. The result is sorted by raw (user, item) IDs;
+- the k-core keeps the largest subset in which every user and item has at
+  least k rows, in input order;
+- dense user and item indices are assigned in lexicographic order of the
+  raw ID strings.
+
+:func:`load_dataset` refuses, raising :class:`MalformedDataset`, a ``meta``
+without integer sizes and a pair or map file with a wrong field count, a
+non-integer index or an index outside the sizes in ``meta``.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Iterator
 
 import numpy as np
 
 from .errors import (
     EmptyDataset,
+    MalformedDataset,
     MalformedHeader,
     MalformedLine,
     MissingTimestamps,
@@ -25,6 +51,8 @@ from .errors import (
 from .rng import check_seed, stream
 
 SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
+_INT64 = np.iinfo(np.int64)
+_TRAIN, _VALID, _TEST = 0, 1, 2
 
 
 @dataclass(frozen=True)
@@ -33,6 +61,77 @@ class InteractionRecord:
     raw_item_id: str
     rating: float | None = None
     timestamp: int | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class Interactions:
+    """Columnar interaction table that reads as a sequence of records.
+
+    ``users`` and ``items`` are int64 codes into the sorted distinct raw IDs
+    ``user_ids`` and ``item_ids`` (object arrays of ``str``). A subset made
+    by :meth:`take` keeps the full ID arrays, so not every ID needs a row.
+    """
+
+    user_ids: np.ndarray
+    item_ids: np.ndarray
+    users: np.ndarray
+    items: np.ndarray
+    rating: np.ndarray  # float64, NaN where absent
+    timestamp: np.ndarray  # int64, 0 where absent
+    has_timestamp: np.ndarray  # bool
+
+    @classmethod
+    def from_records(cls, records: Iterable[InteractionRecord]) -> "Interactions":
+        records = list(records)
+        # np.unique on object arrays compares the str objects themselves
+        users = np.array([r.raw_user_id for r in records], dtype=object)
+        items = np.array([r.raw_item_id for r in records], dtype=object)
+        user_ids, users = np.unique(users, return_inverse=True)
+        item_ids, items = np.unique(items, return_inverse=True)
+        return cls(
+            user_ids,
+            item_ids,
+            users,
+            items,
+            np.array([np.nan if r.rating is None else r.rating for r in records], dtype=np.float64),
+            np.array([r.timestamp or 0 for r in records], dtype=np.int64),
+            np.array([r.timestamp is not None for r in records], dtype=bool),
+        )
+
+    def take(self, rows: np.ndarray) -> "Interactions":
+        """The table's ``rows``, in that order."""
+        return replace(
+            self,
+            users=self.users[rows],
+            items=self.items[rows],
+            rating=self.rating[rows],
+            timestamp=self.timestamp[rows],
+            has_timestamp=self.has_timestamp[rows],
+        )
+
+    def __len__(self) -> int:
+        return int(self.users.shape[0])
+
+    def __getitem__(self, row: int) -> InteractionRecord:
+        rating = float(self.rating[row])
+        return InteractionRecord(
+            self.user_ids[self.users[row]],
+            self.item_ids[self.items[row]],
+            None if math.isnan(rating) else rating,
+            int(self.timestamp[row]) if self.has_timestamp[row] else None,
+        )
+
+    def __iter__(self) -> Iterator[InteractionRecord]:
+        return (self[row] for row in range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, (Interactions, list, tuple)):
+            return list(self) == list(other)
+        return NotImplemented
+
+
+def _as_table(records: Interactions | Iterable[InteractionRecord]) -> Interactions:
+    return records if isinstance(records, Interactions) else Interactions.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -74,14 +173,21 @@ class InteractionSet:
         self.indices = np.asarray(indices, dtype=np.int64)
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], n_rows: int, n_cols: int) -> "InteractionSet":
-        arr = np.asarray(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+    def from_arrays(
+        cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
+    ) -> "InteractionSet":
+        """The pairs ``(rows[j], cols[j])``, sorted; duplicates are kept."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
-        if arr.size:
-            np.add.at(indptr, arr[:, 0] + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        indices = arr[:, 1] if arr.size else np.empty(0, dtype=np.int64)
-        return cls(n_rows, n_cols, indptr, indices)
+        np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
+        return cls(n_rows, n_cols, indptr, cols[order])
+
+    @classmethod
+    def from_pairs(cls, pairs: Iterable[tuple[int, int]], n_rows: int, n_cols: int) -> "InteractionSet":
+        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+        return cls.from_arrays(arr[:, 0], arr[:, 1], n_rows, n_cols)
 
     def row(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -120,225 +226,380 @@ class Dataset:
     test: InteractionSet
 
 
-def parse_interactions(source: Iterable[str]) -> list[InteractionRecord]:
-    """Parse a TSV text stream into interaction records, preserving order.
+# ------------------------------------------------------------------ parsing
+
+class _Fields:
+    """A TSV body split into fields in bulk, as byte spans of its UTF-8 form.
+
+    Lines end at ``\\n`` only. Empty lines are skipped and trailing ``\\r``
+    is stripped from the others. The rows are the kept lines up to the first
+    one without ``n_cols`` fields; ``bad_row`` is that line's row (None if
+    every line has them), and ``line_index`` gives each row's position among
+    all lines of the body.
+    """
+
+    def __init__(self, body: str, n_cols: int):
+        self.raw = body.encode("utf-8", "surrogatepass")
+        self.bytes = b = np.frombuffer(self.raw, dtype=np.uint8)
+        ends = np.flatnonzero(b == 10)
+        if b.size and b[-1] != 10:
+            ends = np.append(ends, b.size)  # the last line has no terminator
+        starts = np.concatenate([[0], ends[:-1] + 1]).astype(np.int64)[: ends.size]
+        tabs = np.flatnonzero(b == 9)
+        n_tabs = np.bincount(np.searchsorted(ends, tabs), minlength=ends.size)
+        self.line_index = np.flatnonzero(ends > starts)
+        starts, ends = starts[self.line_index], ends[self.line_index]
+        if b"\r" in self.raw:
+            while (cr := np.flatnonzero((ends > starts) & (b[ends - 1] == 13))).size:
+                ends[cr] -= 1
+        bad = np.flatnonzero(n_tabs[self.line_index] != n_cols - 1)
+        self.bad_row = int(bad[0]) if bad.size else None
+        n = starts.size if self.bad_row is None else self.bad_row
+        inner = tabs[: n * (n_cols - 1)].reshape(n, n_cols - 1)
+        self.start = np.column_stack([starts[:n], inner + 1])
+        self.end = np.column_stack([inner, ends[:n]])
+        self.line_starts, self.line_ends = starts, ends
+
+    def __len__(self) -> int:
+        return self.start.shape[0]
+
+    def line(self, row: int) -> str:
+        return self.raw[self.line_starts[row]:self.line_ends[row]].decode("utf-8", "surrogatepass")
+
+    def window(self, start: np.ndarray, width: int) -> np.ndarray:
+        """Bytes ``[start, start + width)`` for each ``start``, as rows of an
+        array; zero outside the body."""
+        pad = np.zeros(width, dtype=np.uint8)
+        padded = np.concatenate([pad, self.bytes, pad])
+        return np.lib.stride_tricks.sliding_window_view(padded, width)[start + width]
+
+    def column(self, col: int) -> tuple[list[str], np.ndarray]:
+        """Field ``col``'s distinct texts in code-point order, and each row's
+        index into them."""
+        start, end = self.start[:, col], self.end[:, col]
+        length = end - start
+        width = int(length.max(initial=1))
+        # zero-padded UTF-8 bytes sort in code-point order and the length
+        # after them tells "a" from "a\0"; read as big-endian 64-bit words
+        len_bytes = 1 if width < 256 else 4
+        keys = np.zeros((start.size, -(-(width + len_bytes) // 8) * 8), dtype=np.uint8)
+        keys[:, :width] = np.where(np.arange(width) < length[:, None], self.window(start, width), 0)
+        length_bytes = length.astype(f">u{len_bytes}").view(np.uint8)
+        keys[:, width:width + len_bytes] = length_bytes.reshape(-1, len_bytes)
+        words = keys.view(">u8").astype(np.uint64)
+        # least significant word first; only the later sorts must be stable
+        order = np.argsort(words[:, -1])
+        for w in range(words.shape[1] - 2, -1, -1):
+            order = order[np.argsort(words[order, w], kind="stable")]
+        words = words[order]
+        new = np.ones(start.size, dtype=bool)
+        new[1:] = (words[1:] != words[:-1]).any(axis=1)
+        codes = np.empty(start.size, dtype=np.int64)
+        codes[order] = np.cumsum(new) - 1
+        first = order[new]
+        return self.texts(start[first], end[first]), codes
+
+    def texts(self, start: np.ndarray, end: np.ndarray) -> list[str]:
+        """The byte spans ``[start, end)`` decoded, in one decode."""
+        length = end - start
+        # every span and a tab after it, one after another in one buffer
+        at = np.cumsum(length + 1) - (length + 1)
+        idx = np.arange(int((length + 1).sum())) + np.repeat(start - at, length + 1)
+        buffer = self.bytes[np.minimum(idx, self.bytes.size - 1)]
+        buffer[at + length] = ord("\t")
+        return buffer.tobytes().decode("utf-8", "surrogatepass").split("\t")[:-1]
+
+
+def _fits_int64(value: int) -> bool:
+    return _INT64.min <= value <= _INT64.max
+
+
+def _decimal_ints(fields: _Fields, col: int) -> tuple[np.ndarray, np.ndarray] | None:
+    """Field ``col`` as (int64 values, presence) when every non-empty field
+    is an optional ``-`` and 1 to 18 ASCII digits, else None."""
+    start, end = fields.start[:, col], fields.end[:, col]
+    present = end > start
+    negative = present & (fields.window(start, 1)[:, 0] == ord("-"))
+    n_digits = end - start - negative
+    if np.any(present & ((n_digits < 1) | (n_digits > 18))):
+        return None
+    width = int(n_digits.max(initial=1))
+    # right-aligned, so the last column holds the units digit
+    digits = fields.window(end - width, width).astype(np.int16) - ord("0")
+    is_digit = np.arange(width) >= width - n_digits[:, None]
+    if np.any(is_digit & ((digits < 0) | (digits > 9))):
+        return None
+    values = np.zeros(start.size, dtype=np.int64)
+    for j in range(width):
+        values = values * 10 + np.where(is_digit[:, j], digits[:, j], 0)
+    return np.where(negative, -values, values), present
+
+
+def _distinct_numbers(texts: list[str], convert, valid, dtype, missing) -> tuple[np.ndarray, np.ndarray]:
+    """``convert`` of each non-empty text (``missing`` for empty ones), and
+    whether it raised ValueError or gave a value that is not ``valid``."""
+    values = np.full(len(texts), missing, dtype=dtype)
+    bad = np.zeros(len(texts), dtype=bool)
+    for j, text in enumerate(texts):
+        if text:
+            try:
+                value = convert(text)
+            except ValueError:
+                bad[j] = True
+                continue
+            if valid(value):
+                values[j] = value
+            else:
+                bad[j] = True
+    return values, bad
+
+
+def _first(rows: np.ndarray) -> list[int]:
+    return rows[:1].tolist()
+
+
+def _int_column(fields: _Fields, col: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Field ``col`` through Python's ``int``: int64 values (0 where empty),
+    presence, and the first row that is not an int64 integer, if any."""
+    parsed = _decimal_ints(fields, col)
+    if parsed is not None:
+        return *parsed, []
+    texts, codes = fields.column(col)
+    values, bad = _distinct_numbers(texts, int, _fits_int64, np.int64, 0)
+    empty = texts.index("") if "" in texts else -1
+    return values[codes], codes != empty, _first(np.flatnonzero(bad[codes]))
+
+
+def _line_error(line_no: int, line: str, columns: list[str]) -> MalformedLine | None:
+    """The error one data line raises, its checks taken in order."""
+    fields = line.split("\t")
+    if len(fields) != len(columns):
+        return MalformedLine(line_no, f"expected {len(columns)} fields, got {len(fields)}")
+    user, item = fields[columns.index("userID")], fields[columns.index("itemID")]
+    if not user or not item:
+        return MalformedLine(line_no, "empty user or item ID")
+    if "rating" in columns and (text := fields[columns.index("rating")]) != "":
+        try:
+            rating = float(text)
+        except ValueError:
+            return MalformedLine(line_no, f"bad rating {text!r}")
+        if not math.isfinite(rating):
+            return MalformedLine(line_no, f"non-finite rating {text!r}")
+    if "timestamp" in columns and (text := fields[columns.index("timestamp")]) != "":
+        try:
+            timestamp = int(text)
+        except ValueError:
+            return MalformedLine(line_no, f"bad timestamp {text!r}")
+        if not _fits_int64(timestamp):
+            return MalformedLine(line_no, f"timestamp {text!r} outside int64")
+    return None
+
+
+def parse_interactions(source: Iterable[str]) -> Interactions:
+    """Parse a TSV text stream (or an iterable of lines) into a table, preserving order.
 
     Raises MalformedHeader if userID or itemID is absent, MalformedLine for
-    rows with a wrong field count, empty IDs, or non-numeric rating/timestamp
-    fields. Line numbers are 1-based and count the header.
+    the first row with a wrong field count, an empty ID, a rating that is
+    not a finite float, or a timestamp that is not an int64 integer. Line
+    numbers are 1-based and count the header.
     """
-    lines = iter(source)
-    try:
-        header_line = next(lines)
-    except StopIteration:
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+    if not text:
         raise MalformedHeader("empty input, no header line")
-    columns = header_line.rstrip("\r\n").split("\t")
-    try:
-        user_col = columns.index("userID")
-        item_col = columns.index("itemID")
-    except ValueError:
+    header, _, body = text.partition("\n")
+    del text
+    columns = header.rstrip("\r").split("\t")
+    if "userID" not in columns or "itemID" not in columns:
         raise MalformedHeader(f"header must name userID and itemID, got {columns}")
-    rating_col = columns.index("rating") if "rating" in columns else None
-    ts_col = columns.index("timestamp") if "timestamp" in columns else None
+    fields = _Fields(body, len(columns))
+    del body
 
-    records = []
-    for line_no, line in enumerate(lines, start=2):
-        if line in ("", "\n"):
-            continue
-        fields = line.rstrip("\r\n").split("\t")
-        if len(fields) != len(columns):
-            raise MalformedLine(line_no, f"expected {len(columns)} fields, got {len(fields)}")
-        user, item = fields[user_col], fields[item_col]
-        if not user or not item:
-            raise MalformedLine(line_no, "empty user or item ID")
-        rating = None
-        if rating_col is not None and fields[rating_col] != "":
-            try:
-                rating = float(fields[rating_col])
-            except ValueError:
-                raise MalformedLine(line_no, f"bad rating {fields[rating_col]!r}")
-            if not math.isfinite(rating):
-                raise MalformedLine(line_no, f"non-finite rating {fields[rating_col]!r}")
-        timestamp = None
-        if ts_col is not None and fields[ts_col] != "":
-            try:
-                timestamp = int(fields[ts_col])
-            except ValueError:
-                raise MalformedLine(line_no, f"bad timestamp {fields[ts_col]!r}")
-        records.append(InteractionRecord(user, item, rating, timestamp))
-    return records
+    suspects = [] if fields.bad_row is None else [fields.bad_row]
+    user_ids, users = fields.column(columns.index("userID"))
+    item_ids, items = fields.column(columns.index("itemID"))
+    for ids, codes in ((user_ids, users), (item_ids, items)):
+        if ids and ids[0] == "":  # the empty ID sorts first
+            suspects += _first(np.flatnonzero(codes == 0))
+    rating = np.full(len(fields), np.nan)
+    if "rating" in columns:
+        texts, codes = fields.column(columns.index("rating"))
+        values, bad = _distinct_numbers(texts, float, math.isfinite, np.float64, np.nan)
+        rating = values[codes]
+        suspects += _first(np.flatnonzero(bad[codes]))
+    timestamp, has_timestamp = np.zeros(len(fields), dtype=np.int64), np.zeros(len(fields), dtype=bool)
+    if "timestamp" in columns:
+        timestamp, has_timestamp, bad_rows = _int_column(fields, columns.index("timestamp"))
+        suspects += bad_rows
+
+    if suspects:
+        row = min(suspects)
+        line_no = int(fields.line_index[row]) + 2
+        raise _line_error(line_no, fields.line(row), columns) or RuntimeError(
+            f"line {line_no} failed a bulk check but passes alone"
+        )
+    return Interactions(
+        np.array(user_ids, dtype=object),
+        np.array(item_ids, dtype=object),
+        users,
+        items,
+        rating,
+        timestamp,
+        has_timestamp,
+    )
 
 
-def read_interactions(path: str | os.PathLike) -> list[InteractionRecord]:
+def read_interactions(path: str | os.PathLike) -> Interactions:
     with open(path, encoding="utf-8") as fh:
         return parse_interactions(fh)
 
 
-def dedupe_interactions(records: list[InteractionRecord]) -> list[InteractionRecord]:
-    """One record per (user, item) pair, sorted by raw IDs.
+# ------------------------------------------------------------ the pipeline
 
-    The kept record is the one with the greatest timestamp; missing
+def dedupe_interactions(records: Interactions | Iterable[InteractionRecord]) -> Interactions:
+    """One row per (user, item) pair, sorted by raw IDs.
+
+    The kept row is the one with the greatest ``float(timestamp)``; missing
     timestamps compare lowest, and ties fall to the later input position.
     """
-    best: dict[tuple[str, str], tuple[float, int, InteractionRecord]] = {}
-    for pos, rec in enumerate(records):
-        ts = -math.inf if rec.timestamp is None else float(rec.timestamp)
-        key = (rec.raw_user_id, rec.raw_item_id)
-        kept = best.get(key)
-        if kept is None or (ts, pos) > kept[:2]:
-            best[key] = (ts, pos, rec)
-    return [best[key][2] for key in sorted(best)]
+    table = _as_table(records)
+    # one int64 code per (user, item) pair, ordered like the raw ID pairs
+    pair = table.users * len(table.item_ids) + table.items
+    stamp = np.where(table.has_timestamp, table.timestamp.astype(np.float64), -np.inf)
+    # lexsort is stable, so rows with equal keys stay in input order and the
+    # last row of each pair's run is the one to keep
+    order = np.lexsort((stamp, pair))
+    pair = pair[order]
+    last = np.ones(len(order), dtype=bool)
+    last[:-1] = pair[1:] != pair[:-1]
+    return table.take(order[last])
 
 
-def k_core_filter(records: list[InteractionRecord], params: FilterParams) -> list[InteractionRecord]:
+def k_core_filter(
+    records: Interactions | Iterable[InteractionRecord], params: FilterParams
+) -> Interactions:
     """Largest subset where every user and item keeps >= k interactions.
 
-    Peels under-threshold users and items with a work queue (linear in the
-    number of edges); the fixpoint is unique, so the peeling order does not
-    matter. May return an empty list.
+    Drops every row of an under-threshold user or item, round after round,
+    until a round drops nothing; the fixpoint is unique, so the peeling
+    order does not matter. Kept rows stay in input order; may be empty.
     """
-    k = params.k
-    user_items: dict[str, list[str]] = {}
-    item_users: dict[str, list[str]] = {}
-    for rec in records:
-        user_items.setdefault(rec.raw_user_id, []).append(rec.raw_item_id)
-        item_users.setdefault(rec.raw_item_id, []).append(rec.raw_user_id)
-
-    user_deg = {u: len(v) for u, v in user_items.items()}
-    item_deg = {i: len(v) for i, v in item_users.items()}
-    dead_users: set[str] = set()
-    dead_items: set[str] = set()
-    queue: list[tuple[str, str]] = [("u", u) for u, d in user_deg.items() if d < k]
-    queue += [("i", i) for i, d in item_deg.items() if d < k]
-
-    while queue:
-        side, node = queue.pop()
-        if side == "u":
-            if node in dead_users:
-                continue
-            dead_users.add(node)
-            for i in user_items[node]:
-                if i in dead_items:
-                    continue
-                item_deg[i] -= 1
-                if item_deg[i] < k:
-                    queue.append(("i", i))
-        else:
-            if node in dead_items:
-                continue
-            dead_items.add(node)
-            for u in item_users[node]:
-                if u in dead_users:
-                    continue
-                user_deg[u] -= 1
-                if user_deg[u] < k:
-                    queue.append(("u", u))
-
-    return [
-        rec
-        for rec in records
-        if rec.raw_user_id not in dead_users and rec.raw_item_id not in dead_items
-    ]
+    table = _as_table(records)
+    rows = np.arange(len(table))
+    while rows.size:
+        users, items = table.users[rows], table.items[rows]
+        keep = (np.bincount(users)[users] >= params.k) & (np.bincount(items)[items] >= params.k)
+        if keep.all():
+            break
+        rows = rows[keep]
+    return table.take(rows)
 
 
-def build_id_maps(records: list[InteractionRecord]) -> tuple[dict[str, int], dict[str, int]]:
+def _dense_map(ids: np.ndarray, codes: np.ndarray) -> dict[str, int]:
+    present = ids[np.unique(codes)]
+    return dict(zip(present.tolist(), range(len(present))))
+
+
+def build_id_maps(
+    records: Interactions | Iterable[InteractionRecord],
+) -> tuple[dict[str, int], dict[str, int]]:
     """Dense indices assigned in lexicographic order of the raw ID strings."""
-    if not records:
+    table = _as_table(records)
+    if not len(table):
         raise EmptyDataset("no interactions survive filtering")
-    users = sorted({rec.raw_user_id for rec in records})
-    items = sorted({rec.raw_item_id for rec in records})
-    return (
-        {u: idx for idx, u in enumerate(users)},
-        {i: idx for idx, i in enumerate(items)},
-    )
+    return _dense_map(table.user_ids, table.users), _dense_map(table.item_ids, table.items)
 
 
-def _split_counts(n: int, ratios: tuple[float, float, float]) -> tuple[int, int]:
-    """(n_test, n_valid) under the floor rule with the small-user guard."""
-    if n < 3:
-        return 0, 0
+def _split_counts(n: np.ndarray, ratios: tuple[float, float, float]) -> tuple[np.ndarray, np.ndarray]:
+    """(n_test, n_valid) per user under the floor rule with the small-user guard."""
     _, r_valid, r_test = ratios
-    n_test = int(math.floor(r_test * n))
-    n_valid = int(math.floor(r_valid * n))
+    n_test = np.floor(r_test * n).astype(np.int64)
+    n_valid = np.floor(r_valid * n).astype(np.int64)
     if r_test > 0:
-        n_test = max(1, n_test)
+        n_test = np.maximum(1, n_test)
     if r_valid > 0:
-        n_valid = max(1, n_valid)
+        n_valid = np.maximum(1, n_valid)
     # never leave a user without a train interaction; shrink valid before test
-    if n_test + n_valid >= n:
-        n_valid = min(n_valid, max(0, n - 1 - n_test))
-        n_test = min(n_test, n - 1 - n_valid)
-    return n_test, n_valid
+    over = n_test + n_valid >= n
+    n_valid = np.where(over, np.minimum(n_valid, np.maximum(0, n - 1 - n_test)), n_valid)
+    n_test = np.where(over, np.minimum(n_test, n - 1 - n_valid), n_test)
+    small = n < 3
+    return np.where(small, 0, n_test), np.where(small, 0, n_valid)
+
+
+def _dense_codes(ids: np.ndarray, codes: np.ndarray, id_map: dict[str, int]) -> np.ndarray:
+    present = np.unique(codes)
+    lookup = np.zeros(len(ids), dtype=np.int64)
+    lookup[present] = np.fromiter(map(id_map.__getitem__, ids[present]), np.int64, len(present))
+    return lookup[codes]
 
 
 def split(
-    records: list[InteractionRecord],
+    records: Interactions | Iterable[InteractionRecord],
     maps: tuple[dict[str, int], dict[str, int]],
     spec: SplitSpec,
 ) -> Dataset:
-    """Partition filtered interactions into a train/valid/test Dataset."""
+    """Partition filtered interactions into a train/valid/test Dataset.
+
+    ``per_user_random`` shuffles each user's items (in item order) with the
+    stream ``(seed, "split", user)`` and holds out the first of them;
+    ``temporal_leave_last`` holds out each user's latest items, ordered by
+    (timestamp, item); ``global_random`` shuffles all rows with the stream
+    ``(seed, "split")`` and cuts by the ratios, then moves every pair of a
+    user left without a train pair back to train.
+    """
+    table = _as_table(records)
     user_map, item_map = maps
     n_users, n_items = len(user_map), len(item_map)
+    users = _dense_codes(table.user_ids, table.users, user_map)
+    items = _dense_codes(table.item_ids, table.items, item_map)
+    n = len(users)
 
-    by_user: list[list[tuple[int, int | None]]] = [[] for _ in range(n_users)]
-    for rec in records:
-        u = user_map[rec.raw_user_id]
-        by_user[u].append((item_map[rec.raw_item_id], rec.timestamp))
-
-    train_pairs: list[tuple[int, int]] = []
-    valid_pairs: list[tuple[int, int]] = []
-    test_pairs: list[tuple[int, int]] = []
-
-    if spec.strategy == "per_user_random":
-        for u in range(n_users):
-            items = np.asarray(sorted(i for i, _ in by_user[u]), dtype=np.int64)
-            n = len(items)
-            n_test, n_valid = _split_counts(n, spec.ratios)
-            shuffled = items[stream(spec.seed, "split", u).permutation(n)]
-            test_pairs += [(u, int(i)) for i in shuffled[:n_test]]
-            valid_pairs += [(u, int(i)) for i in shuffled[n_test:n_test + n_valid]]
-            train_pairs += [(u, int(i)) for i in shuffled[n_test + n_valid:]]
-    elif spec.strategy == "temporal_leave_last":
-        for u in range(n_users):
-            if any(ts is None for _, ts in by_user[u]):
-                raise MissingTimestamps(f"user index {u} has interactions without timestamps")
-            ordered = sorted(by_user[u], key=lambda it: (it[1], it[0]))
-            n = len(ordered)
-            n_test, n_valid = _split_counts(n, spec.ratios)
-            items = [i for i, _ in ordered]
-            test_pairs += [(u, i) for i in items[n - n_test:]]
-            valid_pairs += [(u, i) for i in items[n - n_test - n_valid:n - n_test]]
-            train_pairs += [(u, i) for i in items[:n - n_test - n_valid]]
-    else:  # global_random
-        pairs = [(user_map[r.raw_user_id], item_map[r.raw_item_id]) for r in records]
-        perm = stream(spec.seed, "split").permutation(len(pairs))
-        shuffled = [pairs[p] for p in perm]
-        n = len(shuffled)
+    if spec.strategy == "global_random":
+        position = np.empty(n, dtype=np.int64)
+        position[stream(spec.seed, "split").permutation(n)] = np.arange(n)
         b_train = int(math.floor(spec.ratios[0] * n))
         b_valid = int(math.floor((spec.ratios[0] + spec.ratios[1]) * n))
-        train_pairs = shuffled[:b_train]
-        valid_pairs = shuffled[b_train:b_valid]
-        test_pairs = shuffled[b_valid:]
-        trained_users = {u for u, _ in train_pairs}
-        orphans = {u for u in range(n_users) if u not in trained_users}
-        if orphans:
-            train_pairs += [(u, i) for u, i in valid_pairs + test_pairs if u in orphans]
-            valid_pairs = [(u, i) for u, i in valid_pairs if u not in orphans]
-            test_pairs = [(u, i) for u, i in test_pairs if u not in orphans]
+        part = np.where(position < b_train, _TRAIN, np.where(position < b_valid, _VALID, _TEST))
+        trained = np.bincount(users[part == _TRAIN], minlength=n_users) > 0
+        part[~trained[users]] = _TRAIN
+    else:
+        counts = np.bincount(users, minlength=n_users)
+        starts = np.cumsum(counts) - counts
+        if spec.strategy == "per_user_random":
+            order = np.lexsort((items, users))
+            # each user's sorted rows in shuffled order; held-out items first
+            shuffled = np.concatenate([np.zeros(0, dtype=np.int64)] + [
+                starts[u] + stream(spec.seed, "split", u).permutation(int(counts[u]))
+                for u in range(n_users)
+            ])
+            rows = order[shuffled]
+            held = np.empty(n, dtype=np.int64)
+            held[rows] = np.arange(n) - starts[users[rows]]
+        else:
+            if not table.has_timestamp.all():
+                u = int(users[~table.has_timestamp].min())
+                raise MissingTimestamps(f"user index {u} has interactions without timestamps")
+            order = np.lexsort((items, table.timestamp, users))
+            held = np.empty(n, dtype=np.int64)
+            # counted back from each user's latest item
+            held[order] = starts[users[order]] + counts[users[order]] - 1 - np.arange(n)
+        n_test, n_valid = _split_counts(counts, spec.ratios)
+        part = np.where(
+            held < n_test[users], _TEST, np.where(held < (n_test + n_valid)[users], _VALID, _TRAIN)
+        )
 
-    return Dataset(
-        n_users=n_users,
-        n_items=n_items,
-        user_map=user_map,
-        item_map=item_map,
-        train=InteractionSet.from_pairs(train_pairs, n_users, n_items),
-        valid=InteractionSet.from_pairs(valid_pairs, n_users, n_items),
-        test=InteractionSet.from_pairs(test_pairs, n_users, n_items),
+    train, valid, test = (
+        InteractionSet.from_arrays(users[part == p], items[part == p], n_users, n_items)
+        for p in (_TRAIN, _VALID, _TEST)
     )
+    return Dataset(n_users, n_items, user_map, item_map, train, valid, test)
 
 
 def preprocess(
-    records: list[InteractionRecord],
+    records: Interactions | Iterable[InteractionRecord],
     filter_params: FilterParams,
     spec: SplitSpec,
 ) -> Dataset:
@@ -351,20 +612,58 @@ def preprocess(
 
 # ------------------------------------------------------------- persistence
 
-def _write_pairs(iset: InteractionSet, path: str) -> None:
+def _write_tsv(path: str, first: Iterable, second: Iterable) -> None:
+    """Two columns, one tab-separated row per entry, in one write."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for u, i in iset.pairs():
-            fh.write(f"{u}\t{i}\n")
+        fh.write("".join(map("{}\t{}\n".format, first, second)))
+
+
+def _read_tsv(path: str) -> _Fields:
+    """The two fields of each line of a dataset file; empty lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        fields = _Fields(fh.read(), 2)
+    if fields.bad_row is not None:
+        row = fields.bad_row
+        got = fields.line(row).count("\t") + 1
+        line_no = fields.line_index[row] + 1
+        raise MalformedDataset(f"{path}: line {line_no}: expected 2 fields, got {got}")
+    return fields
+
+
+def _read_indices(path: str, fields: _Fields, col: int, what: str, bound: int) -> np.ndarray:
+    """Field ``col`` as integers in ``[0, bound)``, or MalformedDataset
+    naming the first bad line."""
+    values, present, bad = _int_column(fields, col)
+    row = min(bad + _first(np.flatnonzero(~present)), default=None)
+    if row is not None:
+        [text] = fields.texts(fields.start[row:row + 1, col], fields.end[row:row + 1, col])
+        raise MalformedDataset(f"{path}: line {fields.line_index[row] + 1}: bad {what} index {text!r}")
+    outside = np.flatnonzero((values < 0) | (values >= bound))
+    if outside.size:
+        row = outside[0]
+        raise MalformedDataset(
+            f"{path}: line {fields.line_index[row] + 1}: {what} index {values[row]} outside [0, {bound})"
+        )
+    return values
 
 
 def _read_pairs(path: str, n_rows: int, n_cols: int) -> InteractionSet:
-    pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                u, i = line.split("\t")
-                pairs.append((int(u), int(i)))
-    return InteractionSet.from_pairs(pairs, n_rows, n_cols)
+    fields = _read_tsv(path)
+    return InteractionSet.from_arrays(
+        _read_indices(path, fields, 0, "user", n_rows),
+        _read_indices(path, fields, 1, "item", n_cols),
+        n_rows,
+        n_cols,
+    )
+
+
+def _read_map(path: str, size: int, what: str) -> dict[str, int]:
+    fields = _read_tsv(path)
+    dense = _read_indices(path, fields, 1, what, size)
+    raws, codes = fields.column(0)
+    if len(raws) != size or not np.array_equal(dense, np.arange(size)):
+        raise MalformedDataset(f"{path}: expected {size} distinct IDs indexed 0..{size - 1} in order")
+    return dict(zip(np.array(raws, dtype=object)[codes].tolist(), range(size)))
 
 
 def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) -> None:
@@ -378,12 +677,11 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
         fh.write(f"ratios: {','.join(repr(float(r)) for r in spec.ratios)}\n")
         fh.write(f"seed: {spec.seed}\n")
     for name, id_map in (("umap.tsv", dataset.user_map), ("imap.tsv", dataset.item_map)):
-        with open(os.path.join(out, name), "w", encoding="utf-8", newline="\n") as fh:
-            for raw, dense in sorted(id_map.items(), key=lambda kv: kv[1]):
-                fh.write(f"{raw}\t{dense}\n")
-    _write_pairs(dataset.train, os.path.join(out, "train.tsv"))
-    _write_pairs(dataset.valid, os.path.join(out, "valid.tsv"))
-    _write_pairs(dataset.test, os.path.join(out, "test.tsv"))
+        raws = sorted(id_map, key=id_map.__getitem__)
+        _write_tsv(os.path.join(out, name), raws, map(id_map.__getitem__, raws))
+    for name in ("train", "valid", "test"):
+        rows, cols = getattr(dataset, name).pair_arrays()
+        _write_tsv(os.path.join(out, f"{name}.tsv"), rows.tolist(), cols.tolist())
 
 
 def load_dataset(in_dir: str | os.PathLike) -> Dataset:
@@ -394,22 +692,15 @@ def load_dataset(in_dir: str | os.PathLike) -> Dataset:
             if line.strip():
                 key, _, value = line.partition(":")
                 meta[key.strip()] = value.strip()
-    n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
-
-    def read_map(name: str) -> dict[str, int]:
-        id_map = {}
-        with open(os.path.join(src, name), encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    raw, dense = line.rstrip("\n").split("\t")
-                    id_map[raw] = int(dense)
-        return id_map
-
+    try:
+        n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
+    except (KeyError, ValueError):
+        raise MalformedDataset(f"{os.path.join(src, 'meta')}: needs integer n_users and n_items")
     return Dataset(
         n_users=n_users,
         n_items=n_items,
-        user_map=read_map("umap.tsv"),
-        item_map=read_map("imap.tsv"),
+        user_map=_read_map(os.path.join(src, "umap.tsv"), n_users, "user"),
+        item_map=_read_map(os.path.join(src, "imap.tsv"), n_items, "item"),
         train=_read_pairs(os.path.join(src, "train.tsv"), n_users, n_items),
         valid=_read_pairs(os.path.join(src, "valid.tsv"), n_users, n_items),
         test=_read_pairs(os.path.join(src, "test.tsv"), n_users, n_items),

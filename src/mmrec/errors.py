@@ -29,6 +29,10 @@ class MissingTimestamps(MmrecError):
     """Temporal split requested but some records carry no timestamp."""
 
 
+class MalformedDataset(MmrecError):
+    """Dataset directory file has a bad line or disagrees with its meta."""
+
+
 # ------------------------------------------------------------ feature files
 
 class BadMagic(MmrecError):

@@ -329,6 +329,7 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     """Train and evaluate one concrete (scalar) configuration."""
     v = config.values
     fused = fuse(tables, v["fusion"]) if tables else None
+    adjacency = build_adjacency(dataset.train) if v["model"] == "graph_mm" else None
     state, log = fit(
         v["model"],
         dataset,
@@ -338,8 +339,8 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
         n_layers=v["n_layers"],
         lambda_reg=v["reg"],
         fused=fused,
+        adjacency=adjacency,
     )
-    adjacency = build_adjacency(dataset.train) if v["model"] == "graph_mm" else None
     cutoffs = v["topk"]
     valid_report = (
         evaluate(state, dataset, "valid", cutoffs, fused, adjacency)

@@ -83,11 +83,16 @@ def read_matrix(path: str | os.PathLike, magic: bytes = b"MMF1") -> np.ndarray:
         got = fh.read(4)
         if got != magic:
             raise BadMagic(f"{os.fspath(path)}: expected {magic!r}, found {got!r}")
-        rows, cols = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise DimensionMismatch(f"{os.fspath(path)}: truncated header")
+        rows, cols = struct.unpack("<II", header)
         dtype = _MAGIC_DTYPE[magic]
         payload = fh.read(rows * cols * dtype.itemsize)
         if len(payload) != rows * cols * dtype.itemsize:
             raise DimensionMismatch(f"{os.fspath(path)}: truncated payload")
+        if fh.read(1):
+            raise DimensionMismatch(f"{os.fspath(path)}: trailing bytes after the {rows}x{cols} payload")
     return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
 
 

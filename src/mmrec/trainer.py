@@ -14,6 +14,7 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .data import Dataset, InteractionSet
 from .errors import NoNegativeAvailable, NonFiniteGradient
@@ -168,12 +169,14 @@ def fit(
     n_layers: int | None = None,
     lambda_reg: float = 0.0,
     fused: np.ndarray | None = None,
+    adjacency: sp.csr_matrix | None = None,
 ) -> tuple[ModelState, TrainLog]:
     """Train one model, returning the best-validation parameters and a log.
 
     With an empty validation split there is nothing to select on: early
     stopping is disabled, training runs to max_epochs and the final
-    parameters are returned.
+    parameters are returned. A ``graph_mm`` model uses ``adjacency`` when
+    given (it must be ``build_adjacency(dataset.train)``), else builds it.
     """
     if dataset.train.nnz == 0:
         raise ValueError("train split is empty")
@@ -188,7 +191,8 @@ def fit(
         n_layers=n_layers,
         lambda_reg=lambda_reg,
     )
-    adjacency = build_adjacency(dataset.train) if kind == "graph_mm" else None
+    if kind == "graph_mm" and adjacency is None:
+        adjacency = build_adjacency(dataset.train)
     opt = OptimizerState.zeros(state)
     log = TrainLog()
     stop_name, stop_k = parse_metric_spec(cfg.stop_metric)

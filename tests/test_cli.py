@@ -1,5 +1,8 @@
+import pytest
+
 from mmrec.cli import main
 from mmrec.data import Dataset, InteractionSet, SplitSpec, load_dataset, save_dataset
+from mmrec.errors import MalformedDataset
 from mmrec.models import init_params, save_checkpoint
 
 from test_experiment import write_toy_workspace
@@ -161,3 +164,62 @@ class TestEval:
                     "--data", tmp_path / "out" / "dataset"])
         assert code == 1
         assert "'seed'" in capsys.readouterr().err
+
+
+class TestEvalRefusesCorruptDataset:
+    """A damaged pair file is a typed error with exit code 1, never a traceback
+    or a silent load."""
+
+    def write(self, root):
+        save_checkpoint(init_params("mf_bpr", 5, 4, 4, seed=1), root / "ckpt")
+        split = lambda pairs: InteractionSet.from_pairs(pairs, 5, 4)
+        dataset = Dataset(
+            5, 4, {f"u{u}": u for u in range(5)}, {f"i{i}": i for i in range(4)},
+            split({(u, u % 4) for u in range(5)}),
+            split(set()),
+            split({(u, (u + 1) % 4) for u in range(5)}),
+        )
+        save_dataset(dataset, SplitSpec("per_user_random", (0.8, 0.1, 0.1), 1), root / "ds")
+
+    def eval_with_test_line(self, root, capsys, line):
+        self.write(root)
+        test = root / "ds" / "test.tsv"
+        test.write_text(test.read_text() + line, encoding="utf-8")
+        capsys.readouterr()
+        code = run(["eval", "--checkpoint", root / "ckpt", "--data", root / "ds"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        with pytest.raises(MalformedDataset):
+            load_dataset(root / "ds")
+        return captured.err
+
+    def test_user_index_beyond_n_users(self, tmp_path, capsys):
+        err = self.eval_with_test_line(tmp_path, capsys, "5\t0\n")
+        assert "test.tsv: line 6: user index 5 outside [0, 5)" in err
+
+    def test_item_index_beyond_n_items(self, tmp_path, capsys):
+        err = self.eval_with_test_line(tmp_path, capsys, "0\t4\n")
+        assert "test.tsv: line 6: item index 4 outside [0, 4)" in err
+
+    def test_three_field_line(self, tmp_path, capsys):
+        err = self.eval_with_test_line(tmp_path, capsys, "0\t1\t2\n")
+        assert "test.tsv: line 6: expected 2 fields, got 3" in err
+
+    def test_non_integer_index(self, tmp_path, capsys):
+        err = self.eval_with_test_line(tmp_path, capsys, "0\tx\n")
+        assert "test.tsv: line 6: bad item index 'x'" in err
+
+    def test_meta_without_sizes(self, tmp_path, capsys):
+        self.write(tmp_path)
+        meta = tmp_path / "ds" / "meta"
+        meta.write_text(meta.read_text().replace("n_items", "n_things"), encoding="utf-8")
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"]) == 1
+        assert "needs integer n_users and n_items" in capsys.readouterr().err
+
+    def test_map_out_of_order(self, tmp_path, capsys):
+        self.write(tmp_path)
+        (tmp_path / "ds" / "imap.tsv").write_text("i0\t0\ni1\t2\ni2\t1\ni3\t3\n", encoding="utf-8")
+        with pytest.raises(MalformedDataset, match="imap.tsv"):
+            load_dataset(tmp_path / "ds")

@@ -1,0 +1,258 @@
+"""The columnar data pipeline against the record-at-a-time oracle.
+
+Every stage must give exactly what ``data_oracle`` gives on the same input:
+the same records, maps and splits, or the same exception class, message and
+line number.
+"""
+
+import io
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import data_oracle as oracle
+from mmrec.data import (
+    FilterParams,
+    InteractionRecord,
+    Interactions,
+    InteractionSet,
+    SplitSpec,
+    build_id_maps,
+    dedupe_interactions,
+    k_core_filter,
+    load_dataset,
+    parse_interactions,
+    preprocess,
+    read_interactions,
+    save_dataset,
+    split,
+)
+from mmrec.errors import MalformedLine, MmrecError
+
+from conftest import brute_force_k_core
+
+SETTINGS = settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+
+# IDs collide often, sort in code-point order and hold characters that a
+# careless splitter or a fixed-width numpy string would mangle
+ID_CHARS = "abéZ0 \x00 \x85\r"
+RATINGS = ["", "1", "4.5", " 2 ", "-0.0", "1_0", "٣", "nan", "inf", "-inf", "1e400", "x"]
+STAMPS = [
+    "", "0", "5", "-3", " 7", "+4", "٣", "1.5", "x", str(2**53), str(2**53 + 1),
+    str(2**63 - 1), str(2**63), str(-(2**63)), str(-(2**63) - 1),
+]
+GOOD_STAMPS = [None, 0, 1, 2, 3, 2**53, 2**53 + 1, 2**63 - 1, -(2**63)]
+
+
+def outcome(fn, *args):
+    """What a call gives: its value, or its error as (class, message, line)."""
+    try:
+        return "ok", fn(*args)
+    except MmrecError as exc:
+        return "error", (type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+def same_outcome(got, want):
+    assert got[0] == want[0], (got, want)
+    assert got[1] == want[1]
+
+
+@st.composite
+def tsv_texts(draw, valid_numbers=False):
+    columns = ["userID", "itemID"]
+    columns += [name for name in ("rating", "timestamp", "extra") if draw(st.booleans())]
+    columns = draw(st.permutations(columns))
+    ids = st.text(ID_CHARS, min_size=0 if not valid_numbers else 1, max_size=3)
+    if valid_numbers:
+        ids = ids.filter(lambda s: not s.endswith("\r"))
+    values = {
+        "userID": ids,
+        "itemID": ids,
+        "rating": st.sampled_from(RATINGS[:7] if valid_numbers else RATINGS),
+        "timestamp": st.sampled_from(STAMPS[:7] + STAMPS[9:12] if valid_numbers else STAMPS),
+        "extra": st.text("xy", max_size=2),
+    }
+    lines = []
+    for _ in range(draw(st.integers(0, 25))):
+        kind = draw(st.sampled_from(["row"] * 8 + ([] if valid_numbers else ["blank", "short", "long"])))
+        fields = [draw(values[c]) for c in columns]
+        if kind == "blank":
+            lines.append("")
+            continue
+        if kind == "short":
+            fields = fields[:-1]
+        elif kind == "long":
+            fields.append("z")
+        lines.append("\t".join(fields))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    text = "\t".join(columns) + ending + "".join(line + ending for line in lines)
+    if lines and draw(st.booleans()):
+        text = text[: -len(ending)]  # last line without its terminator
+    return text
+
+
+# ------------------------------------------------------------------ parsing
+
+@SETTINGS
+@given(tsv_texts())
+def test_parse_matches_oracle(text):
+    want = outcome(oracle.parse, io.StringIO(text))
+    same_outcome(outcome(parse_interactions, io.StringIO(text)), want)
+    # an iterable of lines parses as the stream does
+    lines = io.StringIO(text).readlines()
+    same_outcome(outcome(parse_interactions, lines), outcome(oracle.parse, lines))
+
+
+@SETTINGS
+@given(tsv_texts(valid_numbers=True))
+def test_parse_of_valid_input_gives_records(text):
+    kind, records = outcome(parse_interactions, io.StringIO(text))
+    assert kind == "ok", records
+    assert records == oracle.parse(io.StringIO(text))
+
+
+def test_parse_reads_a_file_like_the_stream(tmp_path):
+    text = "userID\titemID\ttimestamp\r\nu\ti\t3\r\n\r\nv\ti\t\r\n"
+    path = tmp_path / "x.tsv"
+    path.write_bytes(text.encode())
+    # the file is read with universal newlines, so \r\n ends a line
+    assert read_interactions(path) == oracle.parse(io.StringIO(text.replace("\r\n", "\n")))
+
+
+@pytest.mark.parametrize("text, line_no, message", [
+    ("userID\titemID\ttimestamp\nu\ti\t1\nu\ti\t" + str(2**63) + "\n", 3, "outside int64"),
+    ("userID\titemID\ttimestamp\nu\ti\t" + str(-(2**63) - 1) + "\n", 2, "outside int64"),
+    ("userID\titemID\trating\nu\ti\t1\n\nu\t\tx\n", 4, "empty user or item ID"),
+    ("userID\titemID\trating\nu\ti\tinf\nu\ti\tx\n", 2, "non-finite rating 'inf'"),
+    ("userID\titemID\trating\nu\ti\t1\nu\ti\tx\tz\n", 3, "expected 3 fields, got 4"),
+    ("userID\titemID\trating\n\r\n", 2, "expected 3 fields, got 1"),
+])
+def test_first_malformed_line_is_reported(text, line_no, message):
+    with pytest.raises(MalformedLine, match=message) as err:
+        parse_interactions(io.StringIO(text))
+    assert err.value.line_no == line_no
+
+
+def test_many_ids_factorize_in_code_point_order():
+    # enough rows that numpy's sorts leave their small-array paths, IDs that
+    # share their first 8 bytes so the later words decide, trailing NULs,
+    # and IDs over 255 bytes long
+    rng = np.random.default_rng(4)
+    prefixes = ["", "sharedpx", "sharedp", "é" * 5, "L" * 300]
+    ids = [
+        prefixes[rng.integers(len(prefixes))]
+        + "".join("ab\x00é"[j] for j in rng.integers(0, 4, size=n))
+        for n in rng.integers(1, 12, size=3000)
+    ]
+    stamps = [str(v) for v in rng.integers(-(2**62), 2**62, size=3000)]
+    text = "userID\titemID\ttimestamp\n" + "".join(
+        f"{u}\t{i}\t{t}\n" for u, i, t in zip(ids, reversed(ids), stamps)
+    )
+    table = parse_interactions(io.StringIO(text))
+    assert table.user_ids.tolist() == sorted(set(ids))
+    assert table.user_ids[table.users].tolist() == ids
+    assert table.item_ids[table.items].tolist() == ids[::-1]
+    assert table.timestamp.tolist() == [int(t) for t in stamps]
+
+
+def test_timestamp_bounds_are_int64():
+    text = f"userID\titemID\ttimestamp\nu\ti\t{2**63 - 1}\nv\ti\t{-(2**63)}\n"
+    assert [r.timestamp for r in parse_interactions(io.StringIO(text))] == [2**63 - 1, -(2**63)]
+
+
+# ------------------------------------------------------------ the pipeline
+
+records_lists = st.lists(
+    st.builds(
+        InteractionRecord,
+        st.sampled_from(["u0", "u1", "u10", "u2", "é", "U"]),
+        st.sampled_from(["i0", "i1", "i10", "i2", "I", "i\x00"]),
+        st.sampled_from([None, 1.0, 2.5]),
+        st.sampled_from(GOOD_STAMPS),
+    ),
+    max_size=60,
+)
+
+
+@SETTINGS
+@given(records_lists)
+def test_dedupe_matches_oracle(records):
+    want = oracle.dedupe(records)
+    assert dedupe_interactions(records) == want
+    assert dedupe_interactions(Interactions.from_records(records)) == want
+
+
+def test_dedupe_ties_above_2_53_fall_to_the_later_row():
+    # 2**53 + 1 rounds to 2**53 as a float, so the two rows tie
+    records = [InteractionRecord("u", "i", 1.0, 2**53 + 1), InteractionRecord("u", "i", 2.0, 2**53)]
+    assert dedupe_interactions(records) == [records[1]]
+
+
+@SETTINGS
+@given(records_lists, st.integers(1, 4))
+def test_k_core_matches_oracle_and_brute_force(records, k):
+    got = k_core_filter(records, FilterParams(k=k))
+    assert got == oracle.k_core(records, k)
+    deduped = dedupe_interactions(records)
+    core = k_core_filter(deduped, FilterParams(k=k))
+    edges = {(r.raw_user_id, r.raw_item_id) for r in deduped}
+    assert {(r.raw_user_id, r.raw_item_id) for r in core} == brute_force_k_core(edges, k)
+
+
+@SETTINGS
+@given(
+    records_lists,
+    st.sampled_from(["per_user_random", "global_random", "temporal_leave_last"]),
+    st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (0.6, 0.0, 0.4), (1.0, 0.0, 0.0)]),
+    st.integers(0, 2**64 - 1),
+    st.booleans(),
+)
+def test_split_matches_oracle(records, strategy, ratios, seed, stamp_all):
+    if stamp_all:  # else a temporal split mostly meets a missing timestamp
+        records = [replace(r, timestamp=r.timestamp or 0) for r in records]
+    spec = SplitSpec(strategy, ratios, seed)
+    maps = outcome(build_id_maps, records)
+    same_outcome(maps, outcome(oracle.id_maps, records))
+    if maps[0] == "ok":
+        want = outcome(oracle.split, records, maps[1], spec)
+        same_outcome(outcome(split, records, maps[1], spec), want)
+
+
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
+)
+@given(records_lists, st.sampled_from(["per_user_random", "global_random"]))
+def test_saved_dataset_loads_back(tmp_path, records, strategy):
+    spec = SplitSpec(strategy, (0.6, 0.2, 0.2), 5)
+    result = outcome(preprocess, records, FilterParams(k=1), spec)
+    if result[0] == "ok":
+        save_dataset(result[1], spec, tmp_path / "ds")
+        assert load_dataset(tmp_path / "ds") == result[1]
+
+
+# ------------------------------------------------------------ the table
+
+def test_table_reads_as_a_sequence_of_records():
+    records = [
+        InteractionRecord("b", "x", None, 7),
+        InteractionRecord("a", "y", 4.5, None),
+        InteractionRecord("b", "y", 1.0, 2),
+    ]
+    table = Interactions.from_records(records)
+    assert len(table) == 3
+    assert table[1] == records[1] and table[-1] == records[2]
+    assert list(table) == records and table == records and table == tuple(records)
+    assert table != records[:2]
+    assert table.user_ids.tolist() == ["a", "b"] and table.users.tolist() == [1, 0, 1]
+    assert table.take(np.array([2, 0])) == [records[2], records[0]]
+
+
+def test_interaction_set_from_arrays_sorts_and_keeps_duplicates():
+    iset = InteractionSet.from_arrays(np.array([1, 0, 1, 1]), np.array([3, 2, 1, 3]), 3, 4)
+    assert iset.indptr.tolist() == [0, 1, 4, 4]
+    assert iset.indices.tolist() == [2, 1, 3, 3]

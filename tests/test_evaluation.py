@@ -329,7 +329,9 @@ SCALAR_METRICS = {"recall": recall_at_k, "precision": precision_at_k, "ndcg": nd
 
 def oracle_report(state, ds, cutoffs):
     """Per-user 1-D top_k(mask_trained(...)) scored by the scalar *_at_k
-    functions and summed in user order, as a loop over users would."""
+    functions and summed in user order, as a loop over users would. A
+    repeated cutoff is scored once, as the evaluator reports it once."""
+    cutoffs = tuple(dict.fromkeys(cutoffs))
     scores = score_all(state)
     sums = {m: {k: 0.0 for k in cutoffs} for m in METRICS}
     n_eval = 0

@@ -3,6 +3,9 @@ import os
 import numpy as np
 import pytest
 
+import mmrec.experiment
+import mmrec.models
+import mmrec.trainer
 from mmrec.errors import EmptySplit, MissingFeatures, ParseError, TypeMismatch, UnknownKey
 from mmrec.experiment import (
     ExperimentConfig,
@@ -177,6 +180,22 @@ class TestRunExperiment:
         assert result.valid_report is not None and result.test_report is not None
         assert (tmp_path / "out" / "summary.tsv").exists()
         assert (tmp_path / "out" / "combo_000" / "checkpoint" / "meta").exists()
+
+    def test_graph_run_builds_the_adjacency_once(self, tmp_path, monkeypatch):
+        calls = []
+        build = mmrec.models.build_adjacency
+
+        def counted(train):
+            calls.append(1)
+            return build(train)
+
+        monkeypatch.setattr(mmrec.experiment, "build_adjacency", counted)
+        monkeypatch.setattr(mmrec.trainer, "build_adjacency", counted)
+        config = parse_config(write_toy_workspace(tmp_path, extra_lines=["model: graph_mm"]))
+        report = run_experiment(config, out_dir=tmp_path / "out")
+        assert report.results[0].error is None
+        assert report.results[0].test_report is not None
+        assert len(calls) == 1
 
     def test_grid_rows_and_best(self, tmp_path):
         config = parse_config(

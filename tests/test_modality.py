@@ -71,6 +71,19 @@ class TestMmfFiles:
         write_matrix(path, values, magic=b"MMF8")
         assert np.array_equal(read_matrix(path, magic=b"MMF8"), values)
 
+    def test_trailing_bytes_refused(self, tmp_path):
+        path = tmp_path / "long.mmf"
+        write_matrix(path, np.ones((2, 3), dtype=np.float32))
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(DimensionMismatch, match="trailing bytes"):
+            read_matrix(path)
+
+    def test_truncated_header_refused(self, tmp_path):
+        path = tmp_path / "short.mmf"
+        path.write_bytes(b"MMF1\x02\x00")
+        with pytest.raises(DimensionMismatch, match="truncated header"):
+            read_matrix(path)
+
 
 class TestAlign:
     item_map = {"a": 0, "b": 1}

@@ -43,7 +43,10 @@ def _build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("grid", help="run every hyperparameter combination")
     g.add_argument("--config", type=Path, required=True)
     g.add_argument("--out", type=Path, required=True, help="summary and artifact directory")
-    g.add_argument("--jobs", type=int, default=1, help="parallel combination workers")
+    g.add_argument(
+        "--jobs", type=int, default=1,
+        help="accepted for compatibility; combinations run in order and any value gives identical output",
+    )
 
     e = sub.add_parser("eval", help="evaluate a saved checkpoint on a saved dataset")
     e.add_argument("--checkpoint", type=Path, required=True)

@@ -48,6 +48,7 @@ from .errors import (
     MalformedLine,
     MissingTimestamps,
 )
+from .fileio import atomic_write
 from .rng import check_seed, stream
 
 SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
@@ -614,7 +615,7 @@ def preprocess(
 
 def _write_tsv(path: str, first: Iterable, second: Iterable) -> None:
     """Two columns, one tab-separated row per entry, in one write."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("".join(map("{}\t{}\n".format, first, second)))
 
 
@@ -670,7 +671,7 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
     """Serialize a Dataset to a directory; a pure function of its inputs."""
     os.makedirs(out_dir, exist_ok=True)
     out = os.fspath(out_dir)
-    with open(os.path.join(out, "meta"), "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(os.path.join(out, "meta")) as fh:
         fh.write(f"n_users: {dataset.n_users}\n")
         fh.write(f"n_items: {dataset.n_items}\n")
         fh.write(f"strategy: {spec.strategy}\n")

@@ -29,6 +29,7 @@ import numpy as np
 
 from .data import Dataset, InteractionSet
 from .errors import DatasetMismatch, EmptyGroundTruth, EmptySplit
+from .fileio import atomic_write
 from .models import ModelState, encode, full_sort_predict
 
 METRICS = ("recall", "precision", "ndcg", "map")
@@ -271,7 +272,7 @@ def evaluate(
 
 
 def write_metric_report(report: MetricReport, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(format_metric_report(report))
 
 

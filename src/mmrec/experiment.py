@@ -11,6 +11,12 @@ Raw data is preprocessed once; every combination then trains and evaluates
 against the same frozen split, with all random streams re-derived from the
 config seed, so each combination reproduces independently of the others.
 The environment variable ``MMREC_SEED`` overrides the config seed.
+
+Combinations run one after another in one process: a thread pool was
+measured slower than that under the interpreter lock and BLAS contention.
+``jobs`` is still accepted, but any value gives the same run and
+byte-identical output. Every artifact is written through
+:func:`mmrec.fileio.atomic_write`.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -39,6 +44,7 @@ from .evaluation import (
     parse_metric_spec,
     write_metric_report,
 )
+from .fileio import atomic_write
 from .modality import FUSION_METHODS, IMPUTATION_POLICIES, MODALITIES, align_features, fuse, load_feature_matrix
 from .models import MODEL_KINDS, build_adjacency, save_checkpoint
 from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
@@ -368,12 +374,14 @@ def run_experiment(
     out_dir: str | os.PathLike | None = None,
     jobs: int = 1,
 ) -> SummaryReport:
-    """Run every grid combination against one frozen split.
+    """Run every grid combination against one frozen split, in grid order.
 
     Each combination re-derives all random streams from the config seed, so
     its row is independent of which other combinations run, or in what
     order. Failing combinations are recorded in an error column and skipped
-    by the best-row selection, unless ``fail_fast`` is set.
+    by the best-row selection, unless ``fail_fast`` is set. ``jobs`` is
+    accepted for compatibility and does not change how combinations run:
+    they run one after another, so every value gives the same output.
     """
     dataset, tables = _prepare_inputs(config)
     if dataset.valid.nnz == 0:
@@ -392,39 +400,20 @@ def run_experiment(
             os.path.join(out, "dataset"),
         )
 
-    def run_combo(idx: int) -> RunResult:
-        combo = combos[idx]
+    results = []
+    for idx, combo in enumerate(combos):
         concrete = config.with_combo(combo)
         combo_dir = None if out is None else os.path.join(out, f"combo_{idx:03d}")
         started = time.perf_counter()
         try:
             _, log, valid_report, test_report = run_single(concrete, dataset, tables, combo_dir)
-            return RunResult(
-                combo=combo,
-                valid_report=valid_report,
-                test_report=test_report,
-                best_epoch=log.best_epoch,
-                stop_reason=log.stop_reason,
-                wall_time=time.perf_counter() - started,
-            )
+            result = RunResult(combo, valid_report, test_report, log.best_epoch, log.stop_reason, 0.0)
         except Exception as exc:
             if config["fail_fast"]:
                 raise
-            return RunResult(
-                combo=combo,
-                valid_report=None,
-                test_report=None,
-                best_epoch=None,
-                stop_reason=None,
-                wall_time=time.perf_counter() - started,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-
-    if jobs <= 1:
-        results = [run_combo(i) for i in range(len(combos))]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run_combo, range(len(combos))))
+            result = RunResult(combo, None, None, None, None, 0.0, error=f"{type(exc).__name__}: {exc}")
+        result.wall_time = time.perf_counter() - started
+        results.append(result)
 
     best_index = -1
     best_value = -np.inf
@@ -482,12 +471,12 @@ def write_report(report: SummaryReport, path: str | os.PathLike) -> None:
         cells.append("" if result.error is None else result.error.replace("\t", " ").replace("\n", " "))
         lines.append("\t".join(cells))
     lines.append(f"# best: {report.best_index}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def _write_timings(report: SummaryReport, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("combo\twall_seconds\n")
         for idx, result in enumerate(report.results):
             fh.write(f"{idx}\t{result.wall_time:.6f}\n")

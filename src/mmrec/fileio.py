@@ -1,0 +1,35 @@
+"""Atomic artifact writes: a temporary file beside the target, then one
+``os.replace``.
+
+Every file a run leaves behind (dataset files, checkpoints, training logs,
+metric reports, ``summary.tsv`` and ``timings.tsv``) is written through
+:func:`atomic_write`, so a reader sees either the previous file or the
+complete new one, and a run that fails or is interrupted mid-write never
+leaves a plausible-looking partial artifact under the final name.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+from typing import IO, Iterator
+
+
+@contextlib.contextmanager
+def atomic_write(path: str | os.PathLike, binary: bool = False) -> Iterator[IO]:
+    """Open ``path`` for writing through a temporary file in its directory.
+
+    Text mode writes UTF-8 with ``\\n`` line ends. When the block ends
+    cleanly the temporary file replaces ``path``; when it raises, the
+    temporary file is removed and ``path`` keeps its previous content.
+    """
+    target = os.fspath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, target)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise

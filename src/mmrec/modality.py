@@ -26,6 +26,7 @@ from .errors import (
     EmptyList,
     NonFiniteValue,
 )
+from .fileio import atomic_write
 
 MODALITIES = ("text", "image", "audio", "video")
 _MODALITY_RANK = {name: rank for rank, name in enumerate(MODALITIES)}
@@ -72,7 +73,7 @@ def write_matrix(path: str | os.PathLike, values: np.ndarray, magic: bytes = b"M
     dtype = _MAGIC_DTYPE[magic]
     values = np.ascontiguousarray(values, dtype=dtype)
     rows, cols = values.shape
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(magic)
         fh.write(struct.pack("<II", rows, cols))
         fh.write(values.tobytes())

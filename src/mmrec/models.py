@@ -35,6 +35,7 @@ from .errors import (
     MissingAdjacency,
     MissingFeatures,
 )
+from .fileio import atomic_write
 from .modality import read_matrix, write_matrix
 from .rng import stream
 
@@ -147,9 +148,7 @@ def build_adjacency(train: InteractionSet) -> sp.csr_matrix:
     """
     n_u, n_i = train.n_rows, train.n_cols
     users, items = train.pair_arrays()
-    deg = np.zeros(n_u + n_i)
-    np.add.at(deg, users, 1.0)
-    np.add.at(deg, n_u + items, 1.0)
+    deg = np.bincount(np.concatenate([users, n_u + items]), minlength=n_u + n_i).astype(np.float64)
     inv_sqrt = np.zeros_like(deg)
     nz = deg > 0
     inv_sqrt[nz] = 1.0 / np.sqrt(deg[nz])
@@ -272,65 +271,96 @@ def calculate_loss(
     b = len(users)
     lam = state.lambda_reg
     u_t, v_t = state.tensors["user_emb"], state.tensors["item_emb"]
-    grads = {name: np.zeros_like(t) for name, t in state.tensors.items()}
 
     if state.kind == "graph_mm":
         n_u = state.n_users
         ef = _final_embeddings(state, fused, adjacency)
         s = np.einsum("td,td->t", ef[users], ef[n_u + pos] - ef[n_u + neg])
-    elif state.kind == "vbpr_mm":
-        p = state.tensors["proj"]
-        m_t = state.tensors["user_mod_emb"]
-        q_pos = fused[pos] @ p
-        q_neg = fused[neg] @ p
-        s = np.einsum("td,td->t", u_t[users], v_t[pos] - v_t[neg])
-        s += np.einsum("td,td->t", m_t[users], q_pos - q_neg)
     else:
-        s = np.einsum("td,td->t", u_t[users], v_t[pos] - v_t[neg])
+        # mf_bpr and vbpr_mm keep these batch rows for the gradient; graph_mm
+        # gathers each where it is used, so none stays alive through the
+        # propagation of its larger working set
+        u_rows = u_t[users]
+        v_diff = v_t[pos] - v_t[neg]
+        s = np.einsum("td,td->t", u_rows, v_diff)
+        if state.kind == "vbpr_mm":
+            p = state.tensors["proj"]
+            m_rows = state.tensors["user_mod_emb"][users]
+            q_diff = fused[pos] @ p - fused[neg] @ p
+            s += np.einsum("td,td->t", m_rows, q_diff)
 
     rank_loss = float(np.logaddexp(0.0, -s).mean())
-    reg_rows = (
-        np.einsum("td,td->t", u_t[users], u_t[users])
-        + np.einsum("td,td->t", v_t[pos], v_t[pos])
-        + np.einsum("td,td->t", v_t[neg], v_t[neg])
-    )
+    reg_rows = _sq_norms(u_t[users]) + _sq_norms(v_t[pos]) + _sq_norms(v_t[neg])
     if state.kind == "vbpr_mm":
-        m_rows = state.tensors["user_mod_emb"][users]
-        reg_rows = reg_rows + np.einsum("td,td->t", m_rows, m_rows)
+        reg_rows = reg_rows + _sq_norms(m_rows)
     loss = rank_loss + lam * float(reg_rows.mean())
 
     # d loss / d s_t, including the 1/|B| of the mean
     c = (-expit(-s) / b)[:, None]
 
+    # each embedding gradient is a row scatter of (rows, values) parts, added
+    # in a fixed order: the rank term's parts first, then the regularizer's
+    grads = {}
     if state.kind == "graph_mm":
-        g_final = np.zeros_like(ef)
-        np.add.at(g_final, users, c * (ef[n_u + pos] - ef[n_u + neg]))
-        np.add.at(g_final, n_u + pos, c * ef[users])
-        np.add.at(g_final, n_u + neg, -c * ef[users])
+        g_final = _scatter_rows(n_u + state.n_items, [
+            (users, c * (ef[n_u + pos] - ef[n_u + neg])),
+            (n_u + pos, c * ef[users]),
+            (n_u + neg, -c * ef[users]),
+        ])
         g0 = propagate_mean(adjacency, g_final, state.n_layers)
-        grads["user_emb"] += g0[:n_u]
-        grads["item_emb"] += g0[n_u:]
-        grads["mod_proj"] += fused.T @ g0[n_u:]
+        # the dense pull-back comes first, the regularizer is added onto it
+        user_base, item_base = g0[:n_u], g0[n_u:]
+        user_parts, item_parts = [], []
+        grads["mod_proj"] = fused.T @ item_base
     else:
-        np.add.at(grads["user_emb"], users, c * (v_t[pos] - v_t[neg]))
-        np.add.at(grads["item_emb"], pos, c * u_t[users])
-        np.add.at(grads["item_emb"], neg, -c * u_t[users])
+        user_base = item_base = None
+        user_parts = [(users, c * v_diff)]
+        item_parts = [(pos, c * u_rows), (neg, -c * u_rows)]
         if state.kind == "vbpr_mm":
-            np.add.at(grads["user_mod_emb"], users, c * (q_pos - q_neg))
-            dq = np.zeros((state.n_items, state.d_p))
-            np.add.at(dq, pos, c * m_t[users])
-            np.add.at(dq, neg, -c * m_t[users])
-            grads["proj"] += fused.T @ dq
+            mod_parts = [(users, c * q_diff)]
+            dq = _scatter_rows(state.n_items, [(pos, c * m_rows), (neg, -c * m_rows)])
+            grads["proj"] = fused.T @ dq
 
     if lam > 0:
         coef = 2.0 * lam / b
-        np.add.at(grads["user_emb"], users, coef * u_t[users])
-        np.add.at(grads["item_emb"], pos, coef * v_t[pos])
-        np.add.at(grads["item_emb"], neg, coef * v_t[neg])
+        user_parts.append((users, coef * u_t[users]))
+        item_parts += [(pos, coef * v_t[pos]), (neg, coef * v_t[neg])]
         if state.kind == "vbpr_mm":
-            np.add.at(grads["user_mod_emb"], users, coef * m_t[users])
+            mod_parts.append((users, coef * m_rows))
 
-    return loss, grads
+    grads["user_emb"] = _scatter_rows(state.n_users, user_parts, user_base)
+    grads["item_emb"] = _scatter_rows(state.n_items, item_parts, item_base)
+    if state.kind == "vbpr_mm":
+        grads["user_mod_emb"] = _scatter_rows(state.n_users, mod_parts)
+    return loss, {name: grads[name] for name in state.tensors}
+
+
+def _sq_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row."""
+    return np.einsum("td,td->t", rows, rows)
+
+
+def _scatter_rows(
+    n_rows: int,
+    parts: list[tuple[np.ndarray, np.ndarray]],
+    base: np.ndarray | None = None,
+) -> np.ndarray:
+    """``(n_rows, d)`` row sums of ``(rows, values)`` parts, onto ``base``.
+
+    Row ``r`` is ``base[r]`` (zero without a base) plus every ``values[t]``
+    with ``rows[t] == r``, added one at a time in part order, then in ``t``
+    order, so every element sums in a fixed sequence. The sum is the product
+    of a 0/1 selection matrix in CSR form, whose rows keep their entries in
+    that order, with the stacked values; a CSR product adds each row's
+    entries in stored order, starting from zero.
+    """
+    if base is not None:
+        parts = [(np.arange(n_rows), base)] + parts
+    rows = np.concatenate([r for r, _ in parts])
+    values = np.concatenate([v for _, v in parts])
+    k = len(rows)
+    pick = sp.csr_matrix((np.ones(k), (rows, np.arange(k))), shape=(n_rows, k))
+    return pick @ values
 
 
 # ------------------------------------------------------------- checkpoints
@@ -339,7 +369,7 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
     """Write each tensor as an MMF8 file plus a `meta` key-value file."""
     os.makedirs(out_dir, exist_ok=True)
     out = os.fspath(out_dir)
-    with open(os.path.join(out, "meta"), "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(os.path.join(out, "meta")) as fh:
         fh.write(f"kind: {state.kind}\n")
         fh.write(f"n_users: {state.n_users}\n")
         fh.write(f"n_items: {state.n_items}\n")

@@ -12,6 +12,13 @@ bounded integers and permutations are derived here with fixed algorithms
 through ``numpy.random.Generator`` methods, so identical ``(seed, key)``
 pairs reproduce bit-for-bit across platforms and numpy releases.
 
+Every draw goes through the stream's word buffer. ``randbelow`` refills it
+a block of words at a time and does its masked rejection on Python ints,
+which is several times cheaper per call than a numpy draw of one word;
+``raw`` hands out buffered words before drawing new ones. So any mix of
+calls sees exactly the word sequence of the generator, in order, whether or
+not words were buffered ahead.
+
 Stream keys used across the library:
 
 ======================  =====================================================
@@ -31,6 +38,7 @@ import numpy as np
 
 _INV_2_53 = float(2.0**-53)
 _TWO_PI = 2.0 * np.pi
+_BLOCK_WORDS = 512  # words buffered per refill in randbelow
 
 
 def _key_part(part: int | str) -> int:
@@ -56,11 +64,18 @@ class Stream:
 
     def __init__(self, seed_sequence: np.random.SeedSequence):
         self._bg = np.random.PCG64(seed_sequence)
+        # words drawn from the generator but not yet handed out, next word last
+        self._words: list[int] = []
 
     def raw(self, n: int) -> np.ndarray:
         """Next ``n`` raw 64-bit words as uint64."""
-        out = self._bg.random_raw(n)
-        return np.atleast_1d(np.asarray(out, dtype=np.uint64))
+        words = self._words
+        if not words or n <= 0:
+            return np.atleast_1d(np.asarray(self._bg.random_raw(n), dtype=np.uint64))
+        k = min(n, len(words))
+        head = np.array(words[:-k - 1:-1], dtype=np.uint64)
+        del words[-k:]
+        return np.concatenate([head, self._bg.random_raw(n - k)])
 
     def uniform(self, shape: int | tuple[int, ...] = ()) -> np.ndarray | float:
         """Uniform float64 in [0, 1): top 53 bits of each raw word."""
@@ -86,11 +101,15 @@ class Stream:
 
     def randbelow(self, n: int) -> int:
         """Uniform integer in [0, n) by masked rejection on raw words."""
+        n = int(n)
         if n <= 0:
             raise ValueError("randbelow needs a positive bound")
-        mask = np.uint64((1 << int(n - 1).bit_length()) - 1) if n > 1 else np.uint64(0)
+        mask = (1 << (n - 1).bit_length()) - 1
+        words = self._words
         while True:
-            r = int(self.raw(1)[0] & mask)
+            if not words:
+                words.extend(self._bg.random_raw(_BLOCK_WORDS)[::-1].tolist())
+            r = words.pop() & mask
             if r < n:
                 return r
 

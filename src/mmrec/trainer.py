@@ -19,6 +19,7 @@ import scipy.sparse as sp
 from .data import Dataset, InteractionSet
 from .errors import NoNegativeAvailable, NonFiniteGradient
 from .evaluation import MetricReport, evaluate, parse_metric_spec
+from .fileio import atomic_write
 from .models import (
     ModelState,
     TripleBatch,
@@ -29,6 +30,7 @@ from .models import (
 from .rng import Stream, check_seed, stream
 
 OPTIMIZERS = ("adam", "sgd")
+_ADAM_BLOCK = 1 << 15  # elements per in-place Adam pass, so its scratch stays in cache
 
 
 @dataclass(frozen=True)
@@ -65,6 +67,8 @@ class OptimizerState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
+    # two work arrays of adam_step, a block of rows long, reused every step
+    scratch: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
 
     @classmethod
     def zeros(cls, state: ModelState) -> "OptimizerState":
@@ -100,16 +104,29 @@ def make_batches(
     epoch_index: int,
     seed: int,
 ) -> list[TripleBatch]:
-    """Shuffled positives of one epoch, paired with sampled negatives."""
+    """Shuffled positives of one epoch, paired with sampled negatives.
+
+    Each positive, in shuffled order, takes the first ``randbelow(n_items)``
+    draw outside its user's train row, as :func:`sample_negative` does; the
+    row test is one set lookup of ``user * n_items + item``.
+    """
     users, items = train.pair_arrays()
     rng = stream(seed, "epoch", epoch_index)
     perm = rng.permutation(len(users))
     users, items = users[perm], items[perm]
-    negatives = np.fromiter(
-        (sample_negative(train, int(u), rng) for u in users),
-        dtype=np.int64,
-        count=len(users),
-    )
+    n_items = train.n_cols
+    full = np.diff(train.indptr)[users] >= n_items
+    if full.any():
+        raise NoNegativeAvailable(f"user {int(users[np.argmax(full)])} interacts with every item")
+    train_keys = set((users * n_items + items).tolist())
+    draw = rng.randbelow
+    negatives = []
+    for base in (users * n_items).tolist():
+        j = draw(n_items)
+        while base + j in train_keys:
+            j = draw(n_items)
+        negatives.append(j)
+    negatives = np.array(negatives, dtype=np.int64)
     return [
         TripleBatch(users[s:s + batch_size], items[s:s + batch_size], negatives[s:s + batch_size])
         for s in range(0, len(users), batch_size)
@@ -129,7 +146,14 @@ def adam_step(
     cfg: TrainConfig,
 ) -> tuple[ModelState, OptimizerState]:
     """One bias-corrected Adam update; tensors without gradients are left
-    untouched. Mutates ``state`` and ``opt`` in place and returns them."""
+    untouched. Mutates ``state`` and ``opt`` in place and returns them.
+
+    Each tensor is updated in place, a block of rows at a time, through two
+    small scratch arrays kept in ``opt``. The operation order is that of
+    ``b1*m + (1-b1)*g``, ``b2*v + ((1-b2)*g)*g`` and
+    ``(lr*m_hat) / (sqrt(v_hat) + eps)``, so the result is bit for bit that
+    of the allocating expressions.
+    """
     _check_finite(grads)
     opt.t += 1
     b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
@@ -139,11 +163,30 @@ def adam_step(
         g = grads.get(name)
         if g is None:
             continue
-        opt.m[name] = b1 * opt.m[name] + (1.0 - b1) * g
-        opt.v[name] = b2 * opt.v[name] + (1.0 - b2) * g * g
-        m_hat = opt.m[name] / bias1
-        v_hat = opt.v[name] / bias2
-        theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        g = np.broadcast_to(g, theta.shape)
+        m, v = opt.m[name], opt.v[name]
+        row_size = max(1, theta[:1].size)
+        rows = max(1, _ADAM_BLOCK // row_size)
+        if opt.scratch is None or opt.scratch[0].size < rows * row_size:
+            opt.scratch = (np.empty(rows * row_size), np.empty(rows * row_size))
+        for r0 in range(0, len(theta), rows):
+            block = slice(r0, r0 + rows)
+            t_b, m_b, v_b, g_b = theta[block], m[block], v[block], g[block]
+            step, denom = (buf[:t_b.size].reshape(t_b.shape) for buf in opt.scratch)
+            np.multiply(1.0 - b1, g_b, out=step)
+            m_b *= b1
+            m_b += step
+            np.multiply(1.0 - b2, g_b, out=step)
+            step *= g_b
+            v_b *= b2
+            v_b += step
+            np.divide(v_b, bias2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += eps
+            np.divide(m_b, bias1, out=step)
+            step *= lr
+            step /= denom
+            t_b -= step
     return state, opt
 
 
@@ -238,7 +281,7 @@ def write_train_log(log: TrainLog, path: str | os.PathLike, stop_metric: str = "
     `eval \\t epoch \\t metric \\t value` rows in epoch order."""
     evals = dict((epoch, report) for epoch, report in log.evaluations)
     name, k = parse_metric_spec(stop_metric)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for idx, loss in enumerate(log.epoch_losses, start=1):
             fh.write(f"{idx}\t{loss:.6f}\n")
             if idx in evals:

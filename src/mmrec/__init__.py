@@ -31,11 +31,7 @@ from .evaluation import (
     METRICS,
     MetricReport,
     evaluate,
-    map_at_k,
     mask_trained,
-    ndcg_at_k,
-    precision_at_k,
-    recall_at_k,
     top_k,
     write_metric_report,
 )
@@ -68,7 +64,6 @@ from .models import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    score_all,
 )
 from .rng import Stream, stream
 from .trainer import (
@@ -78,7 +73,6 @@ from .trainer import (
     adam_step,
     fit,
     make_batches,
-    sample_negative,
     sgd_step,
     write_train_log,
 )

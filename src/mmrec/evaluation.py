@@ -12,8 +12,8 @@ are masked in one scatter, and ``top_k`` finds each row's K-th best score
 by partition, then orders every item scoring at least that much by
 (-score, item), so the tie rule is exact. The four metrics come from the
 chunk's hit matrix by cumulative sums and are summed over users in order;
-the scalar ``*_at_k`` functions define the same values for one list and
-serve as the reference the tests compare against.
+the scalar one-list functions in ``tests/eval_oracle.py`` define the same
+values and are the reference the tests compare against.
 
 A model whose user or item count differs from the dataset's is refused
 with ``DatasetMismatch`` (``mmrec eval`` exits 1).
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, InteractionSet
-from .errors import DatasetMismatch, EmptyGroundTruth, EmptySplit
+from .errors import DatasetMismatch, EmptySplit
 from .fileio import atomic_write
 from .models import ModelState, encode, full_sort_predict
 
@@ -115,47 +115,8 @@ def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
     return lists
 
 
-def recall_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
-    if not ground_truth:
-        raise EmptyGroundTruth
-    hits = sum(1 for i in topk[:k] if int(i) in ground_truth)
-    return hits / len(ground_truth)
-
-
-def precision_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
-    """Hits over K; K stays in the denominator even for short lists."""
-    if not ground_truth:
-        raise EmptyGroundTruth
-    hits = sum(1 for i in topk[:k] if int(i) in ground_truth)
-    return hits / k
-
-
-def ndcg_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
-    if not ground_truth:
-        raise EmptyGroundTruth
-    dcg = 0.0
-    for pos, item in enumerate(topk[:k], start=1):
-        if int(item) in ground_truth:
-            dcg += 1.0 / math.log2(pos + 1)
-    return dcg / _ideal_dcg(min(len(ground_truth), k))
-
-
 def _ideal_dcg(n_hits: int) -> float:
     return sum(1.0 / math.log2(pos + 1) for pos in range(1, n_hits + 1))
-
-
-def map_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:
-    """Average precision of one list, normalized by min(|GT|, K); the
-    reported MAP is the mean of this over evaluated users."""
-    if not ground_truth:
-        raise EmptyGroundTruth
-    hits = 0
-    precision_sum = 0.0
-    for pos, item in enumerate(topk[:k], start=1):
-        if int(item) in ground_truth:
-            hits += 1
-            precision_sum += hits / pos
-    return precision_sum / min(len(ground_truth), k)
 
 
 def _target_split(dataset: Dataset, target: str) -> InteractionSet:
@@ -220,7 +181,7 @@ def _metric_values(hits: np.ndarray, n_truth: np.ndarray, cutoffs: tuple[int, ..
     """Per-user metric values, shape (users, len(METRICS), len(cutoffs)) in
     ``METRICS`` order, from a chunk's hit matrix. Each value is computed
     with the same operations, in the same order, as the scalar ``*_at_k``
-    functions."""
+    oracle in ``tests/eval_oracle.py``."""
     width = hits.shape[1]
     pos = np.arange(1, width + 1)
     hit_count = np.cumsum(hits, axis=1)

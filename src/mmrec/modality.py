@@ -80,6 +80,8 @@ def write_matrix(path: str | os.PathLike, values: np.ndarray, magic: bytes = b"M
 
 
 def read_matrix(path: str | os.PathLike, magic: bytes = b"MMF1") -> np.ndarray:
+    """Read an MMF matrix; a header that disagrees with the file's size
+    raises DimensionMismatch before anything is allocated."""
     with open(path, "rb") as fh:
         got = fh.read(4)
         if got != magic:
@@ -89,12 +91,18 @@ def read_matrix(path: str | os.PathLike, magic: bytes = b"MMF1") -> np.ndarray:
             raise DimensionMismatch(f"{os.fspath(path)}: truncated header")
         rows, cols = struct.unpack("<II", header)
         dtype = _MAGIC_DTYPE[magic]
-        payload = fh.read(rows * cols * dtype.itemsize)
-        if len(payload) != rows * cols * dtype.itemsize:
-            raise DimensionMismatch(f"{os.fspath(path)}: truncated payload")
-        if fh.read(1):
+        size = rows * cols * dtype.itemsize
+        stored = os.fstat(fh.fileno()).st_size - fh.tell()
+        if stored < size:
+            raise DimensionMismatch(
+                f"{os.fspath(path)}: truncated payload, {stored} bytes for a {rows}x{cols} header"
+            )
+        if stored > size:
             raise DimensionMismatch(f"{os.fspath(path)}: trailing bytes after the {rows}x{cols} payload")
-    return np.frombuffer(payload, dtype=dtype).reshape(rows, cols).copy()
+        values = np.empty((rows, cols), dtype=dtype)
+        if fh.readinto(memoryview(values).cast("B")) != size:
+            raise DimensionMismatch(f"{os.fspath(path)}: truncated payload")
+    return values
 
 
 def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathLike) -> FeatureMatrix:
@@ -108,8 +116,8 @@ def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathL
         )
     if len(set(row_ids)) != len(row_ids):
         raise DimensionMismatch("duplicate item IDs in feature ID file")
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
+    if not np.isfinite(values).all():
+        bad = np.argwhere(~np.isfinite(values))
         raise NonFiniteValue(int(bad[0, 0]), int(bad[0, 1]))
     return FeatureMatrix(values=values.astype(np.float64), row_ids=row_ids)
 
@@ -159,10 +167,11 @@ def align_features(
     else:
         fill = np.zeros(dim)
 
-    features = np.tile(fill, (n_items, 1))
+    features = np.empty((n_items, dim))
     mask = np.zeros(n_items, dtype=bool)
     features[dense_rows] = present
     mask[dense_rows] = True
+    features[~mask] = fill
     return ModalityTable(kind=kind, features=features, present_mask=mask)
 
 

@@ -219,15 +219,6 @@ def encode(
     )
 
 
-def score_all(
-    state: ModelState,
-    fused: np.ndarray | None = None,
-    adjacency: sp.csr_matrix | None = None,
-) -> np.ndarray:
-    """Score matrix for every (user, item) pair, n_users x n_items."""
-    return full_sort_predict(state, np.arange(state.n_users), fused, adjacency)
-
-
 def full_sort_predict(
     state: ModelState,
     users: np.ndarray | list[int],

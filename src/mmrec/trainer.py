@@ -27,7 +27,7 @@ from .models import (
     calculate_loss,
     init_params,
 )
-from .rng import Stream, check_seed, stream
+from .rng import check_seed, stream
 
 OPTIMIZERS = ("adam", "sgd")
 _ADAM_BLOCK = 1 << 15  # elements per in-place Adam pass, so its scratch stays in cache
@@ -86,18 +86,6 @@ class TrainLog:
     stop_reason: str = "max_epochs"
 
 
-def sample_negative(train: InteractionSet, user: int, rng: Stream) -> int:
-    """Uniform item outside the user's train row, by rejection sampling."""
-    row = train.row(user)
-    if len(row) >= train.n_cols:
-        raise NoNegativeAvailable(f"user {user} interacts with every item")
-    while True:
-        candidate = rng.randbelow(train.n_cols)
-        pos = np.searchsorted(row, candidate)
-        if pos >= len(row) or row[pos] != candidate:
-            return candidate
-
-
 def make_batches(
     train: InteractionSet,
     batch_size: int,
@@ -107,8 +95,9 @@ def make_batches(
     """Shuffled positives of one epoch, paired with sampled negatives.
 
     Each positive, in shuffled order, takes the first ``randbelow(n_items)``
-    draw outside its user's train row, as :func:`sample_negative` does; the
-    row test is one set lookup of ``user * n_items + item``.
+    draw outside its user's train row, so negatives are uniform over the
+    user's unobserved items; the row test is one set lookup of
+    ``user * n_items + item``.
     """
     users, items = train.pair_arrays()
     rng = stream(seed, "epoch", epoch_index)

@@ -12,6 +12,12 @@ from mmrec.data import (
     preprocess,
 )
 from mmrec.modality import ModalityTable, fuse
+from mmrec.models import full_sort_predict
+
+
+def all_scores(state, fused=None, adjacency=None) -> np.ndarray:
+    """The full n_users x n_items score matrix, as one full_sort_predict call."""
+    return full_sort_predict(state, np.arange(state.n_users), fused, adjacency)
 
 
 def brute_force_k_core(edges: set[tuple[str, str]], k: int) -> set[tuple[str, str]]:

@@ -19,11 +19,11 @@ from mmrec.models import (
     build_adjacency,
     calculate_loss,
     init_params,
-    score_all,
 )
 from mmrec.trainer import TrainConfig, fit
 
 from conftest import (
+    all_scores,
     brute_force_k_core,
     random_bipartite_records,
     synthetic_block_dataset,
@@ -100,7 +100,7 @@ def test_criterion_2_metric_oracle_equivalence():
         state = init_params("mf_bpr", n_users, n_items, 5, seed=int(rng.integers(1 << 30)))
         got = evaluate(state, ds, "test", cutoffs)
 
-        scores = score_all(state)
+        scores = all_scores(state)
         sums = {m: {k: 0.0 for k in cutoffs} for m in ("recall", "precision", "ndcg", "map")}
         n_eval = 0
         for u in range(n_users):
@@ -207,8 +207,8 @@ def test_criterion_4_reduction_identities():
             {"user_emb": state.tensors["user_emb"], "item_emb": state.tensors["item_emb"]},
         )
         diff = np.max(np.abs(
-            score_all(state, fused, adjacency if state.kind == "graph_mm" else None)
-            - score_all(mf)
+            all_scores(state, fused, adjacency if state.kind == "graph_mm" else None)
+            - all_scores(mf)
         ))
         gap = max(gap, float(diff))
         assert diff < 1e-12

@@ -1,3 +1,5 @@
+import struct
+
 import pytest
 
 from mmrec.cli import main
@@ -62,6 +64,12 @@ class TestTrain:
     def test_multimodal_train(self, tmp_path):
         config = write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm"])
         assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 0
+
+    def test_feature_header_larger_than_file(self, tmp_path, capsys):
+        config = write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm"])
+        (tmp_path / "image.mmf").write_bytes(b"MMF1" + struct.pack("<II", 2**32 - 1, 2**32 - 1) + bytes(16))
+        assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 1
+        assert "image.mmf: truncated payload" in capsys.readouterr().err
 
 
 class TestGrid:
@@ -151,6 +159,16 @@ class TestEval:
         assert code == 1
         assert captured.out == ""
         assert "20 users and 15 items" in captured.err
+
+    def test_eval_of_checkpoint_tensor_larger_than_file(self, tmp_path, capsys):
+        TestEvalRefusesCorruptDataset().write(tmp_path)
+        tensor = tmp_path / "ckpt" / "item_emb.mmf8"
+        tensor.write_bytes(b"MMF8" + struct.pack("<II", 200000, 100000) + tensor.read_bytes()[12:])
+        code = run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "item_emb.mmf8: truncated payload" in captured.err
 
     def test_eval_of_checkpoint_without_seed_is_an_error(self, tmp_path, capsys):
         config = write_toy_workspace(tmp_path)

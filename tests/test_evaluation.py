@@ -16,16 +16,15 @@ from mmrec.evaluation import (
     evaluate,
     format_metric_report,
     iter_topk_lists,
-    map_at_k,
     mask_trained,
-    ndcg_at_k,
     parse_metric_spec,
-    precision_at_k,
-    recall_at_k,
     top_k,
     write_metric_report,
 )
-from mmrec.models import ModelState, build_adjacency, init_params, score_all
+from mmrec.models import ModelState, build_adjacency, init_params
+
+from conftest import all_scores
+from eval_oracle import map_at_k, ndcg_at_k, precision_at_k, recall_at_k
 
 
 # ------------------------------------------------------------------ oracles
@@ -240,7 +239,7 @@ class TestEvaluate:
             cutoffs = (5, 10, 20)
             report = evaluate(state, ds, "test", cutoffs)
 
-            scores = score_all(state)
+            scores = all_scores(state)
             sums = {m: {k: 0.0 for k in cutoffs} for m in ("recall", "precision", "ndcg", "map")}
             n_eval = 0
             for u in range(n_users):
@@ -332,7 +331,7 @@ def oracle_report(state, ds, cutoffs):
     functions and summed in user order, as a loop over users would. A
     repeated cutoff is scored once, as the evaluator reports it once."""
     cutoffs = tuple(dict.fromkeys(cutoffs))
-    scores = score_all(state)
+    scores = all_scores(state)
     sums = {m: {k: 0.0 for k in cutoffs} for m in METRICS}
     n_eval = 0
     for u in range(ds.n_users):
@@ -367,7 +366,7 @@ def assert_matches_oracle(state, ds, cutoffs):
     assert report.n_evaluated == n_eval
     assert report.values == expected  # exact: same lists, same arithmetic, same order
     lists = [(u, topk.tolist()) for u, topk, _ in iter_topk_lists(state, ds, "test", max(cutoffs))]
-    scores = score_all(state)
+    scores = all_scores(state)
     assert lists == [
         (u, naive_topk(scores[u], ds.train.row(u).tolist(), max(cutoffs)))
         for u in range(ds.n_users) if ds.test.row(u).size

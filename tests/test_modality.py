@@ -78,6 +78,15 @@ class TestMmfFiles:
         with pytest.raises(DimensionMismatch, match="trailing bytes"):
             read_matrix(path)
 
+    @pytest.mark.parametrize("rows, cols", [(2**32 - 1, 2**32 - 1), (200000, 100000), (2, 3)])
+    @pytest.mark.parametrize("magic", [b"MMF1", b"MMF8"])
+    def test_header_larger_than_file_refused(self, tmp_path, magic, rows, cols):
+        # a 28-byte file: nothing of the header's size may be allocated
+        path = tmp_path / "big.mmf"
+        path.write_bytes(magic + struct.pack("<II", rows, cols) + b"\x00" * 16)
+        with pytest.raises(DimensionMismatch, match=f"truncated payload, 16 bytes for a {rows}x{cols}"):
+            read_matrix(path, magic=magic)
+
     def test_truncated_header_refused(self, tmp_path):
         path = tmp_path / "short.mmf"
         path.write_bytes(b"MMF1\x02\x00")

@@ -18,13 +18,15 @@ from mmrec.models import (
     TripleBatch,
     build_adjacency,
     calculate_loss,
+    encode,
     full_sort_predict,
     init_params,
     load_checkpoint,
     propagate_mean,
     save_checkpoint,
-    score_all,
 )
+
+from conftest import all_scores
 
 
 def random_instance(rng, kind, n_u=6, n_i=6, d=4, d_p=3, d_f=5, n_layers=None, lam=0.0, seed=0):
@@ -112,11 +114,13 @@ class TestInit:
 
 
 class TestScoreAll:
+    """Every user's scores at once, through full_sort_predict."""
+
     def test_mf_dot_product(self):
         state = init_params("mf_bpr", 1, 2, 2, seed=0)
         state.tensors["user_emb"][0] = [1.0, 0.0]
         state.tensors["item_emb"][:] = [[1.0, 0.0], [0.0, 1.0]]
-        assert score_all(state).tolist() == [[1.0, 0.0]]
+        assert all_scores(state).tolist() == [[1.0, 0.0]]
 
     def test_vbpr_zero_proj_reduces_to_mf(self):
         rng = np.random.default_rng(0)
@@ -126,7 +130,7 @@ class TestScoreAll:
             "mf_bpr", state.n_users, state.n_items, state.d,
             {"user_emb": state.tensors["user_emb"], "item_emb": state.tensors["item_emb"]},
         )
-        assert np.max(np.abs(score_all(state, fused) - score_all(mf))) < 1e-12
+        assert np.max(np.abs(all_scores(state, fused) - all_scores(mf))) < 1e-12
 
     def test_graph_zero_layers_zero_proj_reduces_to_mf(self):
         rng = np.random.default_rng(1)
@@ -136,22 +140,22 @@ class TestScoreAll:
             "mf_bpr", state.n_users, state.n_items, state.d,
             {"user_emb": state.tensors["user_emb"], "item_emb": state.tensors["item_emb"]},
         )
-        assert np.max(np.abs(score_all(state, fused, adj) - score_all(mf))) < 1e-12
+        assert np.max(np.abs(all_scores(state, fused, adj) - all_scores(mf))) < 1e-12
 
     def test_missing_features(self):
         state = init_params("vbpr_mm", 2, 2, 2, seed=0, d_p=2, d_fused=2)
         with pytest.raises(MissingFeatures):
-            score_all(state)
+            all_scores(state)
 
     def test_missing_adjacency(self):
         state = init_params("graph_mm", 2, 2, 2, seed=0, d_fused=2, n_layers=1)
         with pytest.raises(MissingAdjacency):
-            score_all(state, np.zeros((2, 2)))
+            all_scores(state, np.zeros((2, 2)))
 
     def test_scale_free_ranking(self):
         rng = np.random.default_rng(2)
         _, _, _, state, _ = random_instance(rng, "mf_bpr", n_u=8, n_i=30)
-        scores = score_all(state)
+        scores = all_scores(state)
         for c in (0.5, 2.0, 4.0):
             for u in range(state.n_users):
                 assert np.array_equal(top_k(scores[u], 30), top_k(c * scores[u], 30))
@@ -243,12 +247,12 @@ class TestLoss:
 
 
 class TestFullSortPredict:
-    def test_matches_score_all(self):
+    def test_matches_encoded_state(self):
         rng = np.random.default_rng(4)
         _, fused, adj, state, _ = random_instance(rng, "graph_mm", n_layers=2)
         assert np.array_equal(
             full_sort_predict(state, np.arange(state.n_users), fused, adj),
-            score_all(state, fused, adj),
+            full_sort_predict(encode(state, fused, adj), np.arange(state.n_users)),
         )
 
     def test_repeated_user_rows_identical(self):

@@ -4,14 +4,12 @@ import pytest
 from mmrec.data import InteractionSet
 from mmrec.errors import NoNegativeAvailable, NonFiniteGradient
 from mmrec.models import init_params
-from mmrec.rng import stream
 from mmrec.trainer import (
     OptimizerState,
     TrainConfig,
     adam_step,
     fit,
     make_batches,
-    sample_negative,
     sgd_step,
     write_train_log,
 )
@@ -19,21 +17,28 @@ from mmrec.trainer import (
 from conftest import synthetic_block_dataset
 
 
+def negatives(train, epochs, seed):
+    return np.concatenate([
+        b.neg_items for e in range(epochs) for b in make_batches(train, 4096, e, seed)
+    ])
+
+
 class TestSampleNegative:
+    """make_batches draws each negative uniformly outside its user's row."""
+
     def test_single_candidate(self):
         train = InteractionSet.from_pairs([(0, 0), (0, 2)], 1, 3)
-        rng = stream(0, "epoch", 0)
-        assert all(sample_negative(train, 0, rng) == 1 for _ in range(20))
+        assert negatives(train, 10, 0).tolist() == [1] * 20
 
     def test_no_negative_available(self):
         train = InteractionSet.from_pairs([(0, 0), (0, 1), (0, 2)], 1, 3)
         with pytest.raises(NoNegativeAvailable):
-            sample_negative(train, 0, stream(0, "epoch", 0))
+            make_batches(train, 4, 0, 0)
 
     def test_uniform_over_candidates(self):
-        train = InteractionSet.from_pairs([(0, 0)], 1, 5)
-        rng = stream(1, "epoch", 0)
-        draws = np.array([sample_negative(train, 0, rng) for _ in range(10000)])
+        train = InteractionSet.from_pairs([(u, 0) for u in range(2000)], 2000, 5)
+        draws = negatives(train, 5, 1)
+        assert len(draws) == 10000
         assert 0 not in draws
         for item in (1, 2, 3, 4):
             freq = np.mean(draws == item)

@@ -40,7 +40,9 @@ class BadMagic(MmrecError):
 
 
 class DimensionMismatch(MmrecError):
-    """Feature matrix row count disagrees with its companion ID file."""
+    """Array shapes that do not fit together: an MMF header that disagrees
+    with its file or ID file, modality tables of unequal size for fusion, or
+    fused features of another width than a model was built for."""
 
 
 class NonFiniteValue(MmrecError):
@@ -54,10 +56,6 @@ class NonFiniteValue(MmrecError):
 
 class AllMissing(MmrecError):
     """No retained item has features in this modality."""
-
-
-class DimMismatch(MmrecError):
-    """Element-wise fusion over modality tables of unequal width."""
 
 
 class EmptyList(MmrecError):

@@ -45,7 +45,15 @@ from .evaluation import (
     write_metric_report,
 )
 from .fileio import atomic_write
-from .modality import FUSION_METHODS, IMPUTATION_POLICIES, MODALITIES, align_features, fuse, load_feature_matrix
+from .modality import (
+    FUSION_METHODS,
+    IMPUTATION_POLICIES,
+    MODALITIES,
+    align_features,
+    fuse,
+    load_feature_matrix,
+    read_header,
+)
 from .models import MODEL_KINDS, build_adjacency, save_checkpoint
 from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
 
@@ -300,18 +308,28 @@ def _prepare_inputs(config: ExperimentConfig):
 
 
 def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> list:
+    """Align every configured modality into one shared read-only float64
+    table, one column block per modality in canonical order, so that
+    ``fuse(tables, "concat")`` is that table without a copy."""
+    paths = sorted(config.feature_paths().items())
+    dims = {modality: read_header(matrix_path)[1] for modality, (matrix_path, _) in paths}
+    order = sorted(dims, key=MODALITIES.index)
+    starts = dict(zip(order, itertools.accumulate((dims[m] for m in order), initial=0)))
+    shared = np.empty((len(item_map), sum(dims.values())))
     tables = []
-    for modality, (matrix_path, ids_path) in sorted(config.feature_paths().items()):
-        fm = load_feature_matrix(matrix_path, ids_path)
-        tables.append(
-            align_features(
-                fm,
-                item_map,
-                kind=modality,
-                policy=config["imputation"],
-                standardize=config["standardize"],
-            )
+    for modality, (matrix_path, ids_path) in paths:
+        start = starts[modality]
+        table = align_features(
+            load_feature_matrix(matrix_path, ids_path),
+            item_map,
+            kind=modality,
+            policy=config["imputation"],
+            standardize=config["standardize"],
+            out=shared[:, start : start + dims[modality]],
         )
+        table.features.flags.writeable = False
+        tables.append(table)
+    shared.flags.writeable = False
     return tables
 
 

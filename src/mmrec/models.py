@@ -13,7 +13,7 @@ representations whose inner product is the score. Three kinds are provided:
                  degree-normalized train graph, starting from
                  E0 = [U ; V + f W], final embedding = mean of layers 0..L
 
-All arithmetic is float64; the float32 feature files are widened on load.
+All arithmetic is float64; the float32 feature files are widened on alignment.
 Gradients are derived by hand and validated against finite differences in
 the test suite, including differentiation through the graph propagation.
 """
@@ -29,6 +29,7 @@ from scipy.special import expit
 
 from .data import InteractionSet
 from .errors import (
+    DimensionMismatch,
     EmptyBatch,
     IndexOutOfRange,
     MalformedCheckpoint,
@@ -178,6 +179,11 @@ def _check_inputs(state: ModelState, fused: np.ndarray | None, adjacency) -> Non
         if fused.shape[0] != state.n_items:
             raise MissingFeatures(
                 f"fused features cover {fused.shape[0]} items, dataset has {state.n_items}"
+            )
+        width = state.tensors["proj" if state.kind == "vbpr_mm" else "mod_proj"].shape[0]
+        if fused.shape[1:] != (width,):
+            raise DimensionMismatch(
+                f"fused features have shape {fused.shape}, {state.kind} expects {width} columns"
             )
     if state.kind == "graph_mm" and adjacency is None:
         raise MissingAdjacency("graph_mm needs the train adjacency")

@@ -129,6 +129,23 @@ class TestEval:
         out = capsys.readouterr().out
         assert "ndcg\t10\t" in out
 
+    @pytest.mark.parametrize("kind", ["vbpr_mm", "graph_mm"])
+    def test_eval_refuses_features_of_another_width(self, tmp_path, capsys, kind):
+        config = write_toy_workspace(tmp_path / "trained", extra_lines=[f"model: {kind}"])
+        run(["train", "--config", config, "--out", tmp_path / "out"])
+        wider = write_toy_workspace(tmp_path / "wider", extra_lines=[f"model: {kind}"], feature_dim=4)
+        capsys.readouterr()
+        code = run([
+            "eval",
+            "--checkpoint", tmp_path / "out" / "checkpoint",
+            "--data", tmp_path / "out" / "dataset",
+            "--config", wider,
+        ])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == f"error: fused features have shape (12, 8), {kind} expects 6 columns\n"
+
     def test_eval_matches_train_report(self, tmp_path, capsys):
         config = write_toy_workspace(tmp_path)
         run(["train", "--config", config, "--out", tmp_path / "out"])

@@ -268,10 +268,10 @@ class TestRunExperiment:
         report = run_experiment(parse_config(tmp_path / "config.txt"), out_dir=tmp_path / "out")
         by_combo = {r.combo["fusion"]: r for r in report.results}
         assert by_combo["concat"].error is None
-        assert by_combo["sum"].error is not None and "DimMismatch" in by_combo["sum"].error
+        assert by_combo["sum"].error is not None and "DimensionMismatch" in by_combo["sum"].error
         assert report.best_index == report.results.index(by_combo["concat"])
         summary = (tmp_path / "out" / "summary.tsv").read_text()
-        assert "DimMismatch" in summary
+        assert "DimensionMismatch" in summary
 
     def test_fail_fast_raises(self, tmp_path):
         path = write_toy_workspace(

@@ -3,11 +3,11 @@ import struct
 import numpy as np
 import pytest
 
+import mmrec.modality
 from mmrec.errors import (
     AllMissing,
     BadMagic,
     DimensionMismatch,
-    DimMismatch,
     EmptyList,
     NonFiniteValue,
 )
@@ -56,6 +56,40 @@ class TestMmfFiles:
     def test_id_count_mismatch(self, tmp_path):
         mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "b", "c"])
         with pytest.raises(DimensionMismatch):
+            load_feature_matrix(mp, ip)
+
+    def test_crlf_ids_align_like_lf(self, tmp_path):
+        values = np.arange(6.0, dtype=np.float32).reshape(3, 2)
+        lf = write_pair(tmp_path, values, ["b", "a", "zz"], stem="lf")
+        crlf = write_pair(tmp_path, values, ["b", "a", "zz"], stem="crlf")
+        crlf[1].write_bytes(b"b\r\na\r\n\r\nzz\r\n")
+        item_map = {"a": 0, "b": 1, "c": 2}
+        want = align_features(load_feature_matrix(*lf), item_map, "text", policy="mean")
+        got = align_features(load_feature_matrix(*crlf), item_map, "text", policy="mean")
+        assert load_feature_matrix(*crlf).row_ids == ["b", "a", "zz"]
+        assert got.features.tobytes() == want.features.tobytes()
+        assert np.array_equal(got.present_mask, want.present_mask)
+
+    def test_ids_end_at_newline_only(self, tmp_path):
+        # as in the interactions parser, a lone \r inside a line ends nothing
+        mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "b"])
+        ip.write_bytes(b"a\rb\nc\n")
+        assert load_feature_matrix(mp, ip).row_ids == ["a\rb", "c"]
+
+    def test_values_stay_float32(self, tmp_path):
+        mp, ip = write_pair(tmp_path, [[0.1, 0.2]], ["a"])
+        fm = load_feature_matrix(mp, ip)
+        assert fm.values.dtype == np.float32
+        assert fm.values.tolist() == np.array([[0.1, 0.2]], dtype=np.float32).tolist()
+
+    def test_id_count_checked_before_payload(self, tmp_path, monkeypatch):
+        mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "b", "c"])
+
+        def no_payload(*args):
+            raise AssertionError("payload read before the ID count was checked")
+
+        monkeypatch.setattr(mmrec.modality, "_read_payload", no_payload)
+        with pytest.raises(DimensionMismatch, match="3 IDs for 2 feature rows"):
             load_feature_matrix(mp, ip)
 
     def test_non_finite_value_located(self, tmp_path):
@@ -177,7 +211,7 @@ class TestFuse:
         assert np.array_equal(fuse(tables[::-1], "concat"), base)
 
     def test_dim_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             fuse([table("text", [[1.0]]), table("image", [[1.0, 2.0]])], "sum")
 
     def test_empty_list(self):
@@ -185,7 +219,7 @@ class TestFuse:
             fuse([], "concat")
 
     def test_row_count_mismatch(self):
-        with pytest.raises(DimMismatch):
+        with pytest.raises(DimensionMismatch):
             fuse([table("text", [[1.0]]), table("image", [[1.0], [2.0]])], "concat")
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from mmrec.data import InteractionSet
 from mmrec.errors import (
+    DimensionMismatch,
     EmptyBatch,
     IndexOutOfRange,
     MalformedCheckpoint,
@@ -146,6 +147,19 @@ class TestScoreAll:
         state = init_params("vbpr_mm", 2, 2, 2, seed=0, d_p=2, d_fused=2)
         with pytest.raises(MissingFeatures):
             all_scores(state)
+
+    @pytest.mark.parametrize("kind", ["vbpr_mm", "graph_mm"])
+    def test_fused_width_must_fit_state(self, kind):
+        # a 2-wide projection given 3-wide features: refused before any product
+        state = init_params(kind, 2, 2, 2, seed=0, d_p=2, d_fused=2, n_layers=1)
+        adj = build_adjacency(InteractionSet.from_pairs({(0, 0), (1, 1)}, 2, 2))
+        batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
+        for call in (
+            lambda: encode(state, np.zeros((2, 3)), adj),
+            lambda: calculate_loss(state, batch, np.zeros((2, 3)), adj),
+        ):
+            with pytest.raises(DimensionMismatch, match=r"shape \(2, 3\), .* expects 2 columns"):
+                call()
 
     def test_missing_adjacency(self):
         state = init_params("graph_mm", 2, 2, 2, seed=0, d_fused=2, n_layers=1)

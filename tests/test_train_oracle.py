@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 import train_oracle as oracle
 from mmrec.data import InteractionSet
 from mmrec.errors import NoNegativeAvailable
-from mmrec.models import TripleBatch, build_adjacency, calculate_loss, init_params
+from mmrec.models import TripleBatch, build_adjacency, calculate_loss, encode, init_params
 from mmrec.rng import Stream, stream
 from mmrec import trainer
 from mmrec.trainer import OptimizerState, TrainConfig, adam_step, fit, make_batches, sgd_step
@@ -190,6 +190,32 @@ def test_adjacency_equals_the_oracle(block_data):
     got, want = build_adjacency(dataset.train), oracle.build_adjacency(dataset.train)
     for attr in ("indptr", "indices", "data"):
         assert same(getattr(got, attr), getattr(want, attr))
+
+
+def states_equal(got, want) -> bool:
+    fields = ("kind", "n_users", "n_items", "d", "lambda_reg", "d_p", "n_layers", "seed")
+    return (
+        all(same(getattr(got, f), getattr(want, f)) for f in fields)
+        and list(got.tensors) == list(want.tensors)
+        and all(same(got.tensors[k], want.tensors[k]) for k in want.tensors)
+    )
+
+
+@pytest.mark.parametrize("kind", ["mf_bpr", "vbpr_mm", "graph_mm"])
+@pytest.mark.parametrize("n_layers", [0, 2])
+def test_init_and_encode_equal_the_oracle(block_data, kind, n_layers):
+    dataset, fused = block_data
+    args = (kind, dataset.n_users, dataset.n_items, 8, 5)
+    kwargs = dict(d_p=3, d_fused=fused.shape[1], n_layers=n_layers, lambda_reg=0.25)
+    state, want = init_params(*args, **kwargs), oracle.init_params(*args, **kwargs)
+    assert states_equal(state, want)
+    # encode trained-looking parameters, not only the initial draw
+    rng = np.random.default_rng(n_layers)
+    for tensor in state.tensors.values():
+        tensor += rng.normal(size=tensor.shape)
+    adjacency = build_adjacency(dataset.train)
+    fused = None if kind == "mf_bpr" else fused
+    assert states_equal(encode(state, fused, adjacency), oracle.encode(state, fused, adjacency))
 
 
 @pytest.mark.parametrize("kind", ["mf_bpr", "vbpr_mm", "graph_mm"])

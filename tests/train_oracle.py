@@ -7,8 +7,11 @@ here as an oracle, in the way ``data_oracle`` backs the columnar data
 pipeline. The fast versions in ``mmrec.rng``, ``mmrec.trainer`` and
 ``mmrec.models`` must give exactly the same words, negatives, gradients,
 parameters, losses and reports; the tests compare them with exact equality.
-Model initialisation, propagation and evaluation are shared with the
-library, as they did not change.
+Model initialisation, input checks, propagation and ``encode`` are copied
+here as well, so that a change to the library's model code cannot move both
+sides of a comparison at once; initialisation draws through this module's
+``stream``. Only the ranking and metrics after ``encode`` come from the
+library's ``evaluate``, which ``tests/eval_oracle.py`` checks on its own.
 """
 
 from __future__ import annotations
@@ -19,9 +22,16 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from mmrec.errors import EmptyBatch, NoNegativeAvailable, NonFiniteGradient
+from mmrec.errors import (
+    DimensionMismatch,
+    EmptyBatch,
+    MissingAdjacency,
+    MissingFeatures,
+    NoNegativeAvailable,
+    NonFiniteGradient,
+)
 from mmrec.evaluation import evaluate, parse_metric_spec
-from mmrec.models import TripleBatch, _check_inputs, _final_embeddings, init_params, propagate_mean
+from mmrec.models import ModelState, TripleBatch
 from mmrec.rng import _key_part, check_seed
 from mmrec.trainer import TrainLog
 
@@ -110,6 +120,104 @@ def make_batches(train, batch_size: int, epoch_index: int, seed: int) -> list[Tr
 
 
 # ------------------------------------------------------------ model maths
+
+EMB_INIT_STD = 0.1
+
+
+def init_params(kind, n_users, n_items, d, seed, d_p=None, d_fused=None, n_layers=None,
+                lambda_reg=0.0):
+    if kind not in ("mf_bpr", "vbpr_mm", "graph_mm"):
+        raise ValueError(f"unknown model kind {kind!r}")
+    if d <= 0 or n_users <= 0 or n_items <= 0:
+        raise ValueError("dimensions and entity counts must be positive")
+
+    def normal(name, shape):
+        return stream(seed, "init", name).normal(shape, std=EMB_INIT_STD)
+
+    def xavier(name, fan_in, fan_out):
+        bound = np.sqrt(6.0 / (fan_in + fan_out))
+        u = stream(seed, "init", name).uniform((fan_in, fan_out))
+        return (2.0 * u - 1.0) * bound
+
+    tensors = {
+        "user_emb": normal("user_emb", (n_users, d)),
+        "item_emb": normal("item_emb", (n_items, d)),
+    }
+    if kind == "vbpr_mm":
+        if d_p is None or d_p <= 0 or d_fused is None or d_fused <= 0:
+            raise ValueError("vbpr_mm needs positive d_p and d_fused")
+        tensors["user_mod_emb"] = normal("user_mod_emb", (n_users, d_p))
+        tensors["proj"] = xavier("proj", d_fused, d_p)
+    elif kind == "graph_mm":
+        if d_fused is None or d_fused <= 0:
+            raise ValueError("graph_mm needs positive d_fused")
+        if n_layers is None or n_layers < 0:
+            raise ValueError("graph_mm needs n_layers >= 0")
+        tensors["mod_proj"] = xavier("mod_proj", d_fused, d)
+
+    return ModelState(
+        kind=kind,
+        n_users=n_users,
+        n_items=n_items,
+        d=d,
+        tensors=tensors,
+        lambda_reg=lambda_reg,
+        d_p=d_p,
+        n_layers=n_layers if kind == "graph_mm" else None,
+        seed=seed,
+    )
+
+
+def propagate_mean(adjacency, e0, n_layers):
+    acc = e0
+    total = e0.copy()
+    for _ in range(n_layers):
+        acc = adjacency @ acc
+        total += acc
+    return total / (n_layers + 1)
+
+
+def _check_inputs(state, fused, adjacency):
+    if state.kind in ("vbpr_mm", "graph_mm"):
+        if fused is None:
+            raise MissingFeatures(f"{state.kind} needs fused item features")
+        if fused.shape[0] != state.n_items:
+            raise MissingFeatures(
+                f"fused features cover {fused.shape[0]} items, dataset has {state.n_items}"
+            )
+        width = state.tensors["proj" if state.kind == "vbpr_mm" else "mod_proj"].shape[0]
+        if fused.shape[1:] != (width,):
+            raise DimensionMismatch(
+                f"fused features have shape {fused.shape}, {state.kind} expects {width} columns"
+            )
+    if state.kind == "graph_mm" and adjacency is None:
+        raise MissingAdjacency("graph_mm needs the train adjacency")
+
+
+def _final_embeddings(state, fused, adjacency):
+    e0 = np.vstack([
+        state.tensors["user_emb"],
+        state.tensors["item_emb"] + fused @ state.tensors["mod_proj"],
+    ])
+    return propagate_mean(adjacency, e0, state.n_layers)
+
+
+def encode(state, fused=None, adjacency=None):
+    _check_inputs(state, fused, adjacency)
+    if state.kind == "mf_bpr":
+        return state
+    u, v = state.tensors["user_emb"], state.tensors["item_emb"]
+    if state.kind == "vbpr_mm":
+        user_rep = np.hstack([u, state.tensors["user_mod_emb"]])
+        item_rep = np.hstack([v, fused @ state.tensors["proj"]])
+    else:
+        ef = _final_embeddings(state, fused, adjacency)
+        user_rep, item_rep = ef[: state.n_users], ef[state.n_users:]
+    return ModelState(
+        "mf_bpr", state.n_users, state.n_items, user_rep.shape[1],
+        {"user_emb": user_rep, "item_emb": item_rep},
+    )
+
 
 def build_adjacency(train) -> sp.csr_matrix:
     n_u, n_i = train.n_rows, train.n_cols
@@ -285,7 +393,7 @@ def fit(kind, dataset, cfg, d, d_p=None, n_layers=None, lambda_reg=0.0, fused=No
         log.epoch_losses.append(float(np.mean(batch_losses)))
 
         if has_validation and epoch % cfg.eval_interval == 0:
-            report = evaluate(state, dataset, "valid", (stop_k,), fused, adjacency)
+            report = evaluate(encode(state, fused, adjacency), dataset, "valid", (stop_k,))
             log.evaluations.append((epoch, report))
             value = report.get(stop_name, stop_k)
             if value > best_value:

@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -54,7 +54,7 @@ from .modality import (
     load_feature_matrix,
     read_header,
 )
-from .models import MODEL_KINDS, build_adjacency, save_checkpoint
+from .models import MODEL_KINDS, build_adjacency, needs_features, needs_graph, save_checkpoint
 from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
 
 GRID_KEYS = ("batch_size", "d", "d_p", "fusion", "learning_rate", "n_layers", "reg")
@@ -302,7 +302,7 @@ def _prepare_inputs(config: ExperimentConfig):
         SplitSpec(strategy=config["split"], ratios=config["ratios"], seed=config["seed"]),
     )
     tables = load_modality_tables(config, dataset.item_map)
-    if config["model"] != "mf_bpr" and not tables:
+    if needs_features(config["model"]) and not tables:
         raise MissingFeatures(f"model {config['model']} needs features.<modality> entries")
     return dataset, tables
 
@@ -334,26 +334,15 @@ def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> 
 
 
 def _train_config(values: dict[str, object]) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=values["learning_rate"],
-        batch_size=values["batch_size"],
-        max_epochs=values["max_epochs"],
-        patience=values["patience"],
-        eval_interval=values["eval_interval"],
-        stop_metric=values["stop_metric"],
-        optimizer=values["optimizer"],
-        adam_beta1=values["adam_beta1"],
-        adam_beta2=values["adam_beta2"],
-        adam_eps=values["adam_eps"],
-        seed=values["seed"],
-    )
+    # every TrainConfig field is a config key of the same name
+    return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
 
 
 def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = None):
     """Train and evaluate one concrete (scalar) configuration."""
     v = config.values
     fused = fuse(tables, v["fusion"]) if tables else None
-    adjacency = build_adjacency(dataset.train) if v["model"] == "graph_mm" else None
+    adjacency = build_adjacency(dataset.train) if needs_graph(v["model"]) else None
     state, log = fit(
         v["model"],
         dataset,

@@ -1,17 +1,28 @@
-"""Model contract and the three built-in recommenders.
+"""The model contract: one shared BPR head over a spec per model kind.
 
-Every model is a named-tensor :class:`ModelState` plus two operations:
-``calculate_loss`` (pairwise BPR loss with exact analytic gradients) and
-``full_sort_predict`` (scores for every item). Scoring goes through
-``encode``, which reduces every kind to a pair of user and item
-representations whose inner product is the score. Three kinds are provided:
+A model is a named-tensor :class:`ModelState`. Its kind is an entry of the
+private ``_KINDS`` table, which supplies:
 
-* ``mf_bpr``     score(u, i) = <U_u, V_i>
-* ``vbpr_mm``    score(u, i) = <U_u, V_i> + <M_u, P^T f_i> for fused item
-                 features f_i and projection P
-* ``graph_mm``   LightGCN-style propagation over the symmetric
-                 degree-normalized train graph, starting from
-                 E0 = [U ; V + f W], final embedding = mean of layers 0..L
+* a tensor spec: each tensor's row axis (``"users"``, ``"items"``, or None
+  for a projection whose rows are the fused feature width) and the state
+  field that gives its width; the meta fields the kind needs (``d_p``,
+  ``n_layers``); and whether it reads fused item features and the adjacency;
+* score blocks ``(user table, item table, projection or None)``: the score
+  is the sum over blocks of <user row, item row>, where an item row is
+  ``item_table[i]``, or ``item_table[i] @ projection`` when there is one;
+* a pull-back from the blocks' row gradients to tensor gradients.
+
+The shared head owns the rest. ``calculate_loss`` gathers each block's
+``(u, i+, i-)`` rows, computes the score ``s``, the loss and ``c = dloss/ds``,
+adds the regularizer rows of every tensor with a row axis and scatters the
+row gradients. ``encode`` lays the blocks side by side as a plain ``mf_bpr``
+state, which ``full_sort_predict`` and the evaluator score. ``init_params``,
+the input checks and ``load_checkpoint`` read the same spec. The kinds:
+
+* ``mf_bpr``    score(u, i) = <U_u, V_i>
+* ``vbpr_mm``   score(u, i) = <U_u, V_i> + <M_u, P^T f_i> for fused features f_i
+* ``graph_mm``  LightGCN-style: the mean of layers 0..L of propagation over the
+                symmetric degree-normalized train graph, from E0 = [U ; V + f W]
 
 All arithmetic is float64; the float32 feature files are widened on alignment.
 Gradients are derived by hand and validated against finite differences in
@@ -21,7 +32,9 @@ the test suite, including differentiation through the graph propagation.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
+from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
@@ -39,8 +52,6 @@ from .errors import (
 from .fileio import atomic_write
 from .modality import read_matrix, write_matrix
 from .rng import stream
-
-MODEL_KINDS = ("mf_bpr", "vbpr_mm", "graph_mm")
 
 EMB_INIT_STD = 0.1
 
@@ -70,75 +81,7 @@ class ModelState:
     seed: int = 0
 
     def copy(self) -> "ModelState":
-        return ModelState(
-            kind=self.kind,
-            n_users=self.n_users,
-            n_items=self.n_items,
-            d=self.d,
-            tensors={k: v.copy() for k, v in self.tensors.items()},
-            lambda_reg=self.lambda_reg,
-            d_p=self.d_p,
-            n_layers=self.n_layers,
-            seed=self.seed,
-        )
-
-
-def init_params(
-    kind: str,
-    n_users: int,
-    n_items: int,
-    d: int,
-    seed: int,
-    d_p: int | None = None,
-    d_fused: int | None = None,
-    n_layers: int | None = None,
-    lambda_reg: float = 0.0,
-) -> ModelState:
-    """Draw fresh parameters, deterministically from (seed, tensor name).
-
-    Embeddings are Normal(0, 0.1^2); projection matrices are Xavier-uniform
-    with bound sqrt(6 / (fan_in + fan_out)).
-    """
-    if kind not in MODEL_KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if d <= 0 or n_users <= 0 or n_items <= 0:
-        raise ValueError("dimensions and entity counts must be positive")
-
-    def normal(name: str, shape: tuple[int, int]) -> np.ndarray:
-        return stream(seed, "init", name).normal(shape, std=EMB_INIT_STD)
-
-    def xavier(name: str, fan_in: int, fan_out: int) -> np.ndarray:
-        bound = np.sqrt(6.0 / (fan_in + fan_out))
-        u = stream(seed, "init", name).uniform((fan_in, fan_out))
-        return (2.0 * u - 1.0) * bound
-
-    tensors = {
-        "user_emb": normal("user_emb", (n_users, d)),
-        "item_emb": normal("item_emb", (n_items, d)),
-    }
-    if kind == "vbpr_mm":
-        if d_p is None or d_p <= 0 or d_fused is None or d_fused <= 0:
-            raise ValueError("vbpr_mm needs positive d_p and d_fused")
-        tensors["user_mod_emb"] = normal("user_mod_emb", (n_users, d_p))
-        tensors["proj"] = xavier("proj", d_fused, d_p)
-    elif kind == "graph_mm":
-        if d_fused is None or d_fused <= 0:
-            raise ValueError("graph_mm needs positive d_fused")
-        if n_layers is None or n_layers < 0:
-            raise ValueError("graph_mm needs n_layers >= 0")
-        tensors["mod_proj"] = xavier("mod_proj", d_fused, d)
-
-    return ModelState(
-        kind=kind,
-        n_users=n_users,
-        n_items=n_items,
-        d=d,
-        tensors=tensors,
-        lambda_reg=lambda_reg,
-        d_p=d_p,
-        n_layers=n_layers if kind == "graph_mm" else None,
-        seed=seed,
-    )
+        return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
 
 def build_adjacency(train: InteractionSet) -> sp.csr_matrix:
@@ -172,65 +115,189 @@ def propagate_mean(adjacency: sp.csr_matrix, e0: np.ndarray, n_layers: int) -> n
     return total / (n_layers + 1)
 
 
+# ------------------------------------------------------------- model kinds
+#
+# A block is (user table, item table, item projection or None). Row parts
+# are (rows, values) pairs; a block's parts are (user parts, item parts). A
+# pull-back returns, per tensor, either its dense gradient (projections) or
+# (base or None, row parts), onto which the head adds the regularizer rows;
+# it may pop the blocks' parts from the list it is given.
+
+def _mf_blocks(state, fused, adjacency):
+    return [(state.tensors["user_emb"], state.tensors["item_emb"], None)]
+
+
+def _mf_pull_back(state, fused, adjacency, parts):
+    user_parts, item_parts = parts[0]
+    return {"user_emb": (None, user_parts), "item_emb": (None, item_parts)}
+
+
+def _vbpr_blocks(state, fused, adjacency):
+    # mf_bpr's block plus a feature block, projected after the rows are gathered
+    t = state.tensors
+    return _mf_blocks(state, fused, adjacency) + [(t["user_mod_emb"], fused, t["proj"])]
+
+
+def _vbpr_pull_back(state, fused, adjacency, parts):
+    mod_parts, feature_parts = parts[1]
+    return {
+        **_mf_pull_back(state, fused, adjacency, parts),
+        "user_mod_emb": (None, mod_parts),
+        "proj": fused.T @ _scatter_rows(state.n_items, feature_parts),
+    }
+
+
+def _graph_blocks(state, fused, adjacency):
+    e0 = np.vstack([
+        state.tensors["user_emb"],
+        state.tensors["item_emb"] + fused @ state.tensors["mod_proj"],
+    ])
+    ef = propagate_mean(adjacency, e0, state.n_layers)
+    return [(ef[: state.n_users], ef[state.n_users:], None)]
+
+
+def _graph_pull_back(state, fused, adjacency, parts):
+    n_u = state.n_users
+    # item nodes follow the user nodes; the block's parts are popped, so the
+    # batch rows are freed before the propagation
+    g_final = _scatter_rows(n_u + state.n_items, [
+        (offset + rows, values) for offset, side in zip((0, n_u), parts.pop()) for rows, values in side
+    ])
+    g0 = propagate_mean(adjacency, g_final, state.n_layers)
+    # the dense pull-back is the base; the regularizer rows are added onto it
+    return {"user_emb": (g0[:n_u], []), "item_emb": (g0[n_u:], []), "mod_proj": fused.T @ g0[n_u:]}
+
+
+@dataclass(frozen=True)
+class _Kind:
+    tensors: dict[str, tuple[str | None, str]]  # name -> (row axis, width field)
+    meta: tuple[str, ...]
+    features: bool
+    graph: bool
+    blocks: Callable
+    pull_back: Callable
+
+
+_EMBEDDINGS = {"user_emb": ("users", "d"), "item_emb": ("items", "d")}
+_KINDS = {
+    "mf_bpr": _Kind(_EMBEDDINGS, (), False, False, _mf_blocks, _mf_pull_back),
+    "vbpr_mm": _Kind(
+        {**_EMBEDDINGS, "user_mod_emb": ("users", "d_p"), "proj": (None, "d_p")},
+        ("d_p",), True, False, _vbpr_blocks, _vbpr_pull_back,
+    ),
+    "graph_mm": _Kind(
+        {**_EMBEDDINGS, "mod_proj": (None, "d")},
+        ("n_layers",), True, True, _graph_blocks, _graph_pull_back,
+    ),
+}
+MODEL_KINDS = tuple(_KINDS)
+
+
+def needs_features(kind: str) -> bool:
+    """Whether models of ``kind`` read fused item features."""
+    return _KINDS[kind].features
+
+
+def needs_graph(kind: str) -> bool:
+    """Whether models of ``kind`` read the train adjacency."""
+    return _KINDS[kind].graph
+
+
+def _check_meta(kind, n_users, n_items, d, d_p, n_layers, d_fused) -> None:
+    """Raise ValueError unless the sizes and meta fields suit ``kind``."""
+    if kind not in _KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    if d <= 0 or n_users <= 0 or n_items <= 0:
+        raise ValueError("dimensions and entity counts must be positive")
+    spec = _KINDS[kind]
+    needs = []
+    if "d_p" in spec.meta and (d_p is None or d_p <= 0):
+        needs.append("positive d_p")
+    if spec.features and (d_fused is None or d_fused <= 0):
+        needs.append("positive d_fused")
+    if "n_layers" in spec.meta and (n_layers is None or n_layers < 0):
+        needs.append("n_layers >= 0")
+    if needs:
+        raise ValueError(f"{kind} needs {' and '.join(needs)}")
+
+
+def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: int | None = None,
+                d_fused: int | None = None, n_layers: int | None = None,
+                lambda_reg: float = 0.0) -> ModelState:
+    """Draw fresh parameters, deterministically from (seed, tensor name).
+
+    Embeddings are Normal(0, 0.1^2); projection matrices are Xavier-uniform
+    with bound sqrt(6 / (fan_in + fan_out)).
+    """
+    _check_meta(kind, n_users, n_items, d, d_p, n_layers, d_fused)
+    spec = _KINDS[kind]
+    sizes = {"users": n_users, "items": n_items, None: d_fused, "d": d, "d_p": d_p}
+    tensors = {}
+    for name, (axis, width) in spec.tensors.items():
+        shape = (sizes[axis], sizes[width])
+        draws = stream(seed, "init", name)
+        if axis is None:
+            tensors[name] = (2.0 * draws.uniform(shape) - 1.0) * np.sqrt(6.0 / sum(shape))
+        else:
+            tensors[name] = draws.normal(shape, std=EMB_INIT_STD)
+    n_layers = n_layers if "n_layers" in spec.meta else None
+    return ModelState(kind, n_users, n_items, d, tensors, lambda_reg, d_p, n_layers, seed)
+
+
+def _fused_width(state: ModelState) -> int:
+    """Rows of the kind's projection: the fused feature width it expects."""
+    name = next(n for n, (axis, _) in _KINDS[state.kind].tensors.items() if axis is None)
+    return state.tensors[name].shape[0]
+
+
 def _check_inputs(state: ModelState, fused: np.ndarray | None, adjacency) -> None:
-    if state.kind in ("vbpr_mm", "graph_mm"):
+    spec = _KINDS[state.kind]
+    if spec.features:
         if fused is None:
             raise MissingFeatures(f"{state.kind} needs fused item features")
         if fused.shape[0] != state.n_items:
             raise MissingFeatures(
                 f"fused features cover {fused.shape[0]} items, dataset has {state.n_items}"
             )
-        width = state.tensors["proj" if state.kind == "vbpr_mm" else "mod_proj"].shape[0]
+        width = _fused_width(state)
         if fused.shape[1:] != (width,):
             raise DimensionMismatch(
                 f"fused features have shape {fused.shape}, {state.kind} expects {width} columns"
             )
-    if state.kind == "graph_mm" and adjacency is None:
-        raise MissingAdjacency("graph_mm needs the train adjacency")
+    if spec.graph and adjacency is None:
+        raise MissingAdjacency(f"{state.kind} needs the train adjacency")
 
 
-def _final_embeddings(state: ModelState, fused: np.ndarray, adjacency) -> np.ndarray:
-    e0 = np.vstack([
-        state.tensors["user_emb"],
-        state.tensors["item_emb"] + fused @ state.tensors["mod_proj"],
-    ])
-    return propagate_mean(adjacency, e0, state.n_layers)
+def _item_rows(table: np.ndarray, proj: np.ndarray | None, rows=None) -> np.ndarray:
+    """A block's item representations, of every item or of ``rows``."""
+    picked = table if rows is None else table[rows]
+    return picked if proj is None else picked @ proj
 
 
-def encode(
-    state: ModelState,
-    fused: np.ndarray | None = None,
-    adjacency: sp.csr_matrix | None = None,
-) -> ModelState:
+def encode(state: ModelState, fused: np.ndarray | None = None,
+           adjacency: sp.csr_matrix | None = None) -> ModelState:
     """The model's final user and item representations as a plain ``mf_bpr``
     state, so that score(u, i) = <user_emb[u], item_emb[i]> for every kind.
 
-    ``mf_bpr`` returns the state itself; ``vbpr_mm`` stacks ``[U, M]`` and
-    ``[V, fP]``; ``graph_mm`` splits the propagated embeddings into user
-    rows and item rows. Encode once and score many user chunks from it.
+    The representations are the kind's score blocks side by side: ``mf_bpr``
+    keeps its own tables, ``vbpr_mm`` stacks ``[U, M]`` and ``[V, fP]``, and
+    ``graph_mm`` splits the propagated embeddings into user and item rows.
+    Encode once and score many user chunks from it.
     """
     _check_inputs(state, fused, adjacency)
-    if state.kind == "mf_bpr":
-        return state
-    u, v = state.tensors["user_emb"], state.tensors["item_emb"]
-    if state.kind == "vbpr_mm":
-        user_rep = np.hstack([u, state.tensors["user_mod_emb"]])
-        item_rep = np.hstack([v, fused @ state.tensors["proj"]])
-    else:
-        ef = _final_embeddings(state, fused, adjacency)
-        user_rep, item_rep = ef[: state.n_users], ef[state.n_users:]
+    blocks = _KINDS[state.kind].blocks(state, fused, adjacency)
+    user_rep, item_rep = (
+        parts[0] if len(parts) == 1 else np.hstack(parts)
+        for parts in zip(*((users, _item_rows(items, proj)) for users, items, proj in blocks))
+    )
     return ModelState(
         "mf_bpr", state.n_users, state.n_items, user_rep.shape[1],
         {"user_emb": user_rep, "item_emb": item_rep},
     )
 
 
-def full_sort_predict(
-    state: ModelState,
-    users: np.ndarray | list[int],
-    fused: np.ndarray | None = None,
-    adjacency: sp.csr_matrix | None = None,
-) -> np.ndarray:
+def full_sort_predict(state: ModelState, users: np.ndarray | list[int], fused: np.ndarray | None = None,
+                      adjacency: sp.csr_matrix | None = None) -> np.ndarray:
     """Rows of the full score matrix for the requested users; pure.
 
     The state is encoded on every call; to score many user chunks, pass
@@ -243,18 +310,13 @@ def full_sort_predict(
     return rep.tensors["user_emb"][users] @ rep.tensors["item_emb"].T
 
 
-def calculate_loss(
-    state: ModelState,
-    batch: TripleBatch,
-    fused: np.ndarray | None = None,
-    adjacency: sp.csr_matrix | None = None,
-) -> tuple[float, dict[str, np.ndarray]]:
+def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | None = None,
+                   adjacency: sp.csr_matrix | None = None) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BPR loss over the batch plus analytic gradients.
 
     loss = mean_t softplus(-(x_ui - x_uj))
          + lambda_reg * mean_t sum of squared norms of the embedding rows
-           the triple touches (user_emb[u], item_emb[i], item_emb[j], and
-           user_mod_emb[u] for vbpr_mm).
+           the triple touches: user rows at u, item rows at i and j.
 
     Projection matrices contribute to scores, and hence receive gradients,
     but are left out of the regularizer: it covers per-row embeddings only.
@@ -262,86 +324,57 @@ def calculate_loss(
     if len(batch) == 0:
         raise EmptyBatch("cannot compute a loss over zero triples")
     _check_inputs(state, fused, adjacency)
+    spec = _KINDS[state.kind]
     users = np.asarray(batch.users, dtype=np.int64)
     pos = np.asarray(batch.pos_items, dtype=np.int64)
     neg = np.asarray(batch.neg_items, dtype=np.int64)
     b = len(users)
     lam = state.lambda_reg
-    u_t, v_t = state.tensors["user_emb"], state.tensors["item_emb"]
 
-    if state.kind == "graph_mm":
-        n_u = state.n_users
-        ef = _final_embeddings(state, fused, adjacency)
-        s = np.einsum("td,td->t", ef[users], ef[n_u + pos] - ef[n_u + neg])
-    else:
-        # mf_bpr and vbpr_mm keep these batch rows for the gradient; graph_mm
-        # gathers each where it is used, so none stays alive through the
-        # propagation of its larger working set
-        u_rows = u_t[users]
-        v_diff = v_t[pos] - v_t[neg]
-        s = np.einsum("td,td->t", u_rows, v_diff)
-        if state.kind == "vbpr_mm":
-            p = state.tensors["proj"]
-            m_rows = state.tensors["user_mod_emb"][users]
-            q_diff = fused[pos] @ p - fused[neg] @ p
-            s += np.einsum("td,td->t", m_rows, q_diff)
+    # per block: the batch's user rows and item row differences; the score
+    # is the sum of the blocks' inner products, in block order
+    rows = [
+        (user_table[users], _item_rows(item_table, proj, pos) - _item_rows(item_table, proj, neg))
+        for user_table, item_table, proj in spec.blocks(state, fused, adjacency)
+    ]
+    s = reduce(np.add, (_row_dots(u_rows, i_diff) for u_rows, i_diff in rows))
 
-    rank_loss = float(np.logaddexp(0.0, -s).mean())
-    reg_rows = _sq_norms(u_t[users]) + _sq_norms(v_t[pos]) + _sq_norms(v_t[neg])
-    if state.kind == "vbpr_mm":
-        reg_rows = reg_rows + _sq_norms(m_rows)
-    loss = rank_loss + lam * float(reg_rows.mean())
+    # the regularized rows: every tensor with a row axis, at the batch's
+    # indices on that axis, in spec order
+    at = {"users": (users,), "items": (pos, neg)}
+    reg = [(name, index) for name, (axis, _) in spec.tensors.items() if axis for index in at[axis]]
+    gathered = (state.tensors[name][index] for name, index in reg)
+    reg_rows = reduce(np.add, (_row_dots(values, values) for values in gathered))
+    loss = float(np.logaddexp(0.0, -s).mean()) + lam * float(reg_rows.mean())
 
     # d loss / d s_t, including the 1/|B| of the mean
     c = (-expit(-s) / b)[:, None]
 
-    # each embedding gradient is a row scatter of (rows, values) parts, added
-    # in a fixed order: the rank term's parts first, then the regularizer's
-    grads = {}
-    if state.kind == "graph_mm":
-        g_final = _scatter_rows(n_u + state.n_items, [
-            (users, c * (ef[n_u + pos] - ef[n_u + neg])),
-            (n_u + pos, c * ef[users]),
-            (n_u + neg, -c * ef[users]),
-        ])
-        g0 = propagate_mean(adjacency, g_final, state.n_layers)
-        # the dense pull-back comes first, the regularizer is added onto it
-        user_base, item_base = g0[:n_u], g0[n_u:]
-        user_parts, item_parts = [], []
-        grads["mod_proj"] = fused.T @ item_base
-    else:
-        user_base = item_base = None
-        user_parts = [(users, c * v_diff)]
-        item_parts = [(pos, c * u_rows), (neg, -c * u_rows)]
-        if state.kind == "vbpr_mm":
-            mod_parts = [(users, c * q_diff)]
-            dq = _scatter_rows(state.n_items, [(pos, c * m_rows), (neg, -c * m_rows)])
-            grads["proj"] = fused.T @ dq
-
+    # each block's row gradients as (rows, values) parts; they replace the
+    # batch rows, so that a pull-back that pops them frees both
+    rows = [([(users, c * i_diff)], [(pos, c * u_rows), (neg, -c * u_rows)]) for u_rows, i_diff in rows]
+    # each row gradient is a scatter of parts, added in a fixed order: the
+    # pull-back's parts first, then the regularizer's
+    grads = spec.pull_back(state, fused, adjacency, rows)
     if lam > 0:
         coef = 2.0 * lam / b
-        user_parts.append((users, coef * u_t[users]))
-        item_parts += [(pos, coef * v_t[pos]), (neg, coef * v_t[neg])]
-        if state.kind == "vbpr_mm":
-            mod_parts.append((users, coef * m_rows))
-
-    grads["user_emb"] = _scatter_rows(state.n_users, user_parts, user_base)
-    grads["item_emb"] = _scatter_rows(state.n_items, item_parts, item_base)
-    if state.kind == "vbpr_mm":
-        grads["user_mod_emb"] = _scatter_rows(state.n_users, mod_parts)
+        for name, index in reg:
+            grads[name][1].append((index, coef * state.tensors[name][index]))
+    n_rows = {"users": state.n_users, "items": state.n_items}
+    for name, (axis, _) in spec.tensors.items():
+        if axis is not None:
+            base, parts = grads[name]
+            grads[name] = _scatter_rows(n_rows[axis], parts, base)
     return loss, {name: grads[name] for name in state.tensors}
 
 
-def _sq_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row."""
-    return np.einsum("td,td->t", rows, rows)
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Inner product of each row of ``a`` with the same row of ``b``."""
+    return np.einsum("td,td->t", a, b)
 
 
-def _scatter_rows(
-    n_rows: int,
-    parts: list[tuple[np.ndarray, np.ndarray]],
-    base: np.ndarray | None = None,
-) -> np.ndarray:
+def _scatter_rows(n_rows: int, parts: list[tuple[np.ndarray, np.ndarray]],
+                  base: np.ndarray | None = None) -> np.ndarray:
     """``(n_rows, d)`` row sums of ``(rows, values)`` parts, onto ``base``.
 
     Row ``r`` is ``base[r]`` (zero without a base) plus every ``values[t]``
@@ -367,12 +400,9 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
     os.makedirs(out_dir, exist_ok=True)
     out = os.fspath(out_dir)
     with atomic_write(os.path.join(out, "meta")) as fh:
-        fh.write(f"kind: {state.kind}\n")
-        fh.write(f"n_users: {state.n_users}\n")
-        fh.write(f"n_items: {state.n_items}\n")
-        fh.write(f"d: {state.d}\n")
-        fh.write(f"d_p: {'' if state.d_p is None else state.d_p}\n")
-        fh.write(f"n_layers: {'' if state.n_layers is None else state.n_layers}\n")
+        for key in ("kind", "n_users", "n_items", "d", "d_p", "n_layers"):
+            value = getattr(state, key)
+            fh.write(f"{key}: {'' if value is None else value}\n")
         fh.write(f"lambda_reg: {state.lambda_reg!r}\n")
         fh.write(f"seed: {state.seed}\n")
         fh.write(f"tensors: {','.join(sorted(state.tensors))}\n")
@@ -380,62 +410,44 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
         write_matrix(os.path.join(out, f"{name}.mmf8"), tensor, magic=b"MMF8")
 
 
-# (rows, columns) of each tensor as ModelState fields; None is not checked
-_TENSOR_SHAPES = {
-    "user_emb": ("n_users", "d"),
-    "item_emb": ("n_items", "d"),
-    "user_mod_emb": ("n_users", "d_p"),
-    "proj": (None, "d_p"),
-    "mod_proj": (None, "d"),
-}
-_KIND_TENSORS = {
-    "mf_bpr": {"user_emb", "item_emb"},
-    "vbpr_mm": {"user_emb", "item_emb", "user_mod_emb", "proj"},
-    "graph_mm": {"user_emb", "item_emb", "mod_proj"},
-}
-
-
 def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A `meta` file with a missing key or a bad value, a tensor list that does
-    not fit the model kind, or a tensor whose shape disagrees with `meta`
-    raises MalformedCheckpoint.
+    A `meta` file with a missing key or a bad value, meta that
+    :func:`init_params` would refuse, a tensor list that does not fit the
+    model kind, or a tensor whose shape disagrees with `meta` raises
+    MalformedCheckpoint.
     """
     src = os.fspath(in_dir)
-    meta: dict[str, str] = {}
     with open(os.path.join(src, "meta"), encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                key, _, value = line.partition(":")
-                meta[key.strip()] = value.strip()
+        pairs = [line.partition(":") for line in fh if line.strip()]
+    meta = {key.strip(): value.strip() for key, _, value in pairs}
     try:
         state = ModelState(
-            kind=meta["kind"],
-            n_users=int(meta["n_users"]),
-            n_items=int(meta["n_items"]),
-            d=int(meta["d"]),
-            tensors={},
-            lambda_reg=float(meta["lambda_reg"]),
+            kind=meta["kind"], n_users=int(meta["n_users"]), n_items=int(meta["n_items"]),
+            d=int(meta["d"]), tensors={}, lambda_reg=float(meta["lambda_reg"]),
             d_p=int(meta["d_p"]) if meta["d_p"] else None,
-            n_layers=int(meta["n_layers"]) if meta["n_layers"] else None,
-            seed=int(meta["seed"]),
+            n_layers=int(meta["n_layers"]) if meta["n_layers"] else None, seed=int(meta["seed"]),
         )
         names = meta["tensors"].split(",")
     except KeyError as exc:
         raise MalformedCheckpoint(f"{src}: meta has no {exc.args[0]!r} key") from None
     except ValueError as exc:
         raise MalformedCheckpoint(f"{src}: bad meta value: {exc}") from None
-    if state.kind not in _KIND_TENSORS or set(names) != _KIND_TENSORS[state.kind]:
+    spec = _KINDS.get(state.kind)
+    if spec is None or set(names) != set(spec.tensors):
         raise MalformedCheckpoint(f"{src}: {state.kind!r} checkpoint with tensors {names}")
-    if state.kind == "graph_mm" and state.n_layers is None:
-        raise MalformedCheckpoint(f"{src}: graph_mm checkpoint without n_layers")
     for name in names:
-        tensor = read_matrix(os.path.join(src, f"{name}.mmf8"), magic=b"MMF8")
-        expected = tuple(None if f is None else getattr(state, f) for f in _TENSOR_SHAPES[name])
-        if any(want is not None and want != got for want, got in zip(expected, tensor.shape)):
-            raise MalformedCheckpoint(
-                f"{src}: {name} has shape {tensor.shape}, meta implies {expected}"
-            )
-        state.tensors[name] = tensor
+        state.tensors[name] = read_matrix(os.path.join(src, f"{name}.mmf8"), magic=b"MMF8")
+    d_fused = _fused_width(state) if spec.features else None
+    try:
+        _check_meta(state.kind, state.n_users, state.n_items, state.d, state.d_p, state.n_layers, d_fused)
+    except ValueError as exc:
+        raise MalformedCheckpoint(f"{src}: {exc}") from None
+    sizes = {"users": state.n_users, "items": state.n_items, None: d_fused, "d": state.d, "d_p": state.d_p}
+    for name in names:
+        axis, width = spec.tensors[name]
+        expected, got = (sizes[axis], sizes[width]), state.tensors[name].shape
+        if got != expected:
+            raise MalformedCheckpoint(f"{src}: {name} has shape {got}, meta implies {expected}")
     return state

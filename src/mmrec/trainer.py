@@ -26,6 +26,7 @@ from .models import (
     build_adjacency,
     calculate_loss,
     init_params,
+    needs_graph,
 )
 from .rng import check_seed, stream
 
@@ -207,23 +208,16 @@ def fit(
 
     With an empty validation split there is nothing to select on: early
     stopping is disabled, training runs to max_epochs and the final
-    parameters are returned. A ``graph_mm`` model uses ``adjacency`` when
-    given (it must be ``build_adjacency(dataset.train)``), else builds it.
+    parameters are returned. A model kind that reads the train graph uses
+    ``adjacency`` when given (it must be ``build_adjacency(dataset.train)``),
+    else builds it.
     """
     if dataset.train.nnz == 0:
         raise ValueError("train split is empty")
-    state = init_params(
-        kind,
-        dataset.n_users,
-        dataset.n_items,
-        d,
-        cfg.seed,
-        d_p=d_p,
-        d_fused=None if fused is None else fused.shape[1],
-        n_layers=n_layers,
-        lambda_reg=lambda_reg,
-    )
-    if kind == "graph_mm" and adjacency is None:
+    d_fused = None if fused is None else fused.shape[1]
+    state = init_params(kind, dataset.n_users, dataset.n_items, d, cfg.seed, d_p=d_p,
+                        d_fused=d_fused, n_layers=n_layers, lambda_reg=lambda_reg)
+    if needs_graph(kind) and adjacency is None:
         adjacency = build_adjacency(dataset.train)
     opt = OptimizerState.zeros(state)
     log = TrainLog()

@@ -143,6 +143,29 @@ class TestScoreAll:
         )
         assert np.max(np.abs(all_scores(state, fused, adj) - all_scores(mf))) < 1e-12
 
+    def test_vbpr_scores_are_the_sum_of_block_products(self):
+        # a non-zero projection: <U_u, V_i> + <M_u, f_i P>, one block at a time
+        rng = np.random.default_rng(5)
+        _, fused, _, state, _ = random_instance(rng, "vbpr_mm", n_u=5, n_i=7, d=3, d_p=2, d_f=4)
+        t = state.tensors
+        assert np.any(t["proj"] != 0.0)
+        rep = encode(state, fused)
+        assert np.array_equal(rep.tensors["user_emb"], np.hstack([t["user_emb"], t["user_mod_emb"]]))
+        assert np.array_equal(rep.tensors["item_emb"], np.hstack([t["item_emb"], fused @ t["proj"]]))
+        hand = np.array([
+            [
+                sum(t["user_emb"][u, k] * t["item_emb"][i, k] for k in range(3))
+                + sum(
+                    t["user_mod_emb"][u, k] * sum(fused[i, f] * t["proj"][f, k] for f in range(4))
+                    for k in range(2)
+                )
+                for i in range(state.n_items)
+            ]
+            for u in range(state.n_users)
+        ])
+        for scores in (all_scores(state, fused), all_scores(rep)):
+            assert np.allclose(scores, hand, rtol=1e-12, atol=1e-12)
+
     def test_missing_features(self):
         state = init_params("vbpr_mm", 2, 2, 2, seed=0, d_p=2, d_fused=2)
         with pytest.raises(MissingFeatures):
@@ -345,4 +368,27 @@ class TestCheckpoint:
         meta = tmp_path / "meta"
         meta.write_text(meta.read_text().replace("n_layers: 2", "n_layers: "))
         with pytest.raises(MalformedCheckpoint, match="n_layers"):
+            load_checkpoint(tmp_path)
+
+    @pytest.mark.parametrize("kind,edits,tensor,match", [
+        # an empty d_p must not skip the width check of user_mod_emb and proj
+        pytest.param("vbpr_mm", {"d_p: 2": "d_p: "}, ("proj", (5, 3)), "d_p", id="vbpr-empty-d_p"),
+        pytest.param("vbpr_mm", {"d_p: 2": "d_p: 0"}, None, "d_p", id="vbpr-zero-d_p"),
+        # a negative layer count would divide the propagation by zero
+        pytest.param("graph_mm", {"n_layers: 2": "n_layers: -1"}, None, "n_layers",
+                     id="graph-negative-n_layers"),
+        pytest.param("mf_bpr", {"d: 2": "d: 0"}, None, "positive", id="mf-zero-d"),
+    ])
+    def test_meta_that_init_params_refuses_is_typed(self, tmp_path, kind, edits, tensor, match):
+        save_checkpoint(init_params(kind, 3, 4, 2, seed=9, d_p=2, d_fused=5, n_layers=2), tmp_path)
+        meta = tmp_path / "meta"
+        text = meta.read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        meta.write_text(text)
+        if tensor is not None:
+            name, shape = tensor
+            write_matrix(tmp_path / f"{name}.mmf8", np.zeros(shape), magic=b"MMF8")
+        with pytest.raises(MalformedCheckpoint, match=match):
             load_checkpoint(tmp_path)

@@ -20,7 +20,7 @@ from .experiment import (
     run_single,
 )
 from .modality import fuse
-from .models import build_adjacency, load_checkpoint, needs_features, needs_graph
+from .models import FEATURE_KINDS, GRAPH_KINDS, build_adjacency, load_checkpoint
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -139,7 +139,7 @@ def _cmd_eval(args) -> int:
 
     fused = None
     adjacency = None
-    if needs_features(state.kind):
+    if state.kind in FEATURE_KINDS:
         if args.config is None:
             raise MissingFeatures(f"{state.kind} needs --config with features.<modality> entries")
         config = parse_config(args.config)
@@ -147,7 +147,7 @@ def _cmd_eval(args) -> int:
         if not tables:
             raise MissingFeatures("config has no features.<modality> entries")
         fused = fuse(tables, config["fusion"])
-    if needs_graph(state.kind):
+    if state.kind in GRAPH_KINDS:
         adjacency = build_adjacency(dataset.train)
 
     report = evaluate(state, dataset, args.split, cutoffs, fused, adjacency)

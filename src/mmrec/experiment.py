@@ -54,7 +54,7 @@ from .modality import (
     load_feature_matrix,
     read_header,
 )
-from .models import MODEL_KINDS, build_adjacency, needs_features, needs_graph, save_checkpoint
+from .models import FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, build_adjacency, save_checkpoint
 from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
 
 GRID_KEYS = ("batch_size", "d", "d_p", "fusion", "learning_rate", "n_layers", "reg")
@@ -302,7 +302,7 @@ def _prepare_inputs(config: ExperimentConfig):
         SplitSpec(strategy=config["split"], ratios=config["ratios"], seed=config["seed"]),
     )
     tables = load_modality_tables(config, dataset.item_map)
-    if needs_features(config["model"]) and not tables:
+    if config["model"] in FEATURE_KINDS and not tables:
         raise MissingFeatures(f"model {config['model']} needs features.<modality> entries")
     return dataset, tables
 
@@ -342,7 +342,7 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     """Train and evaluate one concrete (scalar) configuration."""
     v = config.values
     fused = fuse(tables, v["fusion"]) if tables else None
-    adjacency = build_adjacency(dataset.train) if needs_graph(v["model"]) else None
+    adjacency = build_adjacency(dataset.train) if v["model"] in GRAPH_KINDS else None
     state, log = fit(
         v["model"],
         dataset,

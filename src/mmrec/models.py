@@ -191,16 +191,9 @@ _KINDS = {
     ),
 }
 MODEL_KINDS = tuple(_KINDS)
-
-
-def needs_features(kind: str) -> bool:
-    """Whether models of ``kind`` read fused item features."""
-    return _KINDS[kind].features
-
-
-def needs_graph(kind: str) -> bool:
-    """Whether models of ``kind`` read the train adjacency."""
-    return _KINDS[kind].graph
+# the kinds that read fused item features, and those that read the train graph
+FEATURE_KINDS = tuple(kind for kind, spec in _KINDS.items() if spec.features)
+GRAPH_KINDS = tuple(kind for kind, spec in _KINDS.items() if spec.graph)
 
 
 def _check_meta(kind, n_users, n_items, d, d_p, n_layers, d_fused) -> None:
@@ -286,10 +279,10 @@ def encode(state: ModelState, fused: np.ndarray | None = None,
     """
     _check_inputs(state, fused, adjacency)
     blocks = _KINDS[state.kind].blocks(state, fused, adjacency)
-    user_rep, item_rep = (
-        parts[0] if len(parts) == 1 else np.hstack(parts)
-        for parts in zip(*((users, _item_rows(items, proj)) for users, items, proj in blocks))
-    )
+    users = [user_table for user_table, _, _ in blocks]
+    items = [_item_rows(item_table, proj) for _, item_table, proj in blocks]
+    # one block is used as it is, without a copy
+    user_rep, item_rep = (parts[0] if len(parts) == 1 else np.hstack(parts) for parts in (users, items))
     return ModelState(
         "mf_bpr", state.n_users, state.n_items, user_rep.shape[1],
         {"user_emb": user_rep, "item_emb": item_rep},
@@ -350,9 +343,9 @@ def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | No
     # d loss / d s_t, including the 1/|B| of the mean
     c = (-expit(-s) / b)[:, None]
 
-    # each block's row gradients as (rows, values) parts; they replace the
-    # batch rows, so that a pull-back that pops them frees both
-    rows = [([(users, c * i_diff)], [(pos, c * u_rows), (neg, -c * u_rows)]) for u_rows, i_diff in rows]
+    # each block's row gradients replace its batch rows, so that a pull-back
+    # that pops them frees both
+    rows = [_row_parts(users, pos, neg, c, *block) for block in rows]
     # each row gradient is a scatter of parts, added in a fixed order: the
     # pull-back's parts first, then the regularizer's
     grads = spec.pull_back(state, fused, adjacency, rows)
@@ -366,6 +359,15 @@ def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | No
             base, parts = grads[name]
             grads[name] = _scatter_rows(n_rows[axis], parts, base)
     return loss, {name: grads[name] for name in state.tensors}
+
+
+def _row_parts(users, pos, neg, c, u_rows, i_diff):
+    """A block's row gradient parts, ``c * i_diff`` at the users and ``c * u_rows``
+    and ``-c * u_rows`` at the positives and negatives. The gathered rows are
+    scaled in place, as nothing else reads them, to the same floats."""
+    i_diff *= c
+    u_rows *= c
+    return [(users, i_diff)], [(pos, u_rows), (neg, -u_rows)]
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

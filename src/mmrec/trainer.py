@@ -21,12 +21,12 @@ from .errors import NoNegativeAvailable, NonFiniteGradient
 from .evaluation import MetricReport, evaluate, parse_metric_spec
 from .fileio import atomic_write
 from .models import (
+    GRAPH_KINDS,
     ModelState,
     TripleBatch,
     build_adjacency,
     calculate_loss,
     init_params,
-    needs_graph,
 )
 from .rng import check_seed, stream
 
@@ -217,7 +217,7 @@ def fit(
     d_fused = None if fused is None else fused.shape[1]
     state = init_params(kind, dataset.n_users, dataset.n_items, d, cfg.seed, d_p=d_p,
                         d_fused=d_fused, n_layers=n_layers, lambda_reg=lambda_reg)
-    if needs_graph(kind) and adjacency is None:
+    if kind in GRAPH_KINDS and adjacency is None:
         adjacency = build_adjacency(dataset.train)
     opt = OptimizerState.zeros(state)
     log = TrainLog()

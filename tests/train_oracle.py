@@ -11,7 +11,7 @@ Model initialisation, input checks, propagation and ``encode`` are copied
 here as well, so that a change to the library's model code cannot move both
 sides of a comparison at once; initialisation draws through this module's
 ``stream``. Only the ranking and metrics after ``encode`` come from the
-library's ``evaluate``, which ``tests/eval_oracle.py`` checks on its own.
+library's ``evaluate``, which the tests check against ``tests/eval_oracle.py``.
 """
 
 from __future__ import annotations

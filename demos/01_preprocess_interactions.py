@@ -36,17 +36,18 @@ u3\ti9\t5.0\t200
 u9\ti9\t1.0\t170
 """
 
-records = parse_interactions(io.StringIO(raw))
-print(f"parsed {len(records)} records; first = {records[0]}")
+# Interactions travel as one columnar table: sorted distinct raw IDs and an
+# int64 code per row into them, plus rating and timestamp columns.
+table = parse_interactions(io.StringIO(raw))
+print(f"parsed {len(table)} rows; users {table.user_ids.tolist()}, items {table.item_ids.tolist()}")
 
-deduped = dedupe_interactions(records)
-kept = next(r for r in deduped if r.raw_item_id == "i9")
-print(f"dedupe kept {len(deduped)} records; (u3, i9) resolved to timestamp {kept.timestamp}")
+deduped = dedupe_interactions(table)
+kept = list(zip(deduped.user_ids[deduped.users], deduped.item_ids[deduped.items])).index(("u3", "i9"))
+print(f"dedupe kept {len(deduped)} rows; (u3, i9) resolved to timestamp {deduped.timestamp[kept]}")
 
 filtered = k_core_filter(deduped, FilterParams(k=2))
-print(f"2-core keeps {len(filtered)} records "
-      f"(dropped {', '.join(sorted({r.raw_user_id for r in deduped} - {r.raw_user_id for r in filtered}))} "
-      f"and their items)")
+dropped = set(deduped.user_ids[deduped.users]) - set(filtered.user_ids[filtered.users])
+print(f"2-core keeps {len(filtered)} rows (dropped {', '.join(sorted(dropped))} and their items)")
 
 maps = build_id_maps(filtered)
 print(f"dense ids: users {maps[0]}, items {maps[1]}")
@@ -60,7 +61,7 @@ for u in range(dataset.n_users):
     print(f"  user {u}: train items {dataset.train.row(u).tolist()}")
 
 # The on-disk form is a plain directory of TSVs plus a meta file, and is a
-# pure function of (records, spec): rerunning produces identical bytes.
+# pure function of (table, spec): rerunning produces identical bytes.
 save_dataset(dataset, spec, out_dir / "dataset")
 reloaded = load_dataset(out_dir / "dataset")
 print(f"round trip ok: {reloaded.train == dataset.train}")

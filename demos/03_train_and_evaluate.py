@@ -10,6 +10,7 @@ import numpy as np
 from mmrec import (
     FilterParams,
     InteractionRecord,
+    Interactions,
     SplitSpec,
     TrainConfig,
     evaluate,
@@ -32,7 +33,9 @@ for u in range(n_users):
         records.append(InteractionRecord(f"u{u:03d}", f"i{i:03d}"))
 
 dataset = preprocess(
-    records, FilterParams(k=1), SplitSpec("per_user_random", (0.8, 0.1, 0.1), 11)
+    Interactions.from_records(records),
+    FilterParams(k=1),
+    SplitSpec("per_user_random", (0.8, 0.1, 0.1), 11),
 )
 print(f"{dataset.n_users} users x {dataset.n_items} items, "
       f"{dataset.train.nnz}/{dataset.valid.nnz}/{dataset.test.nnz} train/valid/test")

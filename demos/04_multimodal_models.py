@@ -10,6 +10,7 @@ import numpy as np
 from mmrec import (
     FilterParams,
     InteractionRecord,
+    Interactions,
     SplitSpec,
     TrainConfig,
     build_adjacency,
@@ -31,7 +32,9 @@ for u in range(n_users):
     for i in rng.choice(n_items, size=20, replace=False, p=weights / weights.sum()):
         records.append(InteractionRecord(f"u{u:03d}", f"i{i:03d}"))
 dataset = preprocess(
-    records, FilterParams(k=1), SplitSpec("per_user_random", (0.8, 0.1, 0.1), 11)
+    Interactions.from_records(records),
+    FilterParams(k=1),
+    SplitSpec("per_user_random", (0.8, 0.1, 0.1), 11),
 )
 
 # One-hot block indicators, served twice (as a text table and an image

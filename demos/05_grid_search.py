@@ -52,7 +52,7 @@ features.video: video.mmf,video_ids.txt
 
 # ------------------------------------------------------------------ run it
 config = parse_config(root / "config.txt")
-summary = run_experiment(config, out_dir=root / "out", jobs=1)
+summary = run_experiment(config, out_dir=root / "out")
 
 print(f"ran {len(summary.results)} combinations; best row {summary.best_index}")
 for idx, result in enumerate(summary.results):

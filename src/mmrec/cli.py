@@ -10,10 +10,13 @@ import argparse
 import sys
 from pathlib import Path
 
-from .data import FilterParams, SplitSpec, load_dataset, preprocess, read_interactions, save_dataset
+from .data import load_dataset, preprocess, read_interactions, save_dataset
 from .errors import ConfigError, MmrecError, MissingFeatures, TypeMismatch
 from .evaluation import evaluate, format_metric_report, parse_metric_spec, write_metric_report
 from .experiment import (
+    _KEY_SPECS,
+    _data_params,
+    _prepare_inputs,
     load_modality_tables,
     parse_config,
     run_experiment,
@@ -45,7 +48,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--out", type=Path, required=True, help="summary and artifact directory")
     g.add_argument(
         "--jobs", type=int, default=1,
-        help="accepted for compatibility; combinations run in order and any value gives identical output",
+        help="ignored; combinations run one after another and any value gives identical output",
     )
 
     e = sub.add_parser("eval", help="evaluate a saved checkpoint on a saved dataset")
@@ -60,29 +63,21 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_preprocess(args) -> int:
     config = parse_config(args.config) if args.config else None
-    val = lambda flag, key: flag if flag is not None else (config[key] if config else None)
-
-    interactions = val(args.interactions, "interactions")
-    if interactions is None:
-        raise TypeMismatch("interactions", "give --interactions or a config with one")
-    k = val(args.k, "k")
-    if k is None:
-        k = 5
-    strategy = val(args.split, "split") or "per_user_random"
+    flags = {key: getattr(args, key) for key in ("interactions", "k", "split", "ratios", "seed")}
     if args.ratios is not None:
         try:
-            ratios = tuple(float(r) for r in args.ratios.split(","))
+            flags["ratios"] = tuple(float(r) for r in args.ratios.split(","))
         except ValueError:
             raise TypeMismatch("ratios", f"bad --ratios {args.ratios!r}")
-    else:
-        ratios = config["ratios"] if config else (0.8, 0.1, 0.1)
-    seed = val(args.seed, "seed")
-    if seed is None:
-        seed = 2024
-
-    spec = SplitSpec(strategy=strategy, ratios=ratios, seed=seed)
-    records = read_interactions(interactions)
-    dataset = preprocess(records, FilterParams(k=k), spec)
+    # a flag wins over the config, and the config over the default
+    values = {
+        key: flag if flag is not None else (config[key] if config else _KEY_SPECS[key][1])
+        for key, flag in flags.items()
+    }
+    if values["interactions"] is None:
+        raise TypeMismatch("interactions", "give --interactions or a config with one")
+    filter_params, spec = _data_params(values)
+    dataset = preprocess(read_interactions(values["interactions"]), filter_params, spec)
     save_dataset(dataset, spec, args.out)
     print(
         f"wrote {args.out}: {dataset.n_users} users, {dataset.n_items} items, "
@@ -97,15 +92,9 @@ def _cmd_train(args) -> int:
         raise TypeMismatch(
             ",".join(sorted(config.grid)), "train needs a scalar config; use grid for axes"
         )
-    from .experiment import _prepare_inputs  # single source for input loading
-
     dataset, tables = _prepare_inputs(config)
     state, log, valid_report, test_report = run_single(config, dataset, tables, str(args.out))
-    save_dataset(
-        dataset,
-        SplitSpec(strategy=config["split"], ratios=config["ratios"], seed=config["seed"]),
-        args.out / "dataset",
-    )
+    save_dataset(dataset, _data_params(config.values)[1], args.out / "dataset")
     print(f"trained {state.kind} for {len(log.epoch_losses)} epochs ({log.stop_reason})")
     for name, report in (("valid", valid_report), ("test", test_report)):
         if report is not None:
@@ -116,7 +105,7 @@ def _cmd_train(args) -> int:
 
 def _cmd_grid(args) -> int:
     config = parse_config(args.config)
-    report = run_experiment(config, out_dir=args.out, jobs=args.jobs)
+    report = run_experiment(config, out_dir=args.out)
     failed = sum(1 for r in report.results if r.error is not None)
     print(f"ran {len(report.results)} combinations, {failed} failed; summary at {args.out}/summary.tsv")
     if report.best_index >= 0:
@@ -130,12 +119,14 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    state = load_checkpoint(args.checkpoint)
-    dataset = load_dataset(args.data)
     try:
         cutoffs = tuple(int(k) for k in args.topk.split(","))
     except ValueError:
         raise TypeMismatch("topk", f"bad --topk {args.topk!r}")
+    if min(cutoffs) < 1:
+        raise TypeMismatch("topk", f"cutoffs must be >= 1, got --topk {args.topk!r}")
+    state = load_checkpoint(args.checkpoint)
+    dataset = load_dataset(args.data)
 
     fused = None
     adjacency = None

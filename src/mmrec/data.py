@@ -10,9 +10,9 @@ Interactions travel through the pipeline as one columnar
 :class:`Interactions` table: the sorted distinct raw user and item IDs, an
 int64 code per row into each (so code order is the lexicographic order of
 the raw IDs), a float64 rating (NaN where absent) and an int64 timestamp
-with a presence mask. Every stage works on whole columns; the table still
-reads as a sequence of :class:`InteractionRecord`, and every stage also
-accepts a plain iterable of records. The rules:
+with a presence mask. Every stage takes such a table and works on whole
+columns; :meth:`Interactions.from_records` builds one from
+:class:`InteractionRecord` objects in memory. The rules:
 
 - parsing skips empty lines, strips trailing ``\\r`` and reads an empty
   rating or timestamp field as absent. Ratings go through ``float`` and must
@@ -37,7 +37,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator
+from typing import Iterable, TextIO
 
 import numpy as np
 
@@ -66,7 +66,7 @@ class InteractionRecord:
 
 @dataclass(frozen=True, eq=False)
 class Interactions:
-    """Columnar interaction table that reads as a sequence of records.
+    """Columnar interaction table, one row per interaction.
 
     ``users`` and ``items`` are int64 codes into the sorted distinct raw IDs
     ``user_ids`` and ``item_ids`` (object arrays of ``str``). A subset made
@@ -112,27 +112,6 @@ class Interactions:
 
     def __len__(self) -> int:
         return int(self.users.shape[0])
-
-    def __getitem__(self, row: int) -> InteractionRecord:
-        rating = float(self.rating[row])
-        return InteractionRecord(
-            self.user_ids[self.users[row]],
-            self.item_ids[self.items[row]],
-            None if math.isnan(rating) else rating,
-            int(self.timestamp[row]) if self.has_timestamp[row] else None,
-        )
-
-    def __iter__(self) -> Iterator[InteractionRecord]:
-        return (self[row] for row in range(len(self)))
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, (Interactions, list, tuple)):
-            return list(self) == list(other)
-        return NotImplemented
-
-
-def _as_table(records: Interactions | Iterable[InteractionRecord]) -> Interactions:
-    return records if isinstance(records, Interactions) else Interactions.from_records(records)
 
 
 @dataclass(frozen=True)
@@ -196,11 +175,6 @@ class InteractionSet:
     @property
     def nnz(self) -> int:
         return int(self.indices.shape[0])
-
-    def pairs(self) -> Iterator[tuple[int, int]]:
-        for u in range(self.n_rows):
-            for i in self.row(u):
-                yield u, int(i)
 
     def pair_arrays(self) -> tuple[np.ndarray, np.ndarray]:
         rows = np.repeat(np.arange(self.n_rows, dtype=np.int64), np.diff(self.indptr))
@@ -396,18 +370,15 @@ def _line_error(line_no: int, line: str, columns: list[str]) -> MalformedLine | 
     return None
 
 
-def parse_interactions(source: Iterable[str]) -> Interactions:
-    """Parse a TSV text stream (or an iterable of lines) into a table, preserving order.
+def parse_interactions(source: TextIO) -> Interactions:
+    """Parse a TSV text stream into a table, preserving order.
 
     Raises MalformedHeader if userID or itemID is absent, MalformedLine for
     the first row with a wrong field count, an empty ID, a rating that is
     not a finite float, or a timestamp that is not an int64 integer. Line
     numbers are 1-based and count the header.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = "".join(line if line.endswith("\n") else line + "\n" for line in source)
+    text = source.read()
     if not text:
         raise MalformedHeader("empty input, no header line")
     header, _, body = text.partition("\n")
@@ -459,13 +430,12 @@ def read_interactions(path: str | os.PathLike) -> Interactions:
 
 # ------------------------------------------------------------ the pipeline
 
-def dedupe_interactions(records: Interactions | Iterable[InteractionRecord]) -> Interactions:
+def dedupe_interactions(table: Interactions) -> Interactions:
     """One row per (user, item) pair, sorted by raw IDs.
 
     The kept row is the one with the greatest ``float(timestamp)``; missing
     timestamps compare lowest, and ties fall to the later input position.
     """
-    table = _as_table(records)
     # one int64 code per (user, item) pair, ordered like the raw ID pairs
     pair = table.users * len(table.item_ids) + table.items
     stamp = np.where(table.has_timestamp, table.timestamp.astype(np.float64), -np.inf)
@@ -478,16 +448,13 @@ def dedupe_interactions(records: Interactions | Iterable[InteractionRecord]) -> 
     return table.take(order[last])
 
 
-def k_core_filter(
-    records: Interactions | Iterable[InteractionRecord], params: FilterParams
-) -> Interactions:
+def k_core_filter(table: Interactions, params: FilterParams) -> Interactions:
     """Largest subset where every user and item keeps >= k interactions.
 
     Drops every row of an under-threshold user or item, round after round,
     until a round drops nothing; the fixpoint is unique, so the peeling
     order does not matter. Kept rows stay in input order; may be empty.
     """
-    table = _as_table(records)
     rows = np.arange(len(table))
     while rows.size:
         users, items = table.users[rows], table.items[rows]
@@ -503,11 +470,8 @@ def _dense_map(ids: np.ndarray, codes: np.ndarray) -> dict[str, int]:
     return dict(zip(present.tolist(), range(len(present))))
 
 
-def build_id_maps(
-    records: Interactions | Iterable[InteractionRecord],
-) -> tuple[dict[str, int], dict[str, int]]:
+def build_id_maps(table: Interactions) -> tuple[dict[str, int], dict[str, int]]:
     """Dense indices assigned in lexicographic order of the raw ID strings."""
-    table = _as_table(records)
     if not len(table):
         raise EmptyDataset("no interactions survive filtering")
     return _dense_map(table.user_ids, table.users), _dense_map(table.item_ids, table.items)
@@ -537,11 +501,7 @@ def _dense_codes(ids: np.ndarray, codes: np.ndarray, id_map: dict[str, int]) -> 
     return lookup[codes]
 
 
-def split(
-    records: Interactions | Iterable[InteractionRecord],
-    maps: tuple[dict[str, int], dict[str, int]],
-    spec: SplitSpec,
-) -> Dataset:
+def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec: SplitSpec) -> Dataset:
     """Partition filtered interactions into a train/valid/test Dataset.
 
     ``per_user_random`` shuffles each user's items (in item order) with the
@@ -553,7 +513,6 @@ def split(
     ``(seed, "split")`` and cuts by the ratios, then moves every pair of a
     user left without a train pair back to train.
     """
-    table = _as_table(records)
     user_map, item_map = maps
     n_users, n_items = len(user_map), len(item_map)
     users = _dense_codes(table.user_ids, table.users, user_map)
@@ -603,13 +562,9 @@ def split(
     return Dataset(n_users, n_items, user_map, item_map, train, valid, test)
 
 
-def preprocess(
-    records: Interactions | Iterable[InteractionRecord],
-    filter_params: FilterParams,
-    spec: SplitSpec,
-) -> Dataset:
+def preprocess(table: Interactions, filter_params: FilterParams, spec: SplitSpec) -> Dataset:
     """dedupe -> k-core -> id maps -> split, in one call."""
-    deduped = dedupe_interactions(records)
+    deduped = dedupe_interactions(table)
     filtered = k_core_filter(deduped, filter_params)
     maps = build_id_maps(filtered)
     return split(filtered, maps, spec)

@@ -96,10 +96,6 @@ class NonFiniteGradient(MmrecError):
 
 # --------------------------------------------------------------- evaluation
 
-class EmptyGroundTruth(MmrecError):
-    """Ranking metric requested against an empty ground-truth set."""
-
-
 class EmptySplit(MmrecError):
     """No user has ground truth in the requested split."""
 

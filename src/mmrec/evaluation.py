@@ -6,14 +6,14 @@ top-K by descending score with ties broken by ascending item index, and
 average each metric over the evaluated users in user-index order.
 
 The model is encoded once per evaluation (``models.encode``); users are
-then scored, masked and ranked 512 at a time. ``mask_trained`` and
-``top_k`` accept one score row or a chunk of rows: the chunk's train items
-are masked in one scatter, and ``top_k`` finds each row's K-th best score
-by partition, then orders every item scoring at least that much by
-(-score, item), so the tie rule is exact. The four metrics come from the
-chunk's hit matrix by cumulative sums and are summed over users in order;
-the scalar one-list functions in ``tests/eval_oracle.py`` define the same
-values and are the reference the tests compare against.
+then scored, masked and ranked 512 at a time. Both ranking helpers take a
+2-D chunk of score rows: ``mask_trained`` masks the chunk's train items in
+place in one scatter, and ``top_k`` finds each row's K-th best score by
+partition, then orders every item scoring at least that much by (-score,
+item), so the tie rule is exact. The four metrics come from the chunk's hit
+matrix by cumulative sums and are summed over users in order; the scalar
+one-list functions in ``tests/eval_oracle.py`` define the same values and
+are the reference the tests compare against.
 
 A model whose user or item count differs from the dataset's is refused
 with ``DatasetMismatch`` (``mmrec eval`` exits 1).
@@ -59,30 +59,20 @@ class MetricReport:
         return self.values[metric][k]
 
 
-def mask_trained(
-    scores: np.ndarray,
-    train: np.ndarray | tuple[np.ndarray, np.ndarray],
-    inplace: bool = False,
-) -> np.ndarray:
-    """Scores with the users' train items set to -inf.
-
-    ``train`` indexes ``scores``: a user's train item indices for one row,
-    or a ``(rows, items)`` pair for a chunk of rows. The input is copied
-    unless ``inplace`` is set, in which case it must be a float64 array.
-    """
-    masked = scores if inplace else np.array(scores, dtype=np.float64)
-    masked[train if isinstance(train, tuple) else np.asarray(train, dtype=np.int64)] = -np.inf
-    return masked
+def mask_trained(scores: np.ndarray, train: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """``scores``, a float64 chunk of rows, with the train items at the
+    ``(rows, items)`` pair ``train`` set to -inf in place."""
+    scores[train] = -np.inf
+    return scores
 
 
 def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the K best non-masked items of one row, or of each row.
+    """Indices of the K best non-masked items of each row of a chunk.
 
     Descending score; equal scores fall to the lower item index; masked
-    (-inf) and NaN items never appear. A 1-D row gives its min(k,
-    unmasked) items. A 2-D chunk gives a (rows, min(k, n_items)) array; a
-    row with fewer than k unmasked items is padded with -1 after its last
-    item.
+    (-inf) and NaN items never appear. The result is a (rows, min(k,
+    n_items)) array; a row with fewer than k unmasked items is padded with
+    -1 after its last item.
 
     Partition finds each row's K-th best score. Every unmasked item scoring
     at least that much, so every item tied with it, is a candidate, and the
@@ -91,9 +81,6 @@ def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = np.asarray(masked_scores, dtype=np.float64)
-    if scores.ndim == 1:
-        row = top_k(scores[None], k)[0]
-        return row[row >= 0]
     n_rows, n_items = scores.shape
     width = min(k, n_items)
     kth = np.full(n_rows, -np.inf)
@@ -157,7 +144,7 @@ def _ranked_chunks(
     for start in range(0, len(users), _EVAL_CHUNK):
         chunk = users[start:start + _EVAL_CHUNK]
         scores = full_sort_predict(rep, chunk)
-        masked = mask_trained(scores, _entries(dataset.train, chunk), inplace=True)
+        masked = mask_trained(scores, _entries(dataset.train, chunk))
         yield chunk, top_k(masked, k)
 
 

@@ -7,6 +7,11 @@ d, d_p, n_layers, fusion, batch_size) declares a grid axis; the grid is the
 Cartesian product of all axes, ordered with axes sorted by key name and the
 rightmost axis varying fastest.
 
+Values are checked when the file is parsed, before any data is read: the
+k-core, split and training parameters of every grid combination are built
+once, and a value their constructors refuse, or a cutoff below 1, raises
+``TypeMismatch``.
+
 Raw data is preprocessed once; every combination then trains and evaluates
 against the same frozen split, with all random streams re-derived from the
 config seed, so each combination reproduces independently of the others.
@@ -14,9 +19,7 @@ The environment variable ``MMREC_SEED`` overrides the config seed.
 
 Combinations run one after another in one process: a thread pool was
 measured slower than that under the interpreter lock and BLAS contention.
-``jobs`` is still accepted, but any value gives the same run and
-byte-identical output. Every artifact is written through
-:func:`mmrec.fileio.atomic_write`.
+Every artifact is written through :func:`mmrec.fileio.atomic_write`.
 """
 
 from __future__ import annotations
@@ -240,26 +243,31 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
 
 def _validate(config: ExperimentConfig) -> None:
     v = config.values
-    if v["k"] < 1:
-        raise TypeMismatch("k", "must be >= 1")
-    ratios = v["ratios"]
-    if any(r < 0 for r in ratios) or abs(sum(ratios) - 1.0) > 1e-9 or ratios[0] <= 0:
-        raise TypeMismatch("ratios", "must be non-negative, sum to 1, train > 0")
-    for key in ("d", "d_p", "batch_size", "patience", "eval_interval"):
-        bad = [x for x in config.grid.get(key, [v[key]]) if x < 1]
-        if bad:
-            raise TypeMismatch(key, "must be >= 1")
-    for key in ("learning_rate",):
-        if any(x <= 0 for x in config.grid.get(key, [v[key]])):
-            raise TypeMismatch(key, "must be positive")
-    if any(x < 0 for x in config.grid.get("n_layers", [v["n_layers"]])):
-        raise TypeMismatch("n_layers", "must be >= 0")
-    if any(x < 0 for x in config.grid.get("reg", [v["reg"]])):
-        raise TypeMismatch("reg", "must be >= 0")
-    if v["max_epochs"] < 0:
-        raise TypeMismatch("max_epochs", "must be >= 0")
-    if not 0 <= v["seed"] < 2**64:
-        raise TypeMismatch("seed", "must fit in an unsigned 64-bit integer")
+    for key, low in (("d", 1), ("d_p", 1), ("n_layers", 0), ("reg", 0)):
+        if any(x < low for x in config.grid.get(key, [v[key]])):
+            raise TypeMismatch(key, f"must be >= {low}")
+    if min(v["topk"]) < 1:
+        raise TypeMismatch("topk", "cutoffs must be >= 1")
+    for combo in expand_grid(config):
+        values = config.with_combo(combo).values
+        _data_params(values)
+        _checked("training", _train_config, values)
+
+
+def _checked(key: str, build, *args):
+    """``build(*args)``, with a ValueError it raises as TypeMismatch on ``key``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise TypeMismatch(key, str(exc)) from None
+
+
+def _data_params(values: dict[str, object]) -> tuple[FilterParams, SplitSpec]:
+    """The k-core and split parameters of a config's values."""
+    return (
+        _checked("k", FilterParams, values["k"]),
+        _checked("split", SplitSpec, values["split"], values["ratios"], values["seed"]),
+    )
 
 
 def expand_grid(config: ExperimentConfig) -> list[dict[str, object]]:
@@ -295,12 +303,7 @@ def _prepare_inputs(config: ExperimentConfig):
     """Parse, filter and split the raw data once; load modality tables."""
     if config.values.get("interactions") is None:
         raise TypeMismatch("interactions", "no interactions file configured")
-    records = read_interactions(config["interactions"])
-    dataset = preprocess(
-        records,
-        FilterParams(k=config["k"]),
-        SplitSpec(strategy=config["split"], ratios=config["ratios"], seed=config["seed"]),
-    )
+    dataset = preprocess(read_interactions(config["interactions"]), *_data_params(config.values))
     tables = load_modality_tables(config, dataset.item_map)
     if config["model"] in FEATURE_KINDS and not tables:
         raise MissingFeatures(f"model {config['model']} needs features.<modality> entries")
@@ -376,19 +379,13 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     return state, log, valid_report, test_report
 
 
-def run_experiment(
-    config: ExperimentConfig,
-    out_dir: str | os.PathLike | None = None,
-    jobs: int = 1,
-) -> SummaryReport:
+def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None = None) -> SummaryReport:
     """Run every grid combination against one frozen split, in grid order.
 
     Each combination re-derives all random streams from the config seed, so
     its row is independent of which other combinations run, or in what
     order. Failing combinations are recorded in an error column and skipped
-    by the best-row selection, unless ``fail_fast`` is set. ``jobs`` is
-    accepted for compatibility and does not change how combinations run:
-    they run one after another, so every value gives the same output.
+    by the best-row selection, unless ``fail_fast`` is set.
     """
     dataset, tables = _prepare_inputs(config)
     if dataset.valid.nnz == 0:
@@ -401,11 +398,7 @@ def run_experiment(
     out = None if out_dir is None else os.fspath(out_dir)
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        save_dataset(
-            dataset,
-            SplitSpec(strategy=config["split"], ratios=config["ratios"], seed=config["seed"]),
-            os.path.join(out, "dataset"),
-        )
+        save_dataset(dataset, _data_params(config.values)[1], os.path.join(out, "dataset"))
 
     results = []
     for idx, combo in enumerate(combos):

@@ -133,10 +133,6 @@ class Stream:
         keys = self.uniform((n,)) if n else np.empty(0)
         return np.argsort(keys, kind="stable")
 
-    def shuffled(self, values: np.ndarray) -> np.ndarray:
-        """Copy of ``values`` with rows permuted."""
-        return np.asarray(values)[self.permutation(len(values))]
-
 
 def stream(seed: int, *key: int | str) -> Stream:
     """Open the deterministic stream identified by ``(seed, key)``."""

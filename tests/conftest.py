@@ -7,6 +7,7 @@ from mmrec.data import (
     Dataset,
     FilterParams,
     InteractionRecord,
+    Interactions,
     InteractionSet,
     SplitSpec,
     preprocess,
@@ -88,7 +89,7 @@ def synthetic_block_dataset(
         items = rng.choice(n_items, size=per_user, replace=False, p=weights)
         records.extend(InteractionRecord(f"u{u:03d}", f"i{i:03d}") for i in items)
     dataset = preprocess(
-        records,
+        Interactions.from_records(records),
         FilterParams(k=1),
         SplitSpec("per_user_random", (0.8, 0.1, 0.1), split_seed),
     )
@@ -107,5 +108,7 @@ def tiny_dataset() -> Dataset:
         if rng.random() < 0.8
     ]
     return preprocess(
-        records, FilterParams(k=1), SplitSpec("per_user_random", (0.6, 0.2, 0.2), 13)
+        Interactions.from_records(records),
+        FilterParams(k=1),
+        SplitSpec("per_user_random", (0.6, 0.2, 0.2), 13),
     )

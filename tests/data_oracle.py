@@ -6,7 +6,8 @@ used before it became columnar, kept as an oracle in the way the scalar
 ``InteractionRecord`` objects one at a time and states its rule directly;
 the property tests compare the columnar stages against them with exact
 equality. The one rule added here is the int64 bound on timestamps, which
-the columnar table needs.
+the columnar table needs. :func:`records` and :func:`pairs` are how the
+tests read a table and an ``InteractionSet`` back as Python values.
 """
 
 from __future__ import annotations
@@ -15,11 +16,28 @@ import math
 
 import numpy as np
 
-from mmrec.data import Dataset, InteractionRecord, InteractionSet, SplitSpec
+from mmrec.data import Dataset, InteractionRecord, Interactions, InteractionSet, SplitSpec
 from mmrec.errors import EmptyDataset, MalformedHeader, MalformedLine, MissingTimestamps
 from mmrec.rng import stream
 
 INT64_MIN, INT64_MAX = -(2**63), 2**63 - 1
+
+
+def records(table: Interactions) -> list[InteractionRecord]:
+    """The table's rows as records, in row order."""
+    rows = zip(table.users, table.items, table.rating.tolist(), table.timestamp, table.has_timestamp)
+    return [
+        InteractionRecord(
+            table.user_ids[u], table.item_ids[i], None if math.isnan(r) else r, int(t) if has else None
+        )
+        for u, i, r, t, has in rows
+    ]
+
+
+def pairs(iset: InteractionSet) -> list[tuple[int, int]]:
+    """The set's (row, column) pairs in row order."""
+    rows, cols = iset.pair_arrays()
+    return list(zip(rows.tolist(), cols.tolist()))
 
 
 def parse(source) -> list[InteractionRecord]:

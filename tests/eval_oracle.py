@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 
-from mmrec.errors import EmptyGroundTruth
+
+class EmptyGroundTruth(Exception):
+    """A metric was asked of a list against an empty ground-truth set."""
 
 
 def recall_at_k(topk: np.ndarray, ground_truth: set[int], k: int) -> float:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from mmrec.data import FilterParams, InteractionSet, k_core_filter
+from mmrec.data import FilterParams, Interactions, InteractionSet, k_core_filter
 from mmrec.evaluation import evaluate, iter_topk_lists
 from mmrec.experiment import ExperimentConfig, expand_grid, parse_config, run_experiment
 from mmrec.models import (
@@ -28,6 +28,7 @@ from conftest import (
     random_bipartite_records,
     synthetic_block_dataset,
 )
+from data_oracle import records as table_records
 from test_experiment import write_toy_workspace
 
 
@@ -47,7 +48,8 @@ def test_criterion_1_kcore_oracle_equivalence():
         p = float(rng.uniform(0.1, 0.4))
         k = int(rng.choice([2, 3]))
         records = random_bipartite_records(rng, n_users, n_items, p)
-        got = {(r.raw_user_id, r.raw_item_id) for r in k_core_filter(records, FilterParams(k=k))}
+        core = table_records(k_core_filter(Interactions.from_records(records), FilterParams(k=k)))
+        got = {(r.raw_user_id, r.raw_item_id) for r in core}
         want = brute_force_k_core({(r.raw_user_id, r.raw_item_id) for r in records}, k)
         assert got == want
     elapsed = time.perf_counter() - started

@@ -258,3 +258,37 @@ class TestEvalRefusesCorruptDataset:
         (tmp_path / "ds" / "imap.tsv").write_text("i0\t0\ni1\t2\ni2\t1\ni3\t3\n", encoding="utf-8")
         with pytest.raises(MalformedDataset, match="imap.tsv"):
             load_dataset(tmp_path / "ds")
+
+
+class TestBadValuesExit2:
+    """A bad flag or config value is a configuration error: exit 2 before any
+    data is read and before the output directory is made."""
+
+    @pytest.mark.parametrize("argv", [
+        ["preprocess", "--k", "0"],
+        ["preprocess", "--ratios", "0.5,0.5"],
+        ["preprocess", "--seed", "-1"],
+        ["eval", "--topk", "0"],
+    ])
+    def test_bad_flag(self, tmp_path, capsys, argv):
+        # no input exists, so reading one would exit 1
+        inputs = {
+            "preprocess": ["--interactions", tmp_path / "none.tsv"],
+            "eval": ["--checkpoint", tmp_path / "none", "--data", tmp_path / "none"],
+        }
+        assert run(argv + inputs[argv[0]] + ["--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("line", [
+        "topk: [0, 5]",
+        "adam_beta1: 1.5",
+        "k: 0",
+        "learning_rate: [0.05, 0.0]",
+        "max_epochs: -1",
+    ])
+    def test_bad_config_value(self, tmp_path, capsys, line):
+        config = write_toy_workspace(tmp_path, extra_lines=[line])
+        assert run(["grid", "--config", config, "--out", tmp_path / "out"]) == 2
+        assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()

@@ -7,6 +7,7 @@ from mmrec.data import (
     Dataset,
     FilterParams,
     InteractionRecord,
+    Interactions,
     InteractionSet,
     SplitSpec,
     build_id_maps,
@@ -25,10 +26,13 @@ from mmrec.errors import (
 )
 
 from conftest import brute_force_k_core, random_bipartite_records
+from data_oracle import pairs, records
+
+table = Interactions.from_records
 
 
 def parse(text: str):
-    return parse_interactions(io.StringIO(text))
+    return records(parse_interactions(io.StringIO(text)))
 
 
 class TestParse:
@@ -84,21 +88,21 @@ class TestDedupe:
             InteractionRecord("u1", "i1", None, 5),
             InteractionRecord("u1", "i1", None, 9),
         ]
-        assert dedupe_interactions(recs) == [InteractionRecord("u1", "i1", None, 9)]
+        assert records(dedupe_interactions(table(recs))) == [InteractionRecord("u1", "i1", None, 9)]
 
     def test_last_occurrence_wins_without_timestamps(self):
         recs = [
             InteractionRecord("u1", "i1", 1.0, None),
             InteractionRecord("u1", "i1", 2.0, None),
         ]
-        assert dedupe_interactions(recs) == [InteractionRecord("u1", "i1", 2.0, None)]
+        assert records(dedupe_interactions(table(recs))) == [InteractionRecord("u1", "i1", 2.0, None)]
 
     def test_output_sorted_by_raw_ids(self):
         recs = [
             InteractionRecord("u2", "i1", None, 1),
             InteractionRecord("u1", "i1", None, 1),
         ]
-        out = dedupe_interactions(recs)
+        out = records(dedupe_interactions(table(recs)))
         assert [r.raw_user_id for r in out] == ["u1", "u2"]
 
     def test_timestamp_beats_missing(self):
@@ -106,25 +110,25 @@ class TestDedupe:
             InteractionRecord("u", "i", None, 3),
             InteractionRecord("u", "i", None, None),
         ]
-        assert dedupe_interactions(recs)[0].timestamp == 3
+        assert records(dedupe_interactions(table(recs)))[0].timestamp == 3
 
 
 class TestKCore:
     def test_spec_example_square_survives(self):
         edges = [("u1", "i1"), ("u1", "i2"), ("u2", "i1"), ("u2", "i2"), ("u3", "i3")]
         recs = [InteractionRecord(u, i) for u, i in edges]
-        out = k_core_filter(recs, FilterParams(k=2))
+        out = records(k_core_filter(table(recs), FilterParams(k=2)))
         assert {(r.raw_user_id, r.raw_item_id) for r in out} == set(edges[:4])
 
     def test_spec_example_cascade_to_empty(self):
         edges = [("u1", "i1"), ("u1", "i2"), ("u2", "i1"), ("u3", "i2"), ("u3", "i3")]
         recs = [InteractionRecord(u, i) for u, i in edges]
-        assert k_core_filter(recs, FilterParams(k=2)) == []
+        assert len(k_core_filter(table(recs), FilterParams(k=2))) == 0
 
     def test_k1_is_identity(self):
         rng = np.random.default_rng(0)
         recs = random_bipartite_records(rng, 10, 10, 0.3)
-        assert k_core_filter(recs, FilterParams(k=1)) == recs
+        assert records(k_core_filter(table(recs), FilterParams(k=1))) == recs
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(1)
@@ -132,14 +136,15 @@ class TestKCore:
             p = rng.uniform(0.1, 0.4)
             recs = random_bipartite_records(rng, 20, 20, p)
             k = int(rng.integers(2, 4))
-            got = {(r.raw_user_id, r.raw_item_id) for r in k_core_filter(recs, FilterParams(k=k))}
+            core = records(k_core_filter(table(recs), FilterParams(k=k)))
+            got = {(r.raw_user_id, r.raw_item_id) for r in core}
             want = brute_force_k_core({(r.raw_user_id, r.raw_item_id) for r in recs}, k)
             assert got == want
 
     def test_degrees_meet_threshold(self):
         rng = np.random.default_rng(2)
         recs = random_bipartite_records(rng, 25, 25, 0.2)
-        out = k_core_filter(recs, FilterParams(k=3))
+        out = records(k_core_filter(table(recs), FilterParams(k=3)))
         users, items = {}, {}
         for r in out:
             users[r.raw_user_id] = users.get(r.raw_user_id, 0) + 1
@@ -150,11 +155,10 @@ class TestKCore:
     def test_monotone_in_k(self):
         rng = np.random.default_rng(3)
         recs = random_bipartite_records(rng, 30, 30, 0.25)
+        cores = [records(k_core_filter(table(recs), FilterParams(k=k))) for k in (1, 2, 3, 4, 5)]
         for k in (1, 2, 3, 4):
-            bigger = {(r.raw_user_id, r.raw_item_id) for r in k_core_filter(recs, FilterParams(k=k))}
-            smaller = {
-                (r.raw_user_id, r.raw_item_id) for r in k_core_filter(recs, FilterParams(k=k + 1))
-            }
+            bigger = {(r.raw_user_id, r.raw_item_id) for r in cores[k - 1]}
+            smaller = {(r.raw_user_id, r.raw_item_id) for r in cores[k]}
             assert smaller <= bigger
 
     def test_k_must_be_positive(self):
@@ -165,29 +169,29 @@ class TestKCore:
 class TestIdMaps:
     def test_lexicographic(self):
         recs = [InteractionRecord("b", "y"), InteractionRecord("a", "z")]
-        user_map, item_map = build_id_maps(recs)
+        user_map, item_map = build_id_maps(table(recs))
         assert user_map == {"a": 0, "b": 1}
         assert item_map == {"y": 0, "z": 1}
 
     def test_single_pair(self):
-        user_map, item_map = build_id_maps([InteractionRecord("u", "i")])
+        user_map, item_map = build_id_maps(table([InteractionRecord("u", "i")]))
         assert user_map == {"u": 0} and item_map == {"i": 0}
 
     def test_empty_raises(self):
         with pytest.raises(EmptyDataset):
-            build_id_maps([])
+            build_id_maps(table([]))
 
 
 def user_records(n: int, user: str = "u1") -> list[InteractionRecord]:
     return [InteractionRecord(user, f"i{j:02d}", None, j) for j in range(n)]
 
 
-def split_of(records, spec):
-    return split(records, build_id_maps(records), spec)
+def split_of(recs, spec):
+    return split(table(recs), build_id_maps(table(recs)), spec)
 
 
 def assert_partition(ds: Dataset, n_records: int):
-    splits = [set(ds.train.pairs()), set(ds.valid.pairs()), set(ds.test.pairs())]
+    splits = [set(pairs(ds.train)), set(pairs(ds.valid)), set(pairs(ds.test))]
     assert sum(len(s) for s in splits) == n_records
     assert not (splits[0] & splits[1]) and not (splits[0] & splits[2]) and not (splits[1] & splits[2])
     for u in range(ds.n_users):
@@ -240,14 +244,14 @@ class TestSplit:
         recs = user_records(12)
         a = split_of(recs, SplitSpec("per_user_random", (0.8, 0.1, 0.1), 1))
         b = split_of(recs, SplitSpec("per_user_random", (0.8, 0.1, 0.1), 2))
-        assert set(a.test.pairs()) != set(b.test.pairs()) or set(a.valid.pairs()) != set(b.valid.pairs())
+        assert set(pairs(a.test)) != set(pairs(b.test)) or set(pairs(a.valid)) != set(pairs(b.valid))
 
     def test_temporal_takes_last(self):
         recs = user_records(10)
         ds = split_of(recs, SplitSpec("temporal_leave_last", (0.8, 0.1, 0.1), 0))
         # items carry timestamps equal to their index, so the last two are held out
-        assert set(ds.test.pairs()) == {(0, 9)}
-        assert set(ds.valid.pairs()) == {(0, 8)}
+        assert set(pairs(ds.test)) == {(0, 9)}
+        assert set(pairs(ds.valid)) == {(0, 8)}
 
     def test_temporal_requires_timestamps(self):
         recs = [InteractionRecord("u", f"i{j}", None, None) for j in range(5)]
@@ -292,6 +296,6 @@ class TestSerialization:
 
 def test_interaction_set_pairs_sorted():
     iset = InteractionSet.from_pairs([(1, 3), (0, 2), (1, 1)], 2, 4)
-    assert list(iset.pairs()) == [(0, 2), (1, 1), (1, 3)]
+    assert pairs(iset) == [(0, 2), (1, 1), (1, 3)]
     assert iset.row(1).tolist() == [1, 3]
     assert iset.nnz == 3

@@ -46,6 +46,12 @@ STAMPS = [
 ]
 GOOD_STAMPS = [None, 0, 1, 2, 3, 2**53, 2**53 + 1, 2**63 - 1, -(2**63)]
 
+table = Interactions.from_records
+
+
+def parse_records(source) -> list[InteractionRecord]:
+    return oracle.records(parse_interactions(source))
+
 
 def outcome(fn, *args):
     """What a call gives: its value, or its error as (class, message, line)."""
@@ -100,16 +106,13 @@ def tsv_texts(draw, valid_numbers=False):
 @given(tsv_texts())
 def test_parse_matches_oracle(text):
     want = outcome(oracle.parse, io.StringIO(text))
-    same_outcome(outcome(parse_interactions, io.StringIO(text)), want)
-    # an iterable of lines parses as the stream does
-    lines = io.StringIO(text).readlines()
-    same_outcome(outcome(parse_interactions, lines), outcome(oracle.parse, lines))
+    same_outcome(outcome(parse_records, io.StringIO(text)), want)
 
 
 @SETTINGS
 @given(tsv_texts(valid_numbers=True))
 def test_parse_of_valid_input_gives_records(text):
-    kind, records = outcome(parse_interactions, io.StringIO(text))
+    kind, records = outcome(parse_records, io.StringIO(text))
     assert kind == "ok", records
     assert records == oracle.parse(io.StringIO(text))
 
@@ -119,7 +122,7 @@ def test_parse_reads_a_file_like_the_stream(tmp_path):
     path = tmp_path / "x.tsv"
     path.write_bytes(text.encode())
     # the file is read with universal newlines, so \r\n ends a line
-    assert read_interactions(path) == oracle.parse(io.StringIO(text.replace("\r\n", "\n")))
+    assert oracle.records(read_interactions(path)) == oracle.parse(io.StringIO(text.replace("\r\n", "\n")))
 
 
 @pytest.mark.parametrize("text, line_no, message", [
@@ -160,7 +163,7 @@ def test_many_ids_factorize_in_code_point_order():
 
 def test_timestamp_bounds_are_int64():
     text = f"userID\titemID\ttimestamp\nu\ti\t{2**63 - 1}\nv\ti\t{-(2**63)}\n"
-    assert [r.timestamp for r in parse_interactions(io.StringIO(text))] == [2**63 - 1, -(2**63)]
+    assert [r.timestamp for r in parse_records(io.StringIO(text))] == [2**63 - 1, -(2**63)]
 
 
 # ------------------------------------------------------------ the pipeline
@@ -180,25 +183,23 @@ records_lists = st.lists(
 @SETTINGS
 @given(records_lists)
 def test_dedupe_matches_oracle(records):
-    want = oracle.dedupe(records)
-    assert dedupe_interactions(records) == want
-    assert dedupe_interactions(Interactions.from_records(records)) == want
+    assert oracle.records(dedupe_interactions(table(records))) == oracle.dedupe(records)
 
 
 def test_dedupe_ties_above_2_53_fall_to_the_later_row():
     # 2**53 + 1 rounds to 2**53 as a float, so the two rows tie
     records = [InteractionRecord("u", "i", 1.0, 2**53 + 1), InteractionRecord("u", "i", 2.0, 2**53)]
-    assert dedupe_interactions(records) == [records[1]]
+    assert oracle.records(dedupe_interactions(table(records))) == [records[1]]
 
 
 @SETTINGS
 @given(records_lists, st.integers(1, 4))
 def test_k_core_matches_oracle_and_brute_force(records, k):
-    got = k_core_filter(records, FilterParams(k=k))
-    assert got == oracle.k_core(records, k)
-    deduped = dedupe_interactions(records)
-    core = k_core_filter(deduped, FilterParams(k=k))
-    edges = {(r.raw_user_id, r.raw_item_id) for r in deduped}
+    got = k_core_filter(table(records), FilterParams(k=k))
+    assert oracle.records(got) == oracle.k_core(records, k)
+    deduped = dedupe_interactions(table(records))
+    core = oracle.records(k_core_filter(deduped, FilterParams(k=k)))
+    edges = {(r.raw_user_id, r.raw_item_id) for r in oracle.records(deduped)}
     assert {(r.raw_user_id, r.raw_item_id) for r in core} == brute_force_k_core(edges, k)
 
 
@@ -214,11 +215,11 @@ def test_split_matches_oracle(records, strategy, ratios, seed, stamp_all):
     if stamp_all:  # else a temporal split mostly meets a missing timestamp
         records = [replace(r, timestamp=r.timestamp or 0) for r in records]
     spec = SplitSpec(strategy, ratios, seed)
-    maps = outcome(build_id_maps, records)
+    maps = outcome(build_id_maps, table(records))
     same_outcome(maps, outcome(oracle.id_maps, records))
     if maps[0] == "ok":
         want = outcome(oracle.split, records, maps[1], spec)
-        same_outcome(outcome(split, records, maps[1], spec), want)
+        same_outcome(outcome(split, table(records), maps[1], spec), want)
 
 
 @settings(
@@ -229,7 +230,7 @@ def test_split_matches_oracle(records, strategy, ratios, seed, stamp_all):
 @given(records_lists, st.sampled_from(["per_user_random", "global_random"]))
 def test_saved_dataset_loads_back(tmp_path, records, strategy):
     spec = SplitSpec(strategy, (0.6, 0.2, 0.2), 5)
-    result = outcome(preprocess, records, FilterParams(k=1), spec)
+    result = outcome(preprocess, table(records), FilterParams(k=1), spec)
     if result[0] == "ok":
         save_dataset(result[1], spec, tmp_path / "ds")
         assert load_dataset(tmp_path / "ds") == result[1]
@@ -237,19 +238,17 @@ def test_saved_dataset_loads_back(tmp_path, records, strategy):
 
 # ------------------------------------------------------------ the table
 
-def test_table_reads_as_a_sequence_of_records():
+def test_table_from_records_reads_back_as_the_records():
     records = [
         InteractionRecord("b", "x", None, 7),
         InteractionRecord("a", "y", 4.5, None),
         InteractionRecord("b", "y", 1.0, 2),
     ]
-    table = Interactions.from_records(records)
-    assert len(table) == 3
-    assert table[1] == records[1] and table[-1] == records[2]
-    assert list(table) == records and table == records and table == tuple(records)
-    assert table != records[:2]
-    assert table.user_ids.tolist() == ["a", "b"] and table.users.tolist() == [1, 0, 1]
-    assert table.take(np.array([2, 0])) == [records[2], records[0]]
+    rows = table(records)
+    assert len(rows) == 3
+    assert oracle.records(rows) == records
+    assert rows.user_ids.tolist() == ["a", "b"] and rows.users.tolist() == [1, 0, 1]
+    assert oracle.records(rows.take(np.array([2, 0]))) == [records[2], records[0]]
 
 
 def test_interaction_set_from_arrays_sorts_and_keeps_duplicates():

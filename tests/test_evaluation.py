@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 import mmrec.models
 
 from mmrec.data import Dataset, InteractionSet
-from mmrec.errors import EmptyGroundTruth, EmptySplit
+from mmrec.errors import EmptySplit
 from mmrec.evaluation import (
     METRICS,
     MetricReport,
@@ -24,7 +24,7 @@ from mmrec.evaluation import (
 from mmrec.models import ModelState, build_adjacency, init_params
 
 from conftest import all_scores
-from eval_oracle import map_at_k, ndcg_at_k, precision_at_k, recall_at_k
+from eval_oracle import EmptyGroundTruth, map_at_k, ndcg_at_k, precision_at_k, recall_at_k
 
 
 # ------------------------------------------------------------------ oracles
@@ -55,40 +55,44 @@ def naive_metrics(topk, gt, k):
     return recall, precision, ndcg, ap
 
 
+def mask_row(scores, train_row):
+    """One user's scores as a one-row chunk, its train items masked."""
+    items = np.asarray(train_row, dtype=np.int64)
+    return mask_trained(np.array([scores], dtype=np.float64), (np.zeros_like(items), items))
+
+
+def rank_row(chunk, k):
+    """The top-k list of a one-row chunk, without its -1 padding."""
+    row = top_k(chunk, k)[0]
+    return row[row >= 0]
+
+
 class TestMask:
     def test_basic_substitution(self):
-        out = mask_trained(np.array([0.3, 0.9, 0.5]), np.array([1]))
+        [out] = mask_row([0.3, 0.9, 0.5], [1])
         assert out[0] == 0.3 and out[2] == 0.5 and np.isneginf(out[1])
 
     def test_empty_train_row(self):
         row = np.array([0.1, 0.2])
-        assert np.array_equal(mask_trained(row, np.array([], dtype=int)), row)
+        assert np.array_equal(mask_row(row, []), [row])
 
     def test_all_masked(self):
-        out = mask_trained(np.array([0.1, 0.2]), np.array([0, 1]))
-        assert np.isneginf(out).all()
-
-    def test_input_not_mutated(self):
-        row = np.array([0.1, 0.2])
-        mask_trained(row, np.array([0]))
-        assert row[0] == 0.1
+        assert np.isneginf(mask_row([0.1, 0.2], [0, 1])).all()
 
 
 class TestTopK:
     def test_tie_goes_to_lower_index(self):
-        assert top_k(np.array([0.5, 0.9, 0.5]), 2).tolist() == [1, 0]
+        assert top_k(np.array([[0.5, 0.9, 0.5]]), 2).tolist() == [[1, 0]]
 
     def test_k_larger_than_catalog(self):
-        out = top_k(np.array([0.1, 0.3, 0.2]), 10)
-        assert out.tolist() == [1, 2, 0]
+        out = top_k(np.array([[0.1, 0.3, 0.2]]), 10)
+        assert out.tolist() == [[1, 2, 0]]
 
     def test_masked_items_never_returned(self):
-        row = mask_trained(np.array([0.9, 0.8, 0.7, 0.6]), np.array([0, 1]))
-        assert top_k(row, 4).tolist() == [2, 3]
+        assert rank_row(mask_row([0.9, 0.8, 0.7, 0.6], [0, 1]), 4).tolist() == [2, 3]
 
     def test_nan_scores_never_list_a_masked_item(self):
-        row = mask_trained(np.array([np.nan, 1.0, 2.0, 0.5]), np.array([2]))
-        assert top_k(row, 4).tolist() == [1, 3]
+        assert rank_row(mask_row([np.nan, 1.0, 2.0, 0.5], [2]), 4).tolist() == [1, 3]
 
     def test_matches_argsort_oracle(self):
         rng = np.random.default_rng(0)
@@ -98,15 +102,15 @@ class TestTopK:
                 scores = np.round(scores, 1)
             train_row = rng.choice(200, size=rng.integers(0, 40), replace=False)
             k = int(rng.integers(1, 60))
-            got = top_k(mask_trained(scores, train_row), k)
+            got = rank_row(mask_row(scores, train_row), k)
             assert got.tolist() == naive_topk(scores, train_row, k)
 
     def test_strictly_increasing_transform_invariance(self):
         rng = np.random.default_rng(1)
         scores = rng.normal(size=50)
-        base = top_k(scores, 50)
+        base = top_k(scores[None], 50)
         for transform in (lambda x: 3 * x + 1, np.tanh, lambda x: x**3):
-            assert np.array_equal(top_k(transform(scores), 50), base)
+            assert np.array_equal(top_k(transform(scores)[None], 50), base)
 
 
 class TestMetricValues:
@@ -164,7 +168,7 @@ class TestMetricValues:
         rng = np.random.default_rng(3)
         scores = rng.normal(size=100)
         gt = set(rng.choice(100, size=6, replace=False).tolist())
-        ranked = top_k(scores, 100)
+        [ranked] = top_k(scores[None], 100)
         for lo, hi in [(5, 10), (10, 20), (20, 50)]:
             assert recall_at_k(ranked, gt, hi) >= recall_at_k(ranked, gt, lo)
             assert ndcg_at_k(ranked, gt, hi) >= ndcg_at_k(ranked, gt, lo) - 1e-12
@@ -327,7 +331,7 @@ SCALAR_METRICS = {"recall": recall_at_k, "precision": precision_at_k, "ndcg": nd
 
 
 def oracle_report(state, ds, cutoffs):
-    """Per-user 1-D top_k(mask_trained(...)) scored by the scalar *_at_k
+    """Per-user one-row top_k(mask_trained(...)) scored by the scalar *_at_k
     functions and summed in user order, as a loop over users would. A
     repeated cutoff is scored once, as the evaluator reports it once."""
     cutoffs = tuple(dict.fromkeys(cutoffs))
@@ -339,7 +343,7 @@ def oracle_report(state, ds, cutoffs):
         if not gt:
             continue
         n_eval += 1
-        ranked = top_k(mask_trained(scores[u], ds.train.row(u)), max(cutoffs))
+        ranked = rank_row(mask_row(scores[u], ds.train.row(u)), max(cutoffs))
         assert ranked.tolist() == naive_topk(scores[u], ds.train.row(u).tolist(), max(cutoffs))
         for metric, fn in SCALAR_METRICS.items():
             for k in cutoffs:
@@ -437,11 +441,11 @@ class TestChunkedMaskAndTopK:
         scores = np.arange(6.0).reshape(2, 3)
         out = mask_trained(scores, (np.array([0, 1, 1]), np.array([2, 0, 1])))
         assert np.isneginf(out).tolist() == [[False, False, True], [True, True, False]]
-        assert scores[0, 2] == 2.0  # copied, not written through
+        assert out[0, :2].tolist() == [0.0, 1.0] and out[1, 2] == 5.0  # the rest untouched
 
     def test_mask_in_place(self):
         scores = np.zeros((1, 2))
-        assert mask_trained(scores, (np.array([0]), np.array([1])), inplace=True) is scores
+        assert mask_trained(scores, (np.array([0]), np.array([1]))) is scores
         assert np.isneginf(scores[0, 1])
 
     def test_short_rows_padded_with_minus_one(self):

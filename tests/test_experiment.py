@@ -303,14 +303,6 @@ class TestRunExperiment:
         with pytest.raises(EmptySplit):
             run_experiment(config)
 
-    def test_parallel_jobs_match_serial(self, tmp_path):
-        path = write_toy_workspace(tmp_path, extra_lines=["reg: [0.0, 0.1, 0.2]"])
-        serial = run_experiment(parse_config(path), jobs=1)
-        parallel = run_experiment(parse_config(path), jobs=3)
-        for a, b in zip(serial.results, parallel.results):
-            assert a.combo == b.combo
-            assert a.valid_report.get("recall", 5) == b.valid_report.get("recall", 5)
-
 
 class TestWriteReport:
     def test_best_line_recomputable_from_file(self, tmp_path):

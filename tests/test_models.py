@@ -194,8 +194,7 @@ class TestScoreAll:
         _, _, _, state, _ = random_instance(rng, "mf_bpr", n_u=8, n_i=30)
         scores = all_scores(state)
         for c in (0.5, 2.0, 4.0):
-            for u in range(state.n_users):
-                assert np.array_equal(top_k(scores[u], 30), top_k(c * scores[u], 30))
+            assert np.array_equal(top_k(scores, 30), top_k(c * scores, 30))
 
 
 class TestAdjacency:

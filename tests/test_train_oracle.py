@@ -68,7 +68,6 @@ OPS = st.one_of(
     st.tuples(st.just("uniform"), SHAPES),
     st.tuples(st.just("normal"), SHAPES),
     st.tuples(st.just("permutation"), st.integers(0, 30)),
-    st.tuples(st.just("shuffled"), st.integers(0, 12)),
     # enough draws in a row to run through several buffer refills
     st.tuples(st.just("randbelow"), BOUNDS, st.integers(1, 2500)),
 )
@@ -79,8 +78,6 @@ def apply(rng, op):
     if name == "randbelow":
         n, times = args
         return [rng.randbelow(n) for _ in range(times)]
-    if name == "shuffled":
-        return rng.shuffled(np.arange(args[0] * 2).reshape(args[0], 2))
     return getattr(rng, name)(*args)
 
 

@@ -15,6 +15,7 @@ from mmrec.trainer import (
 )
 
 from conftest import synthetic_block_dataset
+from data_oracle import pairs
 
 
 def negatives(train, epochs, seed):
@@ -61,7 +62,7 @@ class TestMakeBatches:
         train = toy_train()
         batches = make_batches(train, 6, 3, 7)
         seen = [(int(u), int(i)) for b in batches for u, i in zip(b.users, b.pos_items)]
-        assert sorted(seen) == sorted(train.pairs())
+        assert sorted(seen) == sorted(pairs(train))
 
     def test_deterministic_including_negatives(self):
         train = toy_train()

@@ -81,9 +81,6 @@ class Stream:
         keys = self.uniform((n,)) if n else np.empty(0)
         return np.argsort(keys, kind="stable")
 
-    def shuffled(self, values: np.ndarray) -> np.ndarray:
-        return np.asarray(values)[self.permutation(len(values))]
-
 
 def stream(seed: int, *key) -> Stream:
     entropy = [check_seed(seed)] + [_key_part(p) for p in key]

@@ -12,7 +12,8 @@ from pathlib import Path
 
 from .data import load_dataset, preprocess, read_interactions, save_dataset
 from .errors import ConfigError, MmrecError, MissingFeatures, TypeMismatch
-from .evaluation import evaluate, format_metric_report, parse_metric_spec, write_metric_report
+from .evaluation import (DEFAULT_CUTOFFS, evaluate, format_metric_report, parse_metric_spec,
+                         write_metric_report)
 from .experiment import (
     _KEY_SPECS,
     _data_params,
@@ -55,7 +56,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", type=Path, required=True)
     e.add_argument("--data", type=Path, required=True, help="dataset directory")
     e.add_argument("--split", choices=("valid", "test"), default="test")
-    e.add_argument("--topk", default="5,10,20,50", help="comma-separated cutoffs")
+    e.add_argument("--topk", default=",".join(map(str, DEFAULT_CUTOFFS)), help="comma-separated cutoffs")
     e.add_argument("--config", type=Path, help="config file (needed for feature paths)")
     e.add_argument("--out", type=Path, help="directory for report.tsv")
     return parser
@@ -92,9 +93,9 @@ def _cmd_train(args) -> int:
         raise TypeMismatch(
             ",".join(sorted(config.grid)), "train needs a scalar config; use grid for axes"
         )
-    dataset, tables = _prepare_inputs(config)
+    dataset, tables, spec = _prepare_inputs(config)
     state, log, valid_report, test_report = run_single(config, dataset, tables, str(args.out))
-    save_dataset(dataset, _data_params(config.values)[1], args.out / "dataset")
+    save_dataset(dataset, spec, args.out / "dataset")
     print(f"trained {state.kind} for {len(log.epoch_losses)} epochs ({log.stop_reason})")
     for name, report in (("valid", valid_report), ("test", test_report)):
         if report is not None:

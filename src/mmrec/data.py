@@ -48,7 +48,7 @@ from .errors import (
     MalformedLine,
     MissingTimestamps,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_meta, write_meta
 from .rng import check_seed, stream, stream_words
 
 SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
@@ -630,12 +630,10 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
     """Serialize a Dataset to a directory; a pure function of its inputs."""
     os.makedirs(out_dir, exist_ok=True)
     out = os.fspath(out_dir)
-    with atomic_write(os.path.join(out, "meta")) as fh:
-        fh.write(f"n_users: {dataset.n_users}\n")
-        fh.write(f"n_items: {dataset.n_items}\n")
-        fh.write(f"strategy: {spec.strategy}\n")
-        fh.write(f"ratios: {','.join(repr(float(r)) for r in spec.ratios)}\n")
-        fh.write(f"seed: {spec.seed}\n")
+    write_meta(os.path.join(out, "meta"), {
+        "n_users": dataset.n_users, "n_items": dataset.n_items, "strategy": spec.strategy,
+        "ratios": ",".join(repr(float(r)) for r in spec.ratios), "seed": spec.seed,
+    })
     for name, id_map in (("umap.tsv", dataset.user_map), ("imap.tsv", dataset.item_map)):
         raws = sorted(id_map, key=id_map.__getitem__)
         _write_tsv(os.path.join(out, name), raws, map(id_map.__getitem__, raws))
@@ -646,12 +644,7 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
 
 def load_dataset(in_dir: str | os.PathLike) -> Dataset:
     src = os.fspath(in_dir)
-    meta: dict[str, str] = {}
-    with open(os.path.join(src, "meta"), encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                key, _, value = line.partition(":")
-                meta[key.strip()] = value.strip()
+    meta = read_meta(os.path.join(src, "meta"))
     try:
         n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
     except (KeyError, ValueError):

@@ -5,8 +5,10 @@ whole catalog, mask the user's train items (and only those), take the
 top-K by descending score with ties broken by ascending item index, and
 average each metric over the evaluated users in user-index order.
 
-The model is encoded once per evaluation (``models.encode``); users are
-then scored, masked and ranked 512 at a time. Both ranking helpers take a
+``evaluate`` is the one ranking path. It encodes the model once
+(``models.encode``), then scores, masks and ranks users 512 at a time
+through ``full_sort_predict``, ``mask_trained`` and ``top_k``; a caller that
+wants per-user lists calls those three itself. Both ranking helpers take a
 2-D chunk of score rows: ``mask_trained`` masks the chunk's train items in
 place in one scatter, and ``top_k`` finds each row's K-th best score by
 partition, then orders every item scoring at least that much by (-score,
@@ -106,12 +108,6 @@ def _ideal_dcg(n_hits: int) -> float:
     return sum(1.0 / math.log2(pos + 1) for pos in range(1, n_hits + 1))
 
 
-def _target_split(dataset: Dataset, target: str) -> InteractionSet:
-    if target not in ("valid", "test"):
-        raise ValueError(f"target split must be valid or test, got {target!r}")
-    return getattr(dataset, target)
-
-
 def _entries(matrix: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(position in ``users``, column) of every stored entry of those rows."""
     starts = matrix.indptr[users]
@@ -119,49 +115,6 @@ def _entries(matrix: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.
     firsts = np.cumsum(counts) - counts
     positions = np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
     return np.repeat(np.arange(len(users)), counts), matrix.indices[positions]
-
-
-def _ranked_chunks(
-    state: ModelState,
-    dataset: Dataset,
-    target: str,
-    k: int,
-    fused: np.ndarray | None,
-    adjacency,
-):
-    """Yield (users, top-k lists as from ``top_k``) per chunk of evaluable
-    users, in user-index order, from one encoding of the model."""
-    split = _target_split(dataset, target)
-    if (state.n_users, state.n_items) != (dataset.n_users, dataset.n_items):
-        raise DatasetMismatch(
-            f"model has {state.n_users} users and {state.n_items} items, "
-            f"dataset has {dataset.n_users} and {dataset.n_items}"
-        )
-    users = np.flatnonzero(np.diff(split.indptr) > 0)
-    if users.size == 0:
-        raise EmptySplit(f"no user has ground truth in the {target} split")
-    rep = encode(state, fused, adjacency)
-    for start in range(0, len(users), _EVAL_CHUNK):
-        chunk = users[start:start + _EVAL_CHUNK]
-        scores = full_sort_predict(rep, chunk)
-        masked = mask_trained(scores, _entries(dataset.train, chunk))
-        yield chunk, top_k(masked, k)
-
-
-def iter_topk_lists(
-    state: ModelState,
-    dataset: Dataset,
-    target: str,
-    k: int,
-    fused: np.ndarray | None = None,
-    adjacency=None,
-):
-    """Yield (user, top-k item indices, ground-truth set) per evaluable user,
-    in user-index order."""
-    split = _target_split(dataset, target)
-    for users, lists in _ranked_chunks(state, dataset, target, k, fused, adjacency):
-        for u, row in zip(users, lists):
-            yield int(u), row[row >= 0], {int(i) for i in split.row(u)}
 
 
 def _metric_values(hits: np.ndarray, n_truth: np.ndarray, cutoffs: tuple[int, ...]) -> np.ndarray:
@@ -200,14 +153,28 @@ def evaluate(
     cutoffs = tuple(sorted({int(k) for k in cutoffs}))
     if not cutoffs or cutoffs[0] < 1:
         raise ValueError("cutoffs must be positive integers")
-    split = _target_split(dataset, target)
+    if target not in ("valid", "test"):
+        raise ValueError(f"target split must be valid or test, got {target!r}")
+    if (state.n_users, state.n_items) != (dataset.n_users, dataset.n_items):
+        raise DatasetMismatch(
+            f"model has {state.n_users} users and {state.n_items} items, "
+            f"dataset has {dataset.n_users} and {dataset.n_items}"
+        )
+    split = getattr(dataset, target)
+    n_truth = np.diff(split.indptr)
+    users = np.flatnonzero(n_truth > 0)
+    if users.size == 0:
+        raise EmptySplit(f"no user has ground truth in the {target} split")
+    rep = encode(state, fused, adjacency)
     per_user = []
-    for users, lists in _ranked_chunks(state, dataset, target, cutoffs[-1], fused, adjacency):
-        truth_rows, truth_items = _entries(split, users)
-        keys = np.arange(len(users))[:, None] * dataset.n_items + lists
+    for start in range(0, len(users), _EVAL_CHUNK):
+        chunk = users[start:start + _EVAL_CHUNK]
+        masked = mask_trained(full_sort_predict(rep, chunk), _entries(dataset.train, chunk))
+        lists = top_k(masked, cutoffs[-1])
+        truth_rows, truth_items = _entries(split, chunk)
+        keys = np.arange(len(chunk))[:, None] * dataset.n_items + lists
         hits = np.isin(keys, truth_rows * dataset.n_items + truth_items) & (lists >= 0)
-        n_truth = split.indptr[users + 1] - split.indptr[users]
-        per_user.append(_metric_values(hits, n_truth, cutoffs))
+        per_user.append(_metric_values(hits, n_truth[chunk], cutoffs))
     values = np.concatenate(per_user)
     n_evaluated = len(values)
     # summed in user order, as a running total would be

@@ -1,18 +1,22 @@
 """Config files, hyperparameter grids and reproducible experiment runs.
 
-A config file holds one ``key: value`` pair per line (``#`` starts a
-comment). Values are integers, decimals, quoted strings, bare tokens or
+A config file holds one ``key: value`` pair per line; a line whose first
+non-blank character is ``#`` is a comment, and there are no trailing
+comments. Values are integers, decimals, quoted strings, bare tokens or
 bracketed lists ``[a, b, c]``. A list on a tunable key (learning_rate, reg,
 d, d_p, n_layers, fusion, batch_size) declares a grid axis; the grid is the
 Cartesian product of all axes, ordered with axes sorted by key name and the
-rightmost axis varying fastest.
+rightmost axis varying fastest. The training keys and their defaults are
+``TrainConfig``'s fields; the default cutoffs are
+``evaluation.DEFAULT_CUTOFFS``.
 
 Values are checked when the file is parsed, before any data is read: the
 k-core, split and training parameters of every grid combination are built
-once, and a value their constructors refuse, or a cutoff below 1, raises
-``TypeMismatch``.
+once, and a value their constructors refuse, a cutoff below 1, or a
+selection metric whose cutoff is not in ``topk`` raises ``TypeMismatch``.
 
-Raw data is preprocessed once; every combination then trains and evaluates
+Raw data is preprocessed once, with one split spec that the run also
+saves with the dataset; every combination then trains and evaluates
 against the same frozen split, with all random streams re-derived from the
 config seed, so each combination reproduces independently of the others.
 The environment variable ``MMREC_SEED`` overrides the config seed.
@@ -41,6 +45,7 @@ from .errors import (
     UnknownKey,
 )
 from .evaluation import (
+    DEFAULT_CUTOFFS,
     METRICS,
     MetricReport,
     evaluate,
@@ -62,13 +67,14 @@ from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
 
 GRID_KEYS = ("batch_size", "d", "d_p", "fusion", "learning_rate", "n_layers", "reg")
 
-# key -> (type tag, default); None means "must be provided when needed"
+# key -> (type tag, default); None means "must be provided when needed". The
+# training keys are TrainConfig's fields, with its types and defaults.
+_TRAIN_TAGS = {"stop_metric": "metric", "optimizer": "enum:optimizer"}
 _KEY_SPECS: dict[str, tuple[str, object]] = {
     "interactions": ("path", None),
     "k": ("int", 5),
     "split": ("enum:split", "per_user_random"),
     "ratios": ("float3", (0.8, 0.1, 0.1)),
-    "seed": ("int", 2024),
     "imputation": ("enum:imputation", "zeros"),
     "standardize": ("bool", False),
     "fusion": ("enum:fusion", "concat"),
@@ -77,22 +83,12 @@ _KEY_SPECS: dict[str, tuple[str, object]] = {
     "d_p": ("int", 64),
     "n_layers": ("int", 2),
     "reg": ("float", 0.0),
-    "learning_rate": ("float", 0.001),
-    "batch_size": ("int", 2048),
-    "max_epochs": ("int", 50),
-    "patience": ("int", 10),
-    "eval_interval": ("int", 1),
-    "stop_metric": ("metric", "recall@20"),
-    "optimizer": ("enum:optimizer", "adam"),
-    "adam_beta1": ("float", 0.9),
-    "adam_beta2": ("float", 0.999),
-    "adam_eps": ("float", 1e-8),
-    "topk": ("intlist", (5, 10, 20, 50)),
+    **{f.name: (_TRAIN_TAGS.get(f.name, f.type), f.default) for f in fields(TrainConfig)},
+    "topk": ("intlist", DEFAULT_CUTOFFS),
     "selection_metric": ("metric", "recall@20"),
     "fail_fast": ("bool", False),
+    **{f"features.{m}": ("pathpair", None) for m in MODALITIES},
 }
-for _m in MODALITIES:
-    _KEY_SPECS[f"features.{_m}"] = ("pathpair", None)
 
 _ENUMS = {
     "split": SPLIT_STRATEGIES,
@@ -107,7 +103,6 @@ _ENUMS = {
 class ExperimentConfig:
     values: dict[str, object]
     grid: dict[str, list]
-    base_dir: Path
 
     def __getitem__(self, key: str):
         return self.values[key]
@@ -236,7 +231,7 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
         except ValueError:
             raise TypeMismatch("seed", f"MMREC_SEED must be an integer, got {env_seed!r}")
 
-    config = ExperimentConfig(values=values, grid=grid, base_dir=base_dir)
+    config = ExperimentConfig(values=values, grid=grid)
     _validate(config)
     return config
 
@@ -248,6 +243,9 @@ def _validate(config: ExperimentConfig) -> None:
             raise TypeMismatch(key, f"must be >= {low}")
     if min(v["topk"]) < 1:
         raise TypeMismatch("topk", "cutoffs must be >= 1")
+    sel_k = parse_metric_spec(v["selection_metric"])[1]
+    if sel_k not in v["topk"]:
+        raise TypeMismatch("selection_metric", f"cutoff {sel_k} not in topk {v['topk']}")
     for combo in expand_grid(config):
         values = config.with_combo(combo).values
         _data_params(values)
@@ -300,14 +298,16 @@ class SummaryReport:
 
 
 def _prepare_inputs(config: ExperimentConfig):
-    """Parse, filter and split the raw data once; load modality tables."""
+    """Parse, filter and split the raw data once; load modality tables.
+    Returns the dataset, the tables and the split spec of the dataset."""
     if config.values.get("interactions") is None:
         raise TypeMismatch("interactions", "no interactions file configured")
-    dataset = preprocess(read_interactions(config["interactions"]), *_data_params(config.values))
+    filter_params, spec = _data_params(config.values)
+    dataset = preprocess(read_interactions(config["interactions"]), filter_params, spec)
     tables = load_modality_tables(config, dataset.item_map)
     if config["model"] in FEATURE_KINDS and not tables:
         raise MissingFeatures(f"model {config['model']} needs features.<modality> entries")
-    return dataset, tables
+    return dataset, tables, spec
 
 
 def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> list:
@@ -387,18 +387,16 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     order. Failing combinations are recorded in an error column and skipped
     by the best-row selection, unless ``fail_fast`` is set.
     """
-    dataset, tables = _prepare_inputs(config)
+    dataset, tables, spec = _prepare_inputs(config)
     if dataset.valid.nnz == 0:
         raise EmptySplit("grid selection needs a non-empty validation split")
     combos = expand_grid(config)
     sel_name, sel_k = parse_metric_spec(config["selection_metric"])
-    if sel_k not in config["topk"]:
-        raise TypeMismatch("selection_metric", f"cutoff {sel_k} not in topk {config['topk']}")
 
     out = None if out_dir is None else os.fspath(out_dir)
     if out is not None:
         os.makedirs(out, exist_ok=True)
-        save_dataset(dataset, _data_params(config.values)[1], os.path.join(out, "dataset"))
+        save_dataset(dataset, spec, os.path.join(out, "dataset"))
 
     results = []
     for idx, combo in enumerate(combos):

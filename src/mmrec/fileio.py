@@ -1,5 +1,5 @@
-"""Atomic artifact writes: a temporary file beside the target, then one
-``os.replace``.
+"""Atomic artifact writes (a temporary file beside the target, then one
+``os.replace``) and the ``key: value`` meta files of datasets and checkpoints.
 
 Every file a run leaves behind (dataset files, checkpoints, training logs,
 metric reports, ``summary.tsv`` and ``timings.tsv``) is written through
@@ -33,3 +33,16 @@ def atomic_write(path: str | os.PathLike, binary: bool = False) -> Iterator[IO]:
         with contextlib.suppress(FileNotFoundError):
             os.remove(tmp)
         raise
+
+
+def write_meta(path: str | os.PathLike, fields: dict[str, object]) -> None:
+    """One ``key: value`` line per field, in order; None is written as empty."""
+    with atomic_write(path) as fh:
+        fh.write("".join(f"{key}: {'' if value is None else value}\n" for key, value in fields.items()))
+
+
+def read_meta(path: str | os.PathLike) -> dict[str, str]:
+    """A meta file's fields, keys and values stripped; blank lines are skipped."""
+    with open(path, encoding="utf-8") as fh:
+        pairs = [line.partition(":") for line in fh if line.strip()]
+    return {key.strip(): value.strip() for key, _, value in pairs}

@@ -131,15 +131,16 @@ def read_matrix(path: str | os.PathLike, magic: bytes = b"MMF1") -> np.ndarray:
 def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathLike) -> FeatureMatrix:
     """Read an MMF1 matrix plus its ID file, keeping the float32 values.
 
-    The ID file follows the interaction parser's line rule: lines end at
-    ``\\n``, trailing ``\\r`` is stripped and empty lines are skipped. The
-    ID count is checked against the header before the payload is read.
+    In the ID file lines end at ``\\n`` and trailing ``\\r`` is stripped; a
+    line is skipped only when that leaves it empty, so an ID of blanks is
+    kept. The ID count is checked against the header before the payload is
+    read.
     NaN/Inf values are rejected.
     """
     with open(matrix_path, "rb") as fh:
         rows, cols = _parse_header(fh, matrix_path, b"MMF1")
         with open(ids_path, encoding="utf-8", newline="\n") as id_fh:
-            row_ids = [line.rstrip("\r\n") for line in id_fh if line.strip()]
+            row_ids = [raw for raw in (line.rstrip("\r\n") for line in id_fh) if raw]
         if len(row_ids) != rows:
             raise DimensionMismatch(f"{len(row_ids)} IDs for {rows} feature rows")
         if len(set(row_ids)) != len(row_ids):

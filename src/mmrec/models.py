@@ -49,7 +49,7 @@ from .errors import (
     MissingAdjacency,
     MissingFeatures,
 )
-from .fileio import atomic_write
+from .fileio import read_meta, write_meta
 from .modality import read_matrix, write_matrix
 from .rng import stream
 
@@ -224,17 +224,21 @@ def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: i
     """
     _check_meta(kind, n_users, n_items, d, d_p, n_layers, d_fused)
     spec = _KINDS[kind]
-    sizes = {"users": n_users, "items": n_items, None: d_fused, "d": d, "d_p": d_p}
-    tensors = {}
-    for name, (axis, width) in spec.tensors.items():
-        shape = (sizes[axis], sizes[width])
-        draws = stream(seed, "init", name)
-        if axis is None:
-            tensors[name] = (2.0 * draws.uniform(shape) - 1.0) * np.sqrt(6.0 / sum(shape))
-        else:
-            tensors[name] = draws.normal(shape, std=EMB_INIT_STD)
     n_layers = n_layers if "n_layers" in spec.meta else None
-    return ModelState(kind, n_users, n_items, d, tensors, lambda_reg, d_p, n_layers, seed)
+    state = ModelState(kind, n_users, n_items, d, {}, lambda_reg, d_p, n_layers, seed)
+    for name, shape in _shapes(state, d_fused).items():
+        draws = stream(seed, "init", name)
+        if spec.tensors[name][0] is None:
+            state.tensors[name] = (2.0 * draws.uniform(shape) - 1.0) * np.sqrt(6.0 / sum(shape))
+        else:
+            state.tensors[name] = draws.normal(shape, std=EMB_INIT_STD)
+    return state
+
+
+def _shapes(state: ModelState, d_fused: int | None) -> dict[str, tuple[int, int]]:
+    """Each tensor's shape, (size of its row axis, its width field); a projection has d_fused rows."""
+    sizes = {"users": state.n_users, "items": state.n_items, None: d_fused, "d": state.d, "d_p": state.d_p}
+    return {name: (sizes[axis], sizes[width]) for name, (axis, width) in _KINDS[state.kind].tensors.items()}
 
 
 def _fused_width(state: ModelState) -> int:
@@ -401,13 +405,9 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
     """Write each tensor as an MMF8 file plus a `meta` key-value file."""
     os.makedirs(out_dir, exist_ok=True)
     out = os.fspath(out_dir)
-    with atomic_write(os.path.join(out, "meta")) as fh:
-        for key in ("kind", "n_users", "n_items", "d", "d_p", "n_layers"):
-            value = getattr(state, key)
-            fh.write(f"{key}: {'' if value is None else value}\n")
-        fh.write(f"lambda_reg: {state.lambda_reg!r}\n")
-        fh.write(f"seed: {state.seed}\n")
-        fh.write(f"tensors: {','.join(sorted(state.tensors))}\n")
+    keys = ("kind", "n_users", "n_items", "d", "d_p", "n_layers", "lambda_reg", "seed")
+    write_meta(os.path.join(out, "meta"),
+               {**{key: getattr(state, key) for key in keys}, "tensors": ",".join(sorted(state.tensors))})
     for name, tensor in state.tensors.items():
         write_matrix(os.path.join(out, f"{name}.mmf8"), tensor, magic=b"MMF8")
 
@@ -417,13 +417,11 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
 
     A `meta` file with a missing key or a bad value, meta that
     :func:`init_params` would refuse, a tensor list that does not fit the
-    model kind, or a tensor whose shape disagrees with `meta` raises
-    MalformedCheckpoint.
+    model kind, or a tensor that holds NaN or Inf or whose shape disagrees
+    with `meta` raises MalformedCheckpoint.
     """
     src = os.fspath(in_dir)
-    with open(os.path.join(src, "meta"), encoding="utf-8") as fh:
-        pairs = [line.partition(":") for line in fh if line.strip()]
-    meta = {key.strip(): value.strip() for key, _, value in pairs}
+    meta = read_meta(os.path.join(src, "meta"))
     try:
         state = ModelState(
             kind=meta["kind"], n_users=int(meta["n_users"]), n_items=int(meta["n_items"]),
@@ -440,16 +438,19 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
     if spec is None or set(names) != set(spec.tensors):
         raise MalformedCheckpoint(f"{src}: {state.kind!r} checkpoint with tensors {names}")
     for name in names:
-        state.tensors[name] = read_matrix(os.path.join(src, f"{name}.mmf8"), magic=b"MMF8")
+        tensor = read_matrix(os.path.join(src, f"{name}.mmf8"), magic=b"MMF8")
+        # min and max propagate NaN, so this finds NaN/Inf without a mask the size of the tensor
+        if not (np.isfinite(tensor.min(initial=0.0)) and np.isfinite(tensor.max(initial=0.0))):
+            raise MalformedCheckpoint(f"{src}: {name} holds NaN or Inf values")
+        state.tensors[name] = tensor
     d_fused = _fused_width(state) if spec.features else None
     try:
         _check_meta(state.kind, state.n_users, state.n_items, state.d, state.d_p, state.n_layers, d_fused)
     except ValueError as exc:
         raise MalformedCheckpoint(f"{src}: {exc}") from None
-    sizes = {"users": state.n_users, "items": state.n_items, None: d_fused, "d": state.d, "d_p": state.d_p}
+    shapes = _shapes(state, d_fused)
     for name in names:
-        axis, width = spec.tensors[name]
-        expected, got = (sizes[axis], sizes[width]), state.tensors[name].shape
+        expected, got = shapes[name], state.tensors[name].shape
         if got != expected:
             raise MalformedCheckpoint(f"{src}: {name} has shape {got}, meta implies {expected}")
     return state

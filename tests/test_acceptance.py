@@ -11,7 +11,7 @@ import time
 import numpy as np
 
 from mmrec.data import FilterParams, Interactions, InteractionSet, k_core_filter
-from mmrec.evaluation import evaluate, iter_topk_lists
+from mmrec.evaluation import evaluate
 from mmrec.experiment import ExperimentConfig, expand_grid, parse_config, run_experiment
 from mmrec.models import (
     ModelState,
@@ -27,6 +27,7 @@ from conftest import (
     brute_force_k_core,
     random_bipartite_records,
     synthetic_block_dataset,
+    topk_lists,
 )
 from data_oracle import records as table_records
 from test_experiment import write_toy_workspace
@@ -263,7 +264,7 @@ def test_criterion_6_masking_soundness():
                       eval_interval=5, stop_metric="recall@20", seed=8)
     state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, fused=fused)
     checked = 0
-    for u, topk, _ in iter_topk_lists(state, dataset, "test", 50, fused):
+    for u, topk in topk_lists(state, dataset, "test", 50, fused):
         overlap = set(topk.tolist()) & set(dataset.train.row(u).tolist())
         assert not overlap, f"user {u} leaked train items {overlap}"
         checked += 1
@@ -326,7 +327,7 @@ def test_criterion_9_grid_mechanics(tmp_path):
         axes = {}
         for key in rng.choice(keys, size=int(rng.integers(1, 5)), replace=False):
             axes[str(key)] = list(range(int(rng.integers(1, 5))))
-        combos = expand_grid(ExperimentConfig(values={}, grid=axes, base_dir=None))
+        combos = expand_grid(ExperimentConfig(values={}, grid=axes))
         assert len(combos) == int(np.prod([len(v) for v in axes.values()]))
 
     config_path = write_toy_workspace(

@@ -1,10 +1,12 @@
 import struct
 
+import numpy as np
 import pytest
 
 from mmrec.cli import main
 from mmrec.data import Dataset, InteractionSet, SplitSpec, load_dataset, save_dataset
 from mmrec.errors import MalformedDataset
+from mmrec.modality import write_matrix
 from mmrec.models import init_params, save_checkpoint
 
 from test_experiment import write_toy_workspace
@@ -187,6 +189,15 @@ class TestEval:
         assert captured.out == ""
         assert "item_emb.mmf8: truncated payload" in captured.err
 
+    def test_eval_refuses_non_finite_checkpoint(self, tmp_path, capsys):
+        TestEvalRefusesCorruptDataset().write(tmp_path)
+        write_matrix(tmp_path / "ckpt" / "user_emb.mmf8", np.full((5, 4), np.nan), magic=b"MMF8")
+        code = run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "user_emb holds NaN or Inf values" in captured.err
+
     def test_eval_of_checkpoint_without_seed_is_an_error(self, tmp_path, capsys):
         config = write_toy_workspace(tmp_path)
         run(["train", "--config", config, "--out", tmp_path / "out"])
@@ -291,4 +302,14 @@ class TestBadValuesExit2:
         config = write_toy_workspace(tmp_path, extra_lines=[line])
         assert run(["grid", "--config", config, "--out", tmp_path / "out"]) == 2
         assert capsys.readouterr().err.startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["train", "grid"])
+    def test_selection_cutoff_outside_topk(self, tmp_path, capsys, command):
+        config = write_toy_workspace(tmp_path, extra_lines=["selection_metric: recall@20"])
+        # reading the missing interactions file would exit 1
+        (tmp_path / "interactions.tsv").unlink()
+        assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: selection_metric: cutoff 20 not in topk (5, 10)\n"
         assert not (tmp_path / "out").exists()

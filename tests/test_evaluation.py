@@ -15,7 +15,6 @@ from mmrec.evaluation import (
     MetricReport,
     evaluate,
     format_metric_report,
-    iter_topk_lists,
     mask_trained,
     parse_metric_spec,
     top_k,
@@ -23,7 +22,7 @@ from mmrec.evaluation import (
 )
 from mmrec.models import ModelState, build_adjacency, init_params
 
-from conftest import all_scores
+from conftest import all_scores, topk_lists
 from eval_oracle import EmptyGroundTruth, map_at_k, ndcg_at_k, precision_at_k, recall_at_k
 
 
@@ -266,7 +265,7 @@ class TestEvaluate:
     def test_no_train_item_in_any_topk(self):
         rng = np.random.default_rng(6)
         ds, state = self.make(rng)
-        for u, topk, _ in iter_topk_lists(state, ds, "test", 50):
+        for u, topk in topk_lists(state, ds, "test", 50):
             assert not (set(topk.tolist()) & set(ds.train.row(u).tolist()))
 
     def test_values_in_unit_interval(self):
@@ -297,7 +296,7 @@ class TestEvaluate:
         state = init_params("mf_bpr", 1, 4, 2, seed=0)
         state.tensors["user_emb"][0] = [1.0, 0.0]
         state.tensors["item_emb"][:] = [[5.0, 0], [4.0, 0], [3.0, 0], [2.0, 0]]
-        (_, topk, _), = list(iter_topk_lists(state, ds, "test", 3))
+        [(_, topk)] = topk_lists(state, ds, "test", 3)
         assert topk.tolist() == [1, 2, 3]  # valid item 1 present, train item 0 absent
 
 
@@ -369,7 +368,7 @@ def assert_matches_oracle(state, ds, cutoffs):
     report = evaluate(state, ds, "test", cutoffs)
     assert report.n_evaluated == n_eval
     assert report.values == expected  # exact: same lists, same arithmetic, same order
-    lists = [(u, topk.tolist()) for u, topk, _ in iter_topk_lists(state, ds, "test", max(cutoffs))]
+    lists = [(u, topk.tolist()) for u, topk in topk_lists(state, ds, "test", max(cutoffs))]
     scores = all_scores(state)
     assert lists == [
         (u, naive_topk(scores[u], ds.train.row(u).tolist(), max(cutoffs)))

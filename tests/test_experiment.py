@@ -134,10 +134,23 @@ class TestParseConfig:
         with pytest.raises(TypeMismatch):
             parse_config(path)
 
+    def test_readme_example_parses_to_the_defaults(self, tmp_path, monkeypatch):
+        # the README's example config spells out every default value
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        (tmp_path / "example.cfg").write_text(block, encoding="utf-8")
+        (tmp_path / "minimal.cfg").write_text("interactions: interactions.tsv\n", encoding="utf-8")
+        monkeypatch.delenv("MMREC_SEED", raising=False)
+        example = parse_config(tmp_path / "example.cfg")
+        paths = {key: example[key] for key in ("features.text", "features.image")}
+        assert example.grid == {}
+        assert example.values == {**parse_config(tmp_path / "minimal.cfg").values, **paths}
+
 
 class TestExpandGrid:
     def config_with(self, grid):
-        return ExperimentConfig(values={}, grid=grid, base_dir=None)
+        return ExperimentConfig(values={}, grid=grid)
 
     def test_order_rightmost_fastest(self):
         combos = expand_grid(self.config_with({"learning_rate": [0.1, 0.01], "reg": [0, 1]}))

@@ -70,6 +70,13 @@ class TestMmfFiles:
         assert got.features.tobytes() == want.features.tobytes()
         assert np.array_equal(got.present_mask, want.present_mask)
 
+    def test_blank_id_is_kept(self, tmp_path):
+        # only a line left empty once its trailing \r is stripped is skipped
+        mp, ip = write_pair(tmp_path, [[1.0], [2.0], [3.0]], ["i0", " ", "i2"])
+        assert load_feature_matrix(mp, ip).row_ids == ["i0", " ", "i2"]
+        ip.write_bytes(b"i0\r\n \r\n\r\ni2\n")
+        assert load_feature_matrix(mp, ip).row_ids == ["i0", " ", "i2"]
+
     def test_ids_end_at_newline_only(self, tmp_path):
         # as in the interactions parser, a lone \r inside a line ends nothing
         mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "b"])

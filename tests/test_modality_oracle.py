@@ -105,7 +105,7 @@ def write_modalities(root, n_items, dims, seed=0):
 
 def config_for(paths, policy="mean", standardize=True):
     return ExperimentConfig(
-        values={**paths, "imputation": policy, "standardize": standardize}, grid={}, base_dir=None
+        values={**paths, "imputation": policy, "standardize": standardize}, grid={}
     )
 
 

@@ -355,6 +355,15 @@ class TestCheckpoint:
         with pytest.raises(MalformedCheckpoint, match=name):
             load_checkpoint(tmp_path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_typed(self, tmp_path, bad):
+        save_checkpoint(init_params("vbpr_mm", 3, 4, 2, seed=9, d_p=2, d_fused=5), tmp_path)
+        proj = np.zeros((5, 2))
+        proj[3, 1] = bad
+        write_matrix(tmp_path / "proj.mmf8", proj, magic=b"MMF8")
+        with pytest.raises(MalformedCheckpoint, match="proj holds NaN or Inf values"):
+            load_checkpoint(tmp_path)
+
     def test_tensor_list_must_fit_the_kind(self, tmp_path):
         save_checkpoint(init_params("mf_bpr", 3, 4, 2, seed=9), tmp_path)
         meta = tmp_path / "meta"

@@ -164,11 +164,6 @@ class InteractionSet:
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
         return cls(n_rows, n_cols, indptr, cols[order])
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[int, int]], n_rows: int, n_cols: int) -> "InteractionSet":
-        arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
-        return cls.from_arrays(arr[:, 0], arr[:, 1], n_rows, n_cols)
-
     def row(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 

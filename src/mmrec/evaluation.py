@@ -17,6 +17,14 @@ matrix by cumulative sums and are summed over users in order; the scalar
 one-list functions in ``tests/eval_oracle.py`` define the same values and
 are the reference the tests compare against.
 
+Only train items are masked, so a user's list does not depend on the target
+split. The module keeps a memo of the last ranking, keyed on copies of the
+encoded user and item tables and of the train ``indptr`` and ``indices``,
+compared bit for bit. The validation and test reports of one trained model
+thus share one ranking: ``evaluate`` ranks only the users the memo does not
+hold yet, and reads a prefix of its lists for a smaller K. A call that needs
+wider lists, or has another model or train mask, ranks afresh.
+
 A model whose user or item count differs from the dataset's is refused
 with ``DatasetMismatch`` (``mmrec eval`` exits 1).
 """
@@ -88,8 +96,16 @@ def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
     kth = np.full(n_rows, -np.inf)
     if k < n_items:
         for lo in range(0, n_rows, _PARTITION_ROWS):
-            block = scores[lo:lo + _PARTITION_ROWS]
-            kth[lo:lo + _PARTITION_ROWS] = np.partition(block, n_items - k, axis=1)[:, n_items - k]
+            block = np.partition(scores[lo:lo + _PARTITION_ROWS], n_items - k, axis=1)
+            # partition sorts NaN above every number, so a row holding NaN has
+            # one in its top k; such a row is partitioned again with NaN as -inf
+            nan_rows = np.isnan(block[:, n_items - k:]).any(axis=1)
+            if nan_rows.any():
+                redo = block[nan_rows]
+                redo[np.isnan(redo)] = -np.inf
+                redo.partition(n_items - k, axis=1)
+                block[nan_rows] = redo
+            kth[lo:lo + _PARTITION_ROWS] = block[:, n_items - k]
     # no row's floor is below the lowest finite score, so masked items drop out
     floor = np.maximum(kth, np.nextafter(-np.inf, 0.0))
     rows, items = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_items)
@@ -115,6 +131,53 @@ def _entries(matrix: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.
     firsts = np.cumsum(counts) - counts
     positions = np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
     return np.repeat(np.arange(len(users)), counts), matrix.indices[positions]
+
+
+@dataclass
+class _Ranking:
+    """Top-K lists per user of one encoded model over one train mask."""
+
+    key: tuple[np.ndarray, ...]
+    lists: np.ndarray  # (n_users, width); a row is set once its user is ranked
+    ranked: np.ndarray  # bool per user
+
+
+# the memo of the last ranking; it holds one entry
+_last: _Ranking | None = None
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Same dtype, shape and bytes: -0.0 is not 0.0, and a NaN equals itself."""
+    if a.dtype != b.dtype or a.shape != b.shape:
+        return False
+    as_int = np.dtype(f"i{a.dtype.itemsize}")
+    return np.array_equal(a.view(as_int), b.view(as_int))
+
+
+def _ranked_lists(rep: ModelState, train: InteractionSet, users: np.ndarray, width: int) -> np.ndarray:
+    """The memo's (n_users, >= width) list table with the rows of ``users``
+    ranked; it starts afresh unless its key matches and it is wide enough."""
+    global _last
+    key = (rep.tensors["user_emb"], rep.tensors["item_emb"], train.indptr, train.indices)
+    memo = _last
+    if memo is None or memo.lists.shape[1] < width or not all(map(_same_bits, memo.key, key)):
+        # the old entry is freed before ranking, and the new key is copied
+        # after it, once the score chunks are freed
+        _last = memo = None
+        lists, ranked = np.empty((rep.n_users, width), dtype=np.int64), np.zeros(rep.n_users, dtype=bool)
+    else:
+        lists, ranked = memo.lists, memo.ranked
+    missing = users[~ranked[users]]
+    for start in range(0, len(missing), _EVAL_CHUNK):
+        chunk = missing[start:start + _EVAL_CHUNK]
+        masked = mask_trained(full_sort_predict(rep, chunk), _entries(train, chunk))
+        lists[chunk] = top_k(masked, lists.shape[1])
+        ranked[chunk] = True
+    if memo is None:
+        # copies: encode returns an mf_bpr state's own tensors, and training
+        # updates those in place
+        _last = _Ranking(tuple(a.copy() for a in key), lists, ranked)
+    return lists
 
 
 def _metric_values(hits: np.ndarray, n_truth: np.ndarray, cutoffs: tuple[int, ...]) -> np.ndarray:
@@ -166,11 +229,12 @@ def evaluate(
     if users.size == 0:
         raise EmptySplit(f"no user has ground truth in the {target} split")
     rep = encode(state, fused, adjacency)
+    width = min(cutoffs[-1], dataset.n_items)
+    table = _ranked_lists(rep, dataset.train, users, width)
     per_user = []
     for start in range(0, len(users), _EVAL_CHUNK):
         chunk = users[start:start + _EVAL_CHUNK]
-        masked = mask_trained(full_sort_predict(rep, chunk), _entries(dataset.train, chunk))
-        lists = top_k(masked, cutoffs[-1])
+        lists = table[chunk, :width]
         truth_rows, truth_items = _entries(split, chunk)
         keys = np.arange(len(chunk))[:, None] * dataset.n_items + lists
         hits = np.isin(keys, truth_rows * dataset.n_items + truth_items) & (lists >= 0)

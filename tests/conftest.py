@@ -59,7 +59,9 @@ def random_bipartite_records(rng, n_users, n_items, p) -> list[InteractionRecord
 
 
 def make_interaction_set(pairs, n_users, n_items) -> InteractionSet:
-    return InteractionSet.from_pairs(pairs, n_users, n_items)
+    """An ``InteractionSet`` from an iterable of (row, column) pairs."""
+    arr = np.asarray(list(pairs), dtype=np.int64).reshape(-1, 2)
+    return InteractionSet.from_arrays(arr[:, 0], arr[:, 1], n_users, n_items)
 
 
 def block_indicator_tables(dataset: Dataset, block_of_raw) -> list[ModalityTable]:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from mmrec.data import FilterParams, Interactions, InteractionSet, k_core_filter
+from mmrec.data import FilterParams, Interactions, k_core_filter
 from mmrec.evaluation import evaluate
 from mmrec.experiment import ExperimentConfig, expand_grid, parse_config, run_experiment
 from mmrec.models import (
@@ -25,6 +25,7 @@ from mmrec.trainer import TrainConfig, fit
 from conftest import (
     all_scores,
     brute_force_k_core,
+    make_interaction_set,
     random_bipartite_records,
     synthetic_block_dataset,
     topk_lists,
@@ -96,9 +97,9 @@ def test_criterion_2_metric_oracle_equivalence():
         ds = Dataset(
             n_users, n_items,
             {f"u{i}": i for i in range(n_users)}, {f"i{j}": j for j in range(n_items)},
-            InteractionSet.from_pairs(train, n_users, n_items),
-            InteractionSet.from_pairs([], n_users, n_items),
-            InteractionSet.from_pairs(test, n_users, n_items),
+            make_interaction_set(train, n_users, n_items),
+            make_interaction_set([], n_users, n_items),
+            make_interaction_set(test, n_users, n_items),
         )
         state = init_params("mf_bpr", n_users, n_items, 5, seed=int(rng.integers(1 << 30)))
         got = evaluate(state, ds, "test", cutoffs)
@@ -137,7 +138,7 @@ def _tiny_instance(rng, kind, n_layers):
     # keep at least one non-interacted item per user so negatives exist
     pairs = {(u, i) for u, i in pairs if i != n_i - 1}
     pairs |= {(u, int(rng.integers(0, n_i - 1))) for u in range(n_u)}
-    train = InteractionSet.from_pairs(pairs, n_u, n_i)
+    train = make_interaction_set(pairs, n_u, n_i)
     fused = rng.normal(size=(n_i, d_f))
     adjacency = build_adjacency(train) if kind == "graph_mm" else None
     state = init_params(
@@ -196,7 +197,7 @@ def test_criterion_4_reduction_identities():
     n_u, n_i, d = 7, 9, 4
     fused = rng.normal(size=(n_i, 5))
     pairs = {(u, int(i)) for u in range(n_u) for i in rng.integers(0, n_i, 3)}
-    adjacency = build_adjacency(InteractionSet.from_pairs(pairs, n_u, n_i))
+    adjacency = build_adjacency(make_interaction_set(pairs, n_u, n_i))
 
     vbpr = init_params("vbpr_mm", n_u, n_i, d, seed=1, d_p=3, d_fused=5)
     vbpr.tensors["proj"][:] = 0.0

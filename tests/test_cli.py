@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from mmrec.cli import main
-from mmrec.data import Dataset, InteractionSet, SplitSpec, load_dataset, save_dataset
+from mmrec.data import Dataset, SplitSpec, load_dataset, save_dataset
 from mmrec.errors import MalformedDataset
 from mmrec.modality import write_matrix
 from mmrec.models import init_params, save_checkpoint
 
+from conftest import make_interaction_set
 from test_experiment import write_toy_workspace
 
 
@@ -165,7 +166,7 @@ class TestEval:
 
     def test_eval_refuses_checkpoint_of_another_size(self, tmp_path, capsys):
         save_checkpoint(init_params("mf_bpr", 20, 15, 4, seed=1), tmp_path / "ckpt")
-        split = lambda pairs: InteractionSet.from_pairs(pairs, 5, 4)
+        split = lambda pairs: make_interaction_set(pairs, 5, 4)
         dataset = Dataset(
             5, 4, {f"u{u}": u for u in range(5)}, {f"i{i}": i for i in range(4)},
             split({(u, u % 4) for u in range(5)}),
@@ -218,7 +219,7 @@ class TestEvalRefusesCorruptDataset:
 
     def write(self, root):
         save_checkpoint(init_params("mf_bpr", 5, 4, 4, seed=1), root / "ckpt")
-        split = lambda pairs: InteractionSet.from_pairs(pairs, 5, 4)
+        split = lambda pairs: make_interaction_set(pairs, 5, 4)
         dataset = Dataset(
             5, 4, {f"u{u}": u for u in range(5)}, {f"i{i}": i for i in range(4)},
             split({(u, u % 4) for u in range(5)}),

@@ -8,7 +8,6 @@ from mmrec.data import (
     FilterParams,
     InteractionRecord,
     Interactions,
-    InteractionSet,
     SplitSpec,
     build_id_maps,
     dedupe_interactions,
@@ -25,7 +24,7 @@ from mmrec.errors import (
     MissingTimestamps,
 )
 
-from conftest import brute_force_k_core, random_bipartite_records
+from conftest import brute_force_k_core, make_interaction_set, random_bipartite_records
 from data_oracle import pairs, records
 
 table = Interactions.from_records
@@ -295,7 +294,7 @@ class TestSerialization:
 
 
 def test_interaction_set_pairs_sorted():
-    iset = InteractionSet.from_pairs([(1, 3), (0, 2), (1, 1)], 2, 4)
+    iset = make_interaction_set([(1, 3), (0, 2), (1, 1)], 2, 4)
     assert pairs(iset) == [(0, 2), (1, 1), (1, 3)]
     assert iset.row(1).tolist() == [1, 3]
     assert iset.nnz == 3

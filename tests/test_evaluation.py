@@ -6,9 +6,10 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import mmrec.evaluation
 import mmrec.models
 
-from mmrec.data import Dataset, InteractionSet
+from mmrec.data import Dataset
 from mmrec.errors import EmptySplit
 from mmrec.evaluation import (
     METRICS,
@@ -20,18 +21,20 @@ from mmrec.evaluation import (
     top_k,
     write_metric_report,
 )
-from mmrec.models import ModelState, build_adjacency, init_params
+from mmrec.models import FEATURE_KINDS, GRAPH_KINDS, ModelState, build_adjacency, init_params
+from mmrec.trainer import OptimizerState, TrainConfig, adam_step
 
-from conftest import all_scores, topk_lists
+from conftest import all_scores, make_interaction_set, synthetic_block_dataset, topk_lists
 from eval_oracle import EmptyGroundTruth, map_at_k, ndcg_at_k, precision_at_k, recall_at_k
 
 
 # ------------------------------------------------------------------ oracles
 
 def naive_topk(scores, train_row, k):
-    """Brute-force full argsort with explicit tie handling."""
+    """Brute-force full argsort with explicit tie handling; -inf and NaN
+    scores are never listed."""
     order = sorted(
-        (i for i in range(len(scores)) if i not in set(train_row)),
+        (i for i in range(len(scores)) if i not in set(train_row) and scores[i] > -np.inf),
         key=lambda i: (-scores[i], i),
     )
     return order[:k]
@@ -99,10 +102,18 @@ class TestTopK:
             scores = rng.normal(size=200)
             if rng.random() < 0.5:  # inject ties
                 scores = np.round(scores, 1)
+            if rng.random() < 0.5:  # inject NaN, +inf and -inf, up to past K
+                for value in (np.nan, np.inf, -np.inf):
+                    scores[rng.choice(200, size=rng.integers(0, 70), replace=False)] = value
             train_row = rng.choice(200, size=rng.integers(0, 40), replace=False)
             k = int(rng.integers(1, 60))
-            got = rank_row(mask_row(scores, train_row), k)
+            chunk = mask_row(scores, train_row)
+            got = rank_row(chunk, k)
             assert got.tolist() == naive_topk(scores, train_row, k)
+            # a shorter list is a prefix of a longer one
+            lists = top_k(chunk, k)
+            for shorter in range(1, k + 1):
+                assert np.array_equal(lists[:, :shorter], top_k(chunk, shorter))
 
     def test_strictly_increasing_transform_invariance(self):
         rng = np.random.default_rng(1)
@@ -173,15 +184,15 @@ class TestMetricValues:
             assert ndcg_at_k(ranked, gt, hi) >= ndcg_at_k(ranked, gt, lo) - 1e-12
 
 
-def manual_dataset(n_users, n_items, train_pairs, test_pairs):
+def manual_dataset(n_users, n_items, train_pairs, test_pairs, valid_pairs=()):
     return Dataset(
         n_users,
         n_items,
         {f"u{i}": i for i in range(n_users)},
         {f"i{j}": j for j in range(n_items)},
-        InteractionSet.from_pairs(train_pairs, n_users, n_items),
-        InteractionSet.from_pairs([], n_users, n_items),
-        InteractionSet.from_pairs(test_pairs, n_users, n_items),
+        make_interaction_set(train_pairs, n_users, n_items),
+        make_interaction_set(valid_pairs, n_users, n_items),
+        make_interaction_set(test_pairs, n_users, n_items),
     )
 
 
@@ -289,9 +300,9 @@ class TestEvaluate:
         ds = Dataset(
             1, 4,
             {"u0": 0}, {f"i{j}": j for j in range(4)},
-            InteractionSet.from_pairs(train, 1, 4),
-            InteractionSet.from_pairs({(0, 1)}, 1, 4),
-            InteractionSet.from_pairs({(0, 2)}, 1, 4),
+            make_interaction_set(train, 1, 4),
+            make_interaction_set({(0, 1)}, 1, 4),
+            make_interaction_set({(0, 2)}, 1, 4),
         )
         state = init_params("mf_bpr", 1, 4, 2, seed=0)
         state.tensors["user_emb"][0] = [1.0, 0.0]
@@ -451,3 +462,82 @@ class TestChunkedMaskAndTopK:
         chunk = np.array([[1.0, -np.inf, 3.0], [-np.inf, -np.inf, -np.inf], [2.0, 2.0, 2.0]])
         assert top_k(chunk, 2).tolist() == [[2, 0], [-1, -1], [0, 1]]
         assert top_k(chunk, 5).tolist() == [[2, 0, -1], [-1, -1, -1], [0, 1, 2]]
+
+
+# ------------------------------------------- the memo of the last ranking
+
+def cold_evaluate(monkeypatch, *args):
+    """``evaluate`` with the memo of the last ranking forgotten first."""
+    monkeypatch.setattr(mmrec.evaluation, "_last", None)
+    return evaluate(*args)
+
+
+def users_of(split):
+    return set(np.flatnonzero(np.diff(split.indptr)).tolist())
+
+
+@pytest.mark.parametrize("kind", ["mf_bpr", "vbpr_mm", "graph_mm"])
+def test_reports_sharing_a_ranking_equal_cold_reports(kind, monkeypatch):
+    ds, fused = synthetic_block_dataset()
+    assert users_of(ds.test) <= users_of(ds.valid)  # so the test report is served by the memo
+    fused = fused if kind in FEATURE_KINDS else None
+    adjacency = build_adjacency(ds.train) if kind in GRAPH_KINDS else None
+    state = init_params(kind, ds.n_users, ds.n_items, 4, seed=2, d_p=3, d_fused=4, n_layers=2)
+    # valid, then test from the memo, a prefix of it, and wider lists than it holds
+    calls = [("valid", (5, 20, 50)), ("test", (5, 20, 50)), ("test", (10,)), ("valid", (60, 50))]
+    warm = [evaluate(state, ds, target, cutoffs, fused, adjacency) for target, cutoffs in calls]
+    cold = [cold_evaluate(monkeypatch, state, ds, target, cutoffs, fused, adjacency)
+            for target, cutoffs in calls]
+    assert warm == cold
+
+
+def test_training_in_place_after_an_evaluation_ranks_again(monkeypatch):
+    ds, _ = synthetic_block_dataset()
+    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=5)
+    before = evaluate(state, ds, "valid", (10,))
+    rng = np.random.default_rng(0)
+    grads = {name: rng.normal(size=t.shape) for name, t in state.tensors.items()}
+    # encode hands back these very tensors, and the step updates them in place
+    adam_step(state, grads, OptimizerState.zeros(state), TrainConfig(learning_rate=0.1))
+    after = evaluate(state, ds, "valid", (10,))
+    assert after == cold_evaluate(monkeypatch, state, ds, "valid", (10,))
+    assert after != before
+
+
+def test_another_train_split_of_the_same_shape_ranks_again(monkeypatch):
+    ds, _ = synthetic_block_dataset(split_seed=11)
+    other, _ = synthetic_block_dataset(split_seed=12)
+    assert (other.n_users, other.n_items) == (ds.n_users, ds.n_items) and other.train != ds.train
+    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=5)
+    evaluate(state, ds, "test", (20,))
+    assert evaluate(state, other, "test", (20,)) == cold_evaluate(monkeypatch, state, other, "test", (20,))
+
+
+@pytest.mark.parametrize("valid_every", [1, 10])
+def test_test_report_ranks_only_users_missing_from_the_memo(valid_every, monkeypatch):
+    rng = np.random.default_rng(9)
+    n_users, n_items = 1100, 30
+    picks = [rng.choice(n_items, 5, replace=False) for _ in range(n_users)]
+    train = {(u, int(i)) for u, items in enumerate(picks) for i in items[:3]}
+    # every valid_every-th user has no valid item
+    valid = {(u, int(items[3])) for u, items in enumerate(picks) if valid_every == 1 or u % valid_every}
+    test = {(u, int(items[4])) for u, items in enumerate(picks)}
+    ds = manual_dataset(n_users, n_items, train, test, valid)
+    state = init_params("mf_bpr", n_users, n_items, 4, seed=3)
+    ranked = []
+    predict = mmrec.evaluation.full_sort_predict
+
+    def counted(rep, users):
+        ranked.append(users.copy())
+        return predict(rep, users)
+
+    monkeypatch.setattr(mmrec.evaluation, "full_sort_predict", counted)
+    monkeypatch.setattr(mmrec.evaluation, "_last", None)
+    evaluate(state, ds, "valid")
+    assert len(ranked) == math.ceil(len(users_of(ds.valid)) / 512)
+    del ranked[:]
+    report = evaluate(state, ds, "test")
+    missing = sorted(users_of(ds.test) - users_of(ds.valid))
+    assert len(ranked) == (0 if valid_every == 1 else 1)
+    assert sorted(u for chunk in ranked for u in chunk.tolist()) == missing
+    assert report == cold_evaluate(monkeypatch, state, ds, "test")

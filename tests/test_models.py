@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from mmrec.data import InteractionSet
 from mmrec.errors import (
     DimensionMismatch,
     EmptyBatch,
@@ -27,13 +26,13 @@ from mmrec.models import (
     save_checkpoint,
 )
 
-from conftest import all_scores
+from conftest import all_scores, make_interaction_set
 
 
 def random_instance(rng, kind, n_u=6, n_i=6, d=4, d_p=3, d_f=5, n_layers=None, lam=0.0, seed=0):
     """Random dataset + state + valid triples for gradient and score tests."""
     pairs = {(u, int(i)) for u in range(n_u) for i in rng.integers(0, n_i, size=3)}
-    train = InteractionSet.from_pairs(pairs, n_u, n_i)
+    train = make_interaction_set(pairs, n_u, n_i)
     fused = rng.normal(size=(n_i, d_f))
     adjacency = build_adjacency(train) if kind == "graph_mm" else None
     state = init_params(
@@ -175,7 +174,7 @@ class TestScoreAll:
     def test_fused_width_must_fit_state(self, kind):
         # a 2-wide projection given 3-wide features: refused before any product
         state = init_params(kind, 2, 2, 2, seed=0, d_p=2, d_fused=2, n_layers=1)
-        adj = build_adjacency(InteractionSet.from_pairs({(0, 0), (1, 1)}, 2, 2))
+        adj = build_adjacency(make_interaction_set({(0, 0), (1, 1)}, 2, 2))
         batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
         for call in (
             lambda: encode(state, np.zeros((2, 3)), adj),
@@ -199,7 +198,7 @@ class TestScoreAll:
 
 class TestAdjacency:
     def test_symmetric_and_normalized(self):
-        train = InteractionSet.from_pairs([(0, 0), (0, 1), (1, 0)], 2, 2)
+        train = make_interaction_set([(0, 0), (0, 1), (1, 0)], 2, 2)
         a = build_adjacency(train).toarray()
         assert np.allclose(a, a.T)
         # user 0 has degree 2, item 0 degree 2, item 1 degree 1, user 1 degree 1
@@ -208,7 +207,7 @@ class TestAdjacency:
         assert a[1, 2] == pytest.approx(1 / math.sqrt(1 * 2))
 
     def test_isolated_node_row_is_zero(self):
-        train = InteractionSet.from_pairs([(0, 0)], 2, 2)
+        train = make_interaction_set([(0, 0)], 2, 2)
         a = build_adjacency(train).toarray()
         assert np.all(a[1] == 0) and np.all(a[:, 1] == 0)
         assert np.all(a[3] == 0) and np.all(a[:, 3] == 0)
@@ -218,7 +217,7 @@ class TestAdjacency:
         for _ in range(5):
             n_u, n_i = int(rng.integers(3, 10)), int(rng.integers(3, 10))
             pairs = {(u, int(i)) for u in range(n_u) for i in rng.integers(0, n_i, 2)}
-            train = InteractionSet.from_pairs(pairs, n_u, n_i)
+            train = make_interaction_set(pairs, n_u, n_i)
             adj = build_adjacency(train)
             dense = adj.toarray()
             e0 = rng.normal(size=(n_u + n_i, 4))

@@ -15,14 +15,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import train_oracle as oracle
-from mmrec.data import InteractionSet
 from mmrec.errors import NoNegativeAvailable
 from mmrec.models import TripleBatch, build_adjacency, calculate_loss, encode, init_params
 from mmrec.rng import Stream, stream
 from mmrec import trainer
 from mmrec.trainer import OptimizerState, TrainConfig, adam_step, fit, make_batches, sgd_step
 
-from conftest import synthetic_block_dataset
+from conftest import make_interaction_set, synthetic_block_dataset
 
 SETTINGS = settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 
@@ -121,7 +120,7 @@ def train_sets(draw, full_rows: bool = False):
         else:
             row = set()
         pairs += [(u, i) for i in sorted(row)]
-    return InteractionSet.from_pairs(pairs, n_users, n_items)
+    return make_interaction_set(pairs, n_users, n_items)
 
 
 def batches_equal(a, b) -> bool:
@@ -167,7 +166,7 @@ def test_sampler_on_a_power_of_two_catalogue_with_dense_rows():
     # 1024 items, rows holding about 80% of them: several rejections per positive
     rng = np.random.default_rng(4)
     pairs = [(u, i) for u in range(12) for i in range(1024) if rng.random() < 0.8]
-    train = InteractionSet.from_pairs(pairs, 12, 1024)
+    train = make_interaction_set(pairs, 12, 1024)
     with randbelow_counts() as counts:
         got = make_batches(train, 500, 1, 77)
         want = oracle.make_batches(train, 500, 1, 77)

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from mmrec.data import InteractionSet
 from mmrec.errors import NoNegativeAvailable, NonFiniteGradient
 from mmrec.models import init_params
 from mmrec.trainer import (
@@ -14,7 +13,7 @@ from mmrec.trainer import (
     write_train_log,
 )
 
-from conftest import synthetic_block_dataset
+from conftest import make_interaction_set, synthetic_block_dataset
 from data_oracle import pairs
 
 
@@ -28,16 +27,16 @@ class TestSampleNegative:
     """make_batches draws each negative uniformly outside its user's row."""
 
     def test_single_candidate(self):
-        train = InteractionSet.from_pairs([(0, 0), (0, 2)], 1, 3)
+        train = make_interaction_set([(0, 0), (0, 2)], 1, 3)
         assert negatives(train, 10, 0).tolist() == [1] * 20
 
     def test_no_negative_available(self):
-        train = InteractionSet.from_pairs([(0, 0), (0, 1), (0, 2)], 1, 3)
+        train = make_interaction_set([(0, 0), (0, 1), (0, 2)], 1, 3)
         with pytest.raises(NoNegativeAvailable):
             make_batches(train, 4, 0, 0)
 
     def test_uniform_over_candidates(self):
-        train = InteractionSet.from_pairs([(u, 0) for u in range(2000)], 2000, 5)
+        train = make_interaction_set([(u, 0) for u in range(2000)], 2000, 5)
         draws = negatives(train, 5, 1)
         assert len(draws) == 10000
         assert 0 not in draws
@@ -49,12 +48,12 @@ class TestSampleNegative:
 def toy_train(n_users=5, n_items=8, seed=0):
     rng = np.random.default_rng(seed)
     pairs = {(u, int(i)) for u in range(n_users) for i in rng.integers(0, n_items, 4)}
-    return InteractionSet.from_pairs(pairs, n_users, n_items)
+    return make_interaction_set(pairs, n_users, n_items)
 
 
 class TestMakeBatches:
     def test_chunk_sizes(self):
-        train = InteractionSet.from_pairs([(0, i) for i in range(10)], 1, 12)
+        train = make_interaction_set([(0, i) for i in range(10)], 1, 12)
         batches = make_batches(train, 4, 0, 7)
         assert [len(b) for b in batches] == [4, 4, 2]
 
@@ -74,7 +73,7 @@ class TestMakeBatches:
             assert np.array_equal(x.neg_items, y.neg_items)
 
     def test_epochs_shuffle_differently(self):
-        train = InteractionSet.from_pairs([(u, i) for u in range(10) for i in range(10)], 10, 11)
+        train = make_interaction_set([(u, i) for u in range(10) for i in range(10)], 10, 11)
         a = make_batches(train, 100, 0, 9)[0]
         b = make_batches(train, 100, 1, 9)[0]
         assert not np.array_equal(a.pos_items, b.pos_items)
@@ -217,9 +216,9 @@ class TestFit:
         # dataset with empty valid split
         from mmrec.data import Dataset
 
-        train = InteractionSet.from_pairs([(u, i) for u in range(4) for i in range(4)], 4, 5)
-        empty = InteractionSet.from_pairs([], 4, 5)
-        test = InteractionSet.from_pairs([(0, 4)], 4, 5)
+        train = make_interaction_set([(u, i) for u in range(4) for i in range(4)], 4, 5)
+        empty = make_interaction_set([], 4, 5)
+        test = make_interaction_set([(0, 4)], 4, 5)
         ds = Dataset(4, 5, {f"u{i}": i for i in range(4)}, {f"i{j}": j for j in range(5)},
                      train, empty, test)
         cfg = TrainConfig(max_epochs=3, batch_size=8, seed=1)

@@ -12,8 +12,8 @@ from pathlib import Path
 
 from .data import load_dataset, preprocess, read_interactions, save_dataset
 from .errors import ConfigError, MmrecError, MissingFeatures, TypeMismatch
-from .evaluation import (DEFAULT_CUTOFFS, evaluate, format_metric_report, parse_metric_spec,
-                         write_metric_report)
+from .evaluation import (DEFAULT_CUTOFFS, check_cutoffs, evaluate, format_metric_report,
+                         parse_metric_spec, write_metric_report)
 from .experiment import (
     _KEY_SPECS,
     _data_params,
@@ -121,11 +121,9 @@ def _cmd_grid(args) -> int:
 
 def _cmd_eval(args) -> int:
     try:
-        cutoffs = tuple(int(k) for k in args.topk.split(","))
-    except ValueError:
-        raise TypeMismatch("topk", f"bad --topk {args.topk!r}")
-    if min(cutoffs) < 1:
-        raise TypeMismatch("topk", f"cutoffs must be >= 1, got --topk {args.topk!r}")
+        cutoffs = check_cutoffs(args.topk.split(","))
+    except ValueError as exc:
+        raise TypeMismatch("topk", f"bad --topk {args.topk!r}: {exc}") from None
     state = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
 

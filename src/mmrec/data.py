@@ -16,9 +16,11 @@ columns; :meth:`Interactions.from_records` builds one from
 
 - parsing skips empty lines, strips trailing ``\\r`` and reads an empty
   rating or timestamp field as absent. Ratings go through ``float`` and must
-  be finite; timestamps go through ``int`` and must fit in int64. The first
-  malformed line raises :class:`MalformedLine` with its 1-based line number
-  (the header is line 1);
+  be finite; timestamps go through ``int`` and must fit in int64. One bulk
+  check per rule (field count, empty ID, rating, timestamp, in that order)
+  finds its first bad row and that row's message; the earliest line raises
+  :class:`MalformedLine` with its 1-based number (the header is line 1) and
+  its first failed check's message. So does a file that is not UTF-8;
 - dedupe keeps one row per (user, item) pair, the one with the greatest
   ``float(timestamp)``; a missing timestamp compares lowest and the later
   input position wins a tie. The result is sorted by raw (user, item) IDs;
@@ -28,8 +30,10 @@ columns; :meth:`Interactions.from_records` builds one from
   raw ID strings.
 
 :func:`load_dataset` refuses, raising :class:`MalformedDataset`, a ``meta``
-without integer sizes and a pair or map file with a wrong field count, a
-non-integer index or an index outside the sizes in ``meta``.
+without integer sizes and a pair or map file that is not UTF-8 or has a
+wrong field count, a non-integer index or an index outside the sizes in
+``meta``, naming the earliest bad line. Its lines end at ``\\n`` only, so
+a raw ID may hold a lone ``\\r``.
 """
 
 from __future__ import annotations
@@ -203,38 +207,34 @@ class _Fields:
 
     Lines end at ``\\n`` only. Empty lines are skipped and trailing ``\\r``
     is stripped from the others. The rows are the kept lines up to the first
-    one without ``n_cols`` fields; ``bad_row`` is that line's row (None if
-    every line has them), and ``line_index`` gives each row's position among
+    one without ``n_cols`` fields; ``errors`` holds that line's (row, message)
+    pair, if there is one, and ``line_index`` gives each row's position among
     all lines of the body.
     """
 
     def __init__(self, body: str, n_cols: int):
-        self.raw = body.encode("utf-8", "surrogatepass")
-        self.bytes = b = np.frombuffer(self.raw, dtype=np.uint8)
+        raw = body.encode("utf-8", "surrogatepass")
+        self.bytes = b = np.frombuffer(raw, dtype=np.uint8)
         ends = np.flatnonzero(b == 10)
         if b.size and b[-1] != 10:
             ends = np.append(ends, b.size)  # the last line has no terminator
         starts = np.concatenate([[0], ends[:-1] + 1]).astype(np.int64)[: ends.size]
         tabs = np.flatnonzero(b == 9)
-        n_tabs = np.bincount(np.searchsorted(ends, tabs), minlength=ends.size)
         self.line_index = np.flatnonzero(ends > starts)
+        n_tabs = np.bincount(np.searchsorted(ends, tabs), minlength=ends.size)[self.line_index]
         starts, ends = starts[self.line_index], ends[self.line_index]
-        if b"\r" in self.raw:
+        if b"\r" in raw:
             while (cr := np.flatnonzero((ends > starts) & (b[ends - 1] == 13))).size:
                 ends[cr] -= 1
-        bad = np.flatnonzero(n_tabs[self.line_index] != n_cols - 1)
-        self.bad_row = int(bad[0]) if bad.size else None
-        n = starts.size if self.bad_row is None else self.bad_row
+        bad = np.flatnonzero(n_tabs != n_cols - 1)[:1]
+        self.errors = [(int(r), f"expected {n_cols} fields, got {n_tabs[r] + 1}") for r in bad]
+        n = int(bad[0]) if bad.size else starts.size
         inner = tabs[: n * (n_cols - 1)].reshape(n, n_cols - 1)
         self.start = np.column_stack([starts[:n], inner + 1])
         self.end = np.column_stack([inner, ends[:n]])
-        self.line_starts, self.line_ends = starts, ends
 
     def __len__(self) -> int:
         return self.start.shape[0]
-
-    def line(self, row: int) -> str:
-        return self.raw[self.line_starts[row]:self.line_ends[row]].decode("utf-8", "surrogatepass")
 
     def window(self, start: np.ndarray, width: int) -> np.ndarray:
         """Bytes ``[start, start + width)`` for each ``start``, as rows of an
@@ -305,64 +305,52 @@ def _decimal_ints(fields: _Fields, col: int) -> tuple[np.ndarray, np.ndarray] | 
     return np.where(negative, -values, values), present
 
 
-def _distinct_numbers(texts: list[str], convert, valid, dtype, missing) -> tuple[np.ndarray, np.ndarray]:
-    """``convert`` of each non-empty text (``missing`` for empty ones), and
-    whether it raised ValueError or gave a value that is not ``valid``."""
-    values = np.full(len(texts), missing, dtype=dtype)
-    bad = np.zeros(len(texts), dtype=bool)
+def _distinct_numbers(
+    fields: _Fields, col: int, convert, valid, missing, messages: tuple[str, str]
+) -> tuple[np.ndarray, list[tuple[int, str]]]:
+    """Field ``col`` through ``convert``, once per distinct text: each row's
+    value (``missing``, which sets the dtype, where empty), and the first row
+    whose text raises ValueError (``messages[0]``) or gives a value that is
+    not ``valid`` (``messages[1]``), as a list of at most one (row, message)."""
+    texts, codes = fields.column(col)
+    values = np.full(len(texts), missing)
+    errors: list[str | None] = [None] * len(texts)
     for j, text in enumerate(texts):
         if text:
             try:
                 value = convert(text)
             except ValueError:
-                bad[j] = True
+                errors[j] = messages[0].format(text)
                 continue
             if valid(value):
                 values[j] = value
             else:
-                bad[j] = True
-    return values, bad
+                errors[j] = messages[1].format(text)
+    bad = np.array([e is not None for e in errors], dtype=bool)
+    return values[codes], [(int(r), errors[codes[r]]) for r in np.flatnonzero(bad[codes])[:1]]
 
 
-def _first(rows: np.ndarray) -> list[int]:
-    return rows[:1].tolist()
-
-
-def _int_column(fields: _Fields, col: int) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _int_column(
+    fields: _Fields, col: int, messages: tuple[str, str]
+) -> tuple[np.ndarray, np.ndarray, list[tuple[int, str]]]:
     """Field ``col`` through Python's ``int``: int64 values (0 where empty),
-    presence, and the first row that is not an int64 integer, if any."""
+    presence, and the first row that is not an integer (``messages[0]``) or
+    not in int64 (``messages[1]``), as in :func:`_distinct_numbers`."""
     parsed = _decimal_ints(fields, col)
     if parsed is not None:
         return *parsed, []
-    texts, codes = fields.column(col)
-    values, bad = _distinct_numbers(texts, int, _fits_int64, np.int64, 0)
-    empty = texts.index("") if "" in texts else -1
-    return values[codes], codes != empty, _first(np.flatnonzero(bad[codes]))
+    values, errors = _distinct_numbers(fields, col, int, _fits_int64, np.int64(0), messages)
+    return values, fields.end[:, col] > fields.start[:, col], errors
 
 
-def _line_error(line_no: int, line: str, columns: list[str]) -> MalformedLine | None:
-    """The error one data line raises, its checks taken in order."""
-    fields = line.split("\t")
-    if len(fields) != len(columns):
-        return MalformedLine(line_no, f"expected {len(columns)} fields, got {len(fields)}")
-    user, item = fields[columns.index("userID")], fields[columns.index("itemID")]
-    if not user or not item:
-        return MalformedLine(line_no, "empty user or item ID")
-    if "rating" in columns and (text := fields[columns.index("rating")]) != "":
-        try:
-            rating = float(text)
-        except ValueError:
-            return MalformedLine(line_no, f"bad rating {text!r}")
-        if not math.isfinite(rating):
-            return MalformedLine(line_no, f"non-finite rating {text!r}")
-    if "timestamp" in columns and (text := fields[columns.index("timestamp")]) != "":
-        try:
-            timestamp = int(text)
-        except ValueError:
-            return MalformedLine(line_no, f"bad timestamp {text!r}")
-        if not _fits_int64(timestamp):
-            return MalformedLine(line_no, f"timestamp {text!r} outside int64")
-    return None
+def _undecodable_line(exc: UnicodeDecodeError, universal: bool) -> tuple[int, str]:
+    """The 1-based line and a message for a file whose one ``read()`` raised
+    ``exc``; the error then holds the whole file, so its offset is the
+    file's. ``universal``: ``\\r\\n`` and a lone ``\\r`` end lines too."""
+    before = exc.object[:exc.start]
+    if universal:
+        before = before.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return before.count(b"\n") + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
 
 
 def parse_interactions(source: TextIO) -> Interactions:
@@ -384,29 +372,29 @@ def parse_interactions(source: TextIO) -> Interactions:
     fields = _Fields(body, len(columns))
     del body
 
-    suspects = [] if fields.bad_row is None else [fields.bad_row]
+    # each check adds its first bad row and message; for one row they are
+    # listed in the order the checks run
+    errors = list(fields.errors)
     user_ids, users = fields.column(columns.index("userID"))
     item_ids, items = fields.column(columns.index("itemID"))
     for ids, codes in ((user_ids, users), (item_ids, items)):
         if ids and ids[0] == "":  # the empty ID sorts first
-            suspects += _first(np.flatnonzero(codes == 0))
+            errors += [(int(r), "empty user or item ID") for r in np.flatnonzero(codes == 0)[:1]]
     rating = np.full(len(fields), np.nan)
     if "rating" in columns:
-        texts, codes = fields.column(columns.index("rating"))
-        values, bad = _distinct_numbers(texts, float, math.isfinite, np.float64, np.nan)
-        rating = values[codes]
-        suspects += _first(np.flatnonzero(bad[codes]))
+        messages = ("bad rating {!r}", "non-finite rating {!r}")
+        col = columns.index("rating")
+        rating, found = _distinct_numbers(fields, col, float, math.isfinite, np.nan, messages)
+        errors += found
     timestamp, has_timestamp = np.zeros(len(fields), dtype=np.int64), np.zeros(len(fields), dtype=bool)
     if "timestamp" in columns:
-        timestamp, has_timestamp, bad_rows = _int_column(fields, columns.index("timestamp"))
-        suspects += bad_rows
+        messages = ("bad timestamp {!r}", "timestamp {!r} outside int64")
+        timestamp, has_timestamp, found = _int_column(fields, columns.index("timestamp"), messages)
+        errors += found
 
-    if suspects:
-        row = min(suspects)
-        line_no = int(fields.line_index[row]) + 2
-        raise _line_error(line_no, fields.line(row), columns) or RuntimeError(
-            f"line {line_no} failed a bulk check but passes alone"
-        )
+    if errors:
+        row, message = min(errors, key=lambda error: error[0])
+        raise MalformedLine(int(fields.line_index[row]) + 2, message)
     return Interactions(
         np.array(user_ids, dtype=object),
         np.array(item_ids, dtype=object),
@@ -419,8 +407,13 @@ def parse_interactions(source: TextIO) -> Interactions:
 
 
 def read_interactions(path: str | os.PathLike) -> Interactions:
+    """:func:`parse_interactions` of a file read with universal newlines;
+    bytes that are not UTF-8 raise MalformedLine."""
     with open(path, encoding="utf-8") as fh:
-        return parse_interactions(fh)
+        try:
+            return parse_interactions(fh)
+        except UnicodeDecodeError as exc:
+            raise MalformedLine(*_undecodable_line(exc, universal=True)) from None
 
 
 # ------------------------------------------------------------ the pipeline
@@ -574,31 +567,28 @@ def _write_tsv(path: str, first: Iterable, second: Iterable) -> None:
 
 
 def _read_tsv(path: str) -> _Fields:
-    """The two fields of each line of a dataset file; empty lines are skipped."""
-    with open(path, encoding="utf-8") as fh:
-        fields = _Fields(fh.read(), 2)
-    if fields.bad_row is not None:
-        row = fields.bad_row
-        got = fields.line(row).count("\t") + 1
-        line_no = fields.line_index[row] + 1
-        raise MalformedDataset(f"{path}: line {line_no}: expected 2 fields, got {got}")
-    return fields
+    """The two fields of each line of a dataset file; lines end at ``\\n``
+    and empty lines are skipped. :func:`_read_indices` reports bad lines."""
+    with open(path, encoding="utf-8", newline="\n") as fh:
+        try:
+            return _Fields(fh.read(), 2)
+        except UnicodeDecodeError as exc:
+            line_no, message = _undecodable_line(exc, universal=False)
+            raise MalformedDataset(f"{path}: line {line_no}: {message}") from None
 
 
 def _read_indices(path: str, fields: _Fields, col: int, what: str, bound: int) -> np.ndarray:
     """Field ``col`` as integers in ``[0, bound)``, or MalformedDataset
-    naming the first bad line."""
-    values, present, bad = _int_column(fields, col)
-    row = min(bad + _first(np.flatnonzero(~present)), default=None)
-    if row is not None:
-        [text] = fields.texts(fields.start[row:row + 1, col], fields.end[row:row + 1, col])
-        raise MalformedDataset(f"{path}: line {fields.line_index[row] + 1}: bad {what} index {text!r}")
-    outside = np.flatnonzero((values < 0) | (values >= bound))
-    if outside.size:
-        row = outside[0]
-        raise MalformedDataset(
-            f"{path}: line {fields.line_index[row] + 1}: {what} index {values[row]} outside [0, {bound})"
-        )
+    naming the first bad line, one without two fields included."""
+    bad = f"bad {what} index {{!r}}"
+    values, present, found = _int_column(fields, col, (bad, bad))
+    errors = fields.errors + found
+    errors += [(int(r), bad.format("")) for r in np.flatnonzero(~present)[:1]]
+    outside = np.flatnonzero((values < 0) | (values >= bound))[:1]
+    errors += [(int(r), f"{what} index {values[r]} outside [0, {bound})") for r in outside]
+    if errors:
+        row, message = min(errors, key=lambda error: error[0])
+        raise MalformedDataset(f"{path}: line {fields.line_index[row] + 1}: {message}")
     return values
 
 
@@ -615,10 +605,10 @@ def _read_pairs(path: str, n_rows: int, n_cols: int) -> InteractionSet:
 def _read_map(path: str, size: int, what: str) -> dict[str, int]:
     fields = _read_tsv(path)
     dense = _read_indices(path, fields, 1, what, size)
-    raws, codes = fields.column(0)
-    if len(raws) != size or not np.array_equal(dense, np.arange(size)):
+    id_map = dict(zip(fields.texts(fields.start[:, 0], fields.end[:, 0]), range(size)))
+    if len(id_map) != size or not np.array_equal(dense, np.arange(size)):
         raise MalformedDataset(f"{path}: expected {size} distinct IDs indexed 0..{size - 1} in order")
-    return dict(zip(np.array(raws, dtype=object)[codes].tolist(), range(size)))
+    return id_map
 
 
 def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) -> None:

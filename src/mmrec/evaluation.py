@@ -59,6 +59,14 @@ def parse_metric_spec(spec: str) -> tuple[str, int]:
     return name, int(k_text)
 
 
+def check_cutoffs(cutoffs) -> tuple[int, ...]:
+    """The cutoffs as sorted distinct ints; ValueError if none, or one below 1."""
+    checked = tuple(sorted({int(k) for k in cutoffs}))
+    if not checked or checked[0] < 1:
+        raise ValueError(f"cutoffs must be integers >= 1, got {list(checked)}")
+    return checked
+
+
 @dataclass
 class MetricReport:
     cutoffs: tuple[int, ...]
@@ -213,9 +221,7 @@ def evaluate(
     adjacency=None,
 ) -> MetricReport:
     """Mean ranking metrics over users with ground truth in ``target``."""
-    cutoffs = tuple(sorted({int(k) for k in cutoffs}))
-    if not cutoffs or cutoffs[0] < 1:
-        raise ValueError("cutoffs must be positive integers")
+    cutoffs = check_cutoffs(cutoffs)
     if target not in ("valid", "test"):
         raise ValueError(f"target split must be valid or test, got {target!r}")
     if (state.n_users, state.n_items) != (dataset.n_users, dataset.n_items):

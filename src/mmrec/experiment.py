@@ -8,12 +8,12 @@ d, d_p, n_layers, fusion, batch_size) declares a grid axis; the grid is the
 Cartesian product of all axes, ordered with axes sorted by key name and the
 rightmost axis varying fastest. The training keys and their defaults are
 ``TrainConfig``'s fields; the default cutoffs are
-``evaluation.DEFAULT_CUTOFFS``.
+``evaluation.DEFAULT_CUTOFFS``, and ``topk`` is sorted and deduplicated.
 
 Values are checked when the file is parsed, before any data is read: the
-k-core, split and training parameters of every grid combination are built
-once, and a value their constructors refuse, a cutoff below 1, or a
-selection metric whose cutoff is not in ``topk`` raises ``TypeMismatch``.
+seed, k-core, split and training parameters of every grid combination are
+built once, and a value they refuse, a cutoff below 1, or a selection
+metric whose cutoff is not in ``topk`` raises ``TypeMismatch`` on its key.
 
 Raw data is preprocessed once, with one split spec that the run also
 saves with the dataset; every combination then trains and evaluates
@@ -48,6 +48,7 @@ from .evaluation import (
     DEFAULT_CUTOFFS,
     METRICS,
     MetricReport,
+    check_cutoffs,
     evaluate,
     parse_metric_spec,
     write_metric_report,
@@ -63,6 +64,7 @@ from .modality import (
     read_header,
 )
 from .models import FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, build_adjacency, save_checkpoint
+from .rng import check_seed
 from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
 
 GRID_KEYS = ("batch_size", "d", "d_p", "fusion", "learning_rate", "n_layers", "reg")
@@ -207,9 +209,8 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
                         raise TypeMismatch(key, "expected three ratios")
                     values[key] = tuple(_coerce_scalar(key, "float", t, base_dir) for t in tokens)
                 elif type_tag == "intlist":
-                    if not tokens:
-                        raise TypeMismatch(key, "empty list")
-                    values[key] = tuple(_coerce_scalar(key, "int", t, base_dir) for t in tokens)
+                    cutoffs = [_coerce_scalar(key, "int", t, base_dir) for t in tokens]
+                    values[key] = _checked(key, check_cutoffs, cutoffs)
                 elif key in GRID_KEYS:
                     if not tokens:
                         raise TypeMismatch(key, "a grid axis needs at least one value")
@@ -241,8 +242,6 @@ def _validate(config: ExperimentConfig) -> None:
     for key, low in (("d", 1), ("d_p", 1), ("n_layers", 0), ("reg", 0)):
         if any(x < low for x in config.grid.get(key, [v[key]])):
             raise TypeMismatch(key, f"must be >= {low}")
-    if min(v["topk"]) < 1:
-        raise TypeMismatch("topk", "cutoffs must be >= 1")
     sel_k = parse_metric_spec(v["selection_metric"])[1]
     if sel_k not in v["topk"]:
         raise TypeMismatch("selection_metric", f"cutoff {sel_k} not in topk {v['topk']}")
@@ -262,6 +261,7 @@ def _checked(key: str, build, *args):
 
 def _data_params(values: dict[str, object]) -> tuple[FilterParams, SplitSpec]:
     """The k-core and split parameters of a config's values."""
+    _checked("seed", check_seed, values["seed"])
     return (
         _checked("k", FilterParams, values["k"]),
         _checked("split", SplitSpec, values["split"], values["ratios"], values["seed"]),
@@ -424,7 +424,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
 
     report = SummaryReport(
         grid_keys=sorted(config.grid),
-        cutoffs=tuple(config["topk"]),
+        cutoffs=config["topk"],
         selection_metric=config["selection_metric"],
         results=results,
         best_index=best_index,

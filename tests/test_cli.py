@@ -257,6 +257,22 @@ class TestEvalRefusesCorruptDataset:
         err = self.eval_with_test_line(tmp_path, capsys, "0\tx\n")
         assert "test.tsv: line 6: bad item index 'x'" in err
 
+    def test_undecodable_byte(self, tmp_path, capsys):
+        self.write(tmp_path)
+        test = tmp_path / "ds" / "test.tsv"
+        test.write_bytes(test.read_bytes() + b"0\t\xff\n")
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"]) == 1
+        assert "test.tsv: line 6: not UTF-8: byte 0xff" in capsys.readouterr().err
+
+    def test_earliest_bad_line_is_reported(self, tmp_path):
+        # the field-count check of line 7 does not outrank the range check of line 1
+        self.write(tmp_path)
+        test = tmp_path / "ds" / "test.tsv"
+        test.write_text("9\t0\n" + test.read_text() + "0\t1\t2\n", encoding="utf-8")
+        with pytest.raises(MalformedDataset, match=r"test.tsv: line 1: user index 9 outside \[0, 5\)"):
+            load_dataset(tmp_path / "ds")
+
     def test_meta_without_sizes(self, tmp_path, capsys):
         self.write(tmp_path)
         meta = tmp_path / "ds" / "meta"

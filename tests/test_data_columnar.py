@@ -125,6 +125,15 @@ def test_parse_reads_a_file_like_the_stream(tmp_path):
     assert oracle.records(read_interactions(path)) == oracle.parse(io.StringIO(text.replace("\r\n", "\n")))
 
 
+def test_undecodable_bytes_are_a_malformed_line(tmp_path):
+    # past the reader's first buffer, after \r\n and lone \r line ends
+    path = tmp_path / "x.tsv"
+    path.write_bytes(b"userID\titemID\r\n" + b"u\ti\r\n" * 5000 + b"v\ti\r" + b"w\t\xff\n")
+    with pytest.raises(MalformedLine, match="not UTF-8: byte 0xff") as err:
+        read_interactions(path)
+    assert err.value.line_no == 5003
+
+
 @pytest.mark.parametrize("text, line_no, message", [
     ("userID\titemID\ttimestamp\nu\ti\t1\nu\ti\t" + str(2**63) + "\n", 3, "outside int64"),
     ("userID\titemID\ttimestamp\nu\ti\t" + str(-(2**63) - 1) + "\n", 2, "outside int64"),
@@ -171,7 +180,8 @@ def test_timestamp_bounds_are_int64():
 records_lists = st.lists(
     st.builds(
         InteractionRecord,
-        st.sampled_from(["u0", "u1", "u10", "u2", "é", "U"]),
+        # a lone \r inside an ID must survive save_dataset and load_dataset
+        st.sampled_from(["u0", "u1", "u10", "u2", "é", "U", "u\r1"]),
         st.sampled_from(["i0", "i1", "i10", "i2", "I", "i\x00"]),
         st.sampled_from([None, 1.0, 2.5]),
         st.sampled_from(GOOD_STAMPS),

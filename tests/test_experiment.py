@@ -7,6 +7,7 @@ import mmrec.experiment
 import mmrec.models
 import mmrec.trainer
 from mmrec.errors import EmptySplit, MissingFeatures, ParseError, TypeMismatch, UnknownKey
+from mmrec.evaluation import METRICS
 from mmrec.experiment import (
     ExperimentConfig,
     expand_grid,
@@ -129,6 +130,16 @@ class TestParseConfig:
         with pytest.raises(TypeMismatch):
             parse_config(path)
 
+    @pytest.mark.parametrize("line, env_seed", [("seed: -1", None), ("seed: 5", "-1")])
+    def test_bad_seed_is_blamed_on_seed(self, tmp_path, monkeypatch, line, env_seed):
+        path = write_toy_workspace(tmp_path, extra_lines=[line])
+        monkeypatch.delenv("MMREC_SEED", raising=False)
+        if env_seed is not None:
+            monkeypatch.setenv("MMREC_SEED", env_seed)
+        with pytest.raises(TypeMismatch) as err:
+            parse_config(path)
+        assert err.value.key == "seed"
+
     def test_bad_ratio_sum(self, tmp_path):
         path = write_toy_workspace(tmp_path, extra_lines=["ratios: [0.5, 0.1, 0.1]"])
         with pytest.raises(TypeMismatch):
@@ -221,6 +232,14 @@ class TestRunExperiment:
         lines = (tmp_path / "out" / "summary.tsv").read_text().splitlines()
         assert len(lines) == 1 + 4 + 1
         assert lines[-1] == f"# best: {report.best_index}"
+
+    def test_topk_is_sorted_and_deduplicated(self, tmp_path):
+        config = parse_config(write_toy_workspace(tmp_path, extra_lines=["topk: [10, 5, 5]"]))
+        assert config["topk"] == (5, 10)
+        run_experiment(config, out_dir=tmp_path / "out")
+        header = (tmp_path / "out" / "summary.tsv").read_text().splitlines()[0].split("\t")
+        metrics = [f"{s}_{m}@{k}" for s in ("valid", "test") for m in METRICS for k in (5, 10)]
+        assert header == metrics + ["best_epoch", "wall_time", "error"]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_toy_workspace(tmp_path, extra_lines=["fusion: [concat, sum, mean]"])

@@ -1,7 +1,9 @@
 """Command-line front end: preprocess, train, grid and eval subcommands.
 
-Exit codes: 0 on success, 2 for configuration problems (bad config file,
-bad flag values), 1 for any other failure (missing files, data errors).
+A flag that names a config key is converted as that key is in a config
+file, with the same message for a bad value. Exit codes: 0 on success, 2
+for configuration problems (bad config file, bad flag values), 1 for any
+other failure (missing files, data errors).
 """
 
 from __future__ import annotations
@@ -12,10 +14,11 @@ from pathlib import Path
 
 from .data import load_dataset, preprocess, read_interactions, save_dataset
 from .errors import ConfigError, MmrecError, MissingFeatures, TypeMismatch
-from .evaluation import (DEFAULT_CUTOFFS, check_cutoffs, evaluate, format_metric_report,
-                         parse_metric_spec, write_metric_report)
+from .evaluation import (DEFAULT_CUTOFFS, evaluate, format_metric_report, parse_metric_spec,
+                         write_metric_report)
 from .experiment import (
     _KEY_SPECS,
+    _convert,
     _data_params,
     _prepare_inputs,
     load_modality_tables,
@@ -27,6 +30,10 @@ from .modality import fuse
 from .models import FEATURE_KINDS, GRAPH_KINDS, build_adjacency, load_checkpoint
 
 
+def _comma_list(text: str) -> list[str]:
+    return text.split(",")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="mmrec", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -34,10 +41,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="filter, remap and split an interactions file")
     p.add_argument("--config", type=Path, help="config file supplying defaults")
     p.add_argument("--interactions", type=Path, help="raw TSV interactions file")
-    p.add_argument("--k", type=int, help="k-core threshold")
+    p.add_argument("--k", help="k-core threshold")
     p.add_argument("--split", help="per_user_random | global_random | temporal_leave_last")
-    p.add_argument("--ratios", help="train,valid,test e.g. 0.8,0.1,0.1")
-    p.add_argument("--seed", type=int, help="split seed")
+    p.add_argument("--ratios", type=_comma_list, help="train,valid,test e.g. 0.8,0.1,0.1")
+    p.add_argument("--seed", help="split seed")
     p.add_argument("--out", type=Path, required=True, help="dataset output directory")
 
     t = sub.add_parser("train", help="train and evaluate one configuration")
@@ -56,25 +63,18 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--checkpoint", type=Path, required=True)
     e.add_argument("--data", type=Path, required=True, help="dataset directory")
     e.add_argument("--split", choices=("valid", "test"), default="test")
-    e.add_argument("--topk", default=",".join(map(str, DEFAULT_CUTOFFS)), help="comma-separated cutoffs")
+    e.add_argument("--topk", type=_comma_list, default=",".join(map(str, DEFAULT_CUTOFFS)),
+                   help="comma-separated cutoffs")
     e.add_argument("--config", type=Path, help="config file (needed for feature paths)")
     e.add_argument("--out", type=Path, help="directory for report.tsv")
     return parser
 
 
 def _cmd_preprocess(args) -> int:
-    config = parse_config(args.config) if args.config else None
-    flags = {key: getattr(args, key) for key in ("interactions", "k", "split", "ratios", "seed")}
-    if args.ratios is not None:
-        try:
-            flags["ratios"] = tuple(float(r) for r in args.ratios.split(","))
-        except ValueError:
-            raise TypeMismatch("ratios", f"bad --ratios {args.ratios!r}")
+    values = parse_config(args.config).values if args.config else {k: d for k, (_, d) in _KEY_SPECS.items()}
     # a flag wins over the config, and the config over the default
-    values = {
-        key: flag if flag is not None else (config[key] if config else _KEY_SPECS[key][1])
-        for key, flag in flags.items()
-    }
+    flags = {key: getattr(args, key) for key in ("interactions", "k", "split", "ratios", "seed")}
+    values = {**values, **{key: _convert(key, flag) for key, flag in flags.items() if flag is not None}}
     if values["interactions"] is None:
         raise TypeMismatch("interactions", "give --interactions or a config with one")
     filter_params, spec = _data_params(values)
@@ -120,10 +120,7 @@ def _cmd_grid(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    try:
-        cutoffs = check_cutoffs(args.topk.split(","))
-    except ValueError as exc:
-        raise TypeMismatch("topk", f"bad --topk {args.topk!r}: {exc}") from None
+    cutoffs = _convert("topk", args.topk)
     state = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
 

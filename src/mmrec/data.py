@@ -29,11 +29,11 @@ columns; :meth:`Interactions.from_records` builds one from
 - dense user and item indices are assigned in lexicographic order of the
   raw ID strings.
 
-:func:`load_dataset` refuses, raising :class:`MalformedDataset`, a ``meta``
-without integer sizes and a pair or map file that is not UTF-8 or has a
-wrong field count, a non-integer index or an index outside the sizes in
-``meta``, naming the earliest bad line. Its lines end at ``\\n`` only, so
-a raw ID may hold a lone ``\\r``.
+:func:`load_dataset` refuses, raising :class:`MalformedDataset`, a file
+that is not UTF-8, a ``meta`` without integer sizes, and a pair or map
+file with a wrong field count, a non-integer index or an index outside
+the sizes in ``meta``, naming the file and the earliest bad line. Its
+lines end at ``\\n`` only, so a raw ID may hold a lone ``\\r``.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ from .errors import (
     MalformedLine,
     MissingTimestamps,
 )
-from .fileio import atomic_write, read_meta, write_meta
+from .fileio import atomic_write, read_meta, undecodable_line, write_meta
 from .rng import check_seed, stream, stream_words
 
 SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
@@ -129,6 +129,18 @@ class FilterParams:
             raise ValueError(f"k must be >= 1, got {self.k}")
 
 
+def check_ratios(ratios) -> tuple[float, ...]:
+    """The ratios as a tuple; ValueError unless three, non-negative, summing to 1, train above 0."""
+    ratios = tuple(ratios)
+    if len(ratios) != 3 or any(r < 0 for r in ratios):
+        raise ValueError("ratios must be three non-negative numbers")
+    if not abs(sum(ratios) - 1.0) <= 1e-9:  # NaN fails too
+        raise ValueError(f"ratios must sum to 1, got {sum(ratios)}")
+    if ratios[0] <= 0:
+        raise ValueError("train ratio must be positive")
+    return ratios
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     strategy: str
@@ -138,12 +150,7 @@ class SplitSpec:
     def __post_init__(self):
         if self.strategy not in SPLIT_STRATEGIES:
             raise ValueError(f"unknown split strategy {self.strategy!r}")
-        if len(self.ratios) != 3 or any(r < 0 for r in self.ratios):
-            raise ValueError("ratios must be three non-negative numbers")
-        if abs(sum(self.ratios) - 1.0) > 1e-9:
-            raise ValueError(f"ratios must sum to 1, got {sum(self.ratios)}")
-        if self.ratios[0] <= 0:
-            raise ValueError("train ratio must be positive")
+        check_ratios(self.ratios)
         check_seed(self.seed)
 
 
@@ -343,16 +350,6 @@ def _int_column(
     return values, fields.end[:, col] > fields.start[:, col], errors
 
 
-def _undecodable_line(exc: UnicodeDecodeError, universal: bool) -> tuple[int, str]:
-    """The 1-based line and a message for a file whose one ``read()`` raised
-    ``exc``; the error then holds the whole file, so its offset is the
-    file's. ``universal``: ``\\r\\n`` and a lone ``\\r`` end lines too."""
-    before = exc.object[:exc.start]
-    if universal:
-        before = before.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return before.count(b"\n") + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
-
-
 def parse_interactions(source: TextIO) -> Interactions:
     """Parse a TSV text stream into a table, preserving order.
 
@@ -413,7 +410,7 @@ def read_interactions(path: str | os.PathLike) -> Interactions:
         try:
             return parse_interactions(fh)
         except UnicodeDecodeError as exc:
-            raise MalformedLine(*_undecodable_line(exc, universal=True)) from None
+            raise MalformedLine(*undecodable_line(exc, universal=True)) from None
 
 
 # ------------------------------------------------------------ the pipeline
@@ -573,7 +570,7 @@ def _read_tsv(path: str) -> _Fields:
         try:
             return _Fields(fh.read(), 2)
         except UnicodeDecodeError as exc:
-            line_no, message = _undecodable_line(exc, universal=False)
+            line_no, message = undecodable_line(exc, universal=False)
             raise MalformedDataset(f"{path}: line {line_no}: {message}") from None
 
 
@@ -629,11 +626,14 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
 
 def load_dataset(in_dir: str | os.PathLike) -> Dataset:
     src = os.fspath(in_dir)
-    meta = read_meta(os.path.join(src, "meta"))
+    meta_path = os.path.join(src, "meta")
     try:
+        meta = read_meta(meta_path)
         n_users, n_items = int(meta["n_users"]), int(meta["n_items"])
+    except UnicodeError as exc:
+        raise MalformedDataset(str(exc)) from None
     except (KeyError, ValueError):
-        raise MalformedDataset(f"{os.path.join(src, 'meta')}: needs integer n_users and n_items")
+        raise MalformedDataset(f"{meta_path}: needs integer n_users and n_items")
     return Dataset(
         n_users=n_users,
         n_items=n_items,

@@ -41,8 +41,9 @@ class BadMagic(MmrecError):
 
 class DimensionMismatch(MmrecError):
     """Array shapes that do not fit together: an MMF header that disagrees
-    with its file or ID file, modality tables of unequal size for fusion, or
-    fused features of another width than a model was built for."""
+    with its file or ID file, an ID file that is not UTF-8, modality tables
+    of unequal size for fusion, or fused features of another width than a
+    model was built for."""
 
 
 class NonFiniteValue(MmrecError):

@@ -10,10 +10,12 @@ rightmost axis varying fastest. The training keys and their defaults are
 ``TrainConfig``'s fields; the default cutoffs are
 ``evaluation.DEFAULT_CUTOFFS``, and ``topk`` is sorted and deduplicated.
 
-Values are checked when the file is parsed, before any data is read: the
-seed, k-core, split and training parameters of every grid combination are
-built once, and a value they refuse, a cutoff below 1, or a selection
-metric whose cutoff is not in ``topk`` raises ``TypeMismatch`` on its key.
+Each key has one converter, shared by config files, ``MMREC_SEED`` and the
+``mmrec`` flags that name a key; ``ratios`` and ``topk`` convert each item
+and hand the tuple to their rule's owner. Values are checked before any
+data is read, and a refused value raises ``TypeMismatch`` on its own key:
+each owner's rule (k-core, seed, ratios, cutoffs, each ``TrainConfig``
+field alone), the model bounds, and a selection cutoff not in ``topk``.
 
 Raw data is preprocessed once, with one split spec that the run also
 saves with the dataset; every combination then trains and evaluates
@@ -36,7 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FilterParams, SplitSpec, SPLIT_STRATEGIES, preprocess, read_interactions, save_dataset
+from .data import (FilterParams, SplitSpec, SPLIT_STRATEGIES, check_ratios, preprocess, read_interactions,
+                   save_dataset)
 from .errors import (
     EmptySplit,
     MissingFeatures,
@@ -53,7 +56,7 @@ from .evaluation import (
     parse_metric_spec,
     write_metric_report,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, undecodable_line
 from .modality import (
     FUSION_METHODS,
     IMPUTATION_POLICIES,
@@ -65,40 +68,76 @@ from .modality import (
 )
 from .models import FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, build_adjacency, save_checkpoint
 from .rng import check_seed
-from .trainer import OPTIMIZERS, TrainConfig, fit, write_train_log
+from .trainer import TrainConfig, fit, write_train_log
 
 GRID_KEYS = ("batch_size", "d", "d_p", "fusion", "learning_rate", "n_layers", "reg")
+_LIST_KEYS = ("ratios", "topk")
 
-# key -> (type tag, default); None means "must be provided when needed". The
-# training keys are TrainConfig's fields, with its types and defaults.
-_TRAIN_TAGS = {"stop_metric": "metric", "optimizer": "enum:optimizer"}
-_KEY_SPECS: dict[str, tuple[str, object]] = {
-    "interactions": ("path", None),
-    "k": ("int", 5),
-    "split": ("enum:split", "per_user_random"),
-    "ratios": ("float3", (0.8, 0.1, 0.1)),
-    "imputation": ("enum:imputation", "zeros"),
-    "standardize": ("bool", False),
-    "fusion": ("enum:fusion", "concat"),
-    "model": ("enum:model", "mf_bpr"),
-    "d": ("int", 64),
-    "d_p": ("int", 64),
-    "n_layers": ("int", 2),
-    "reg": ("float", 0.0),
-    **{f.name: (_TRAIN_TAGS.get(f.name, f.type), f.default) for f in fields(TrainConfig)},
-    "topk": ("intlist", DEFAULT_CUTOFFS),
-    "selection_metric": ("metric", "recall@20"),
-    "fail_fast": ("bool", False),
-    **{f"features.{m}": ("pathpair", None) for m in MODALITIES},
+
+def _token(parse, expected: str):
+    """A converter of one token through ``parse``; a token that ``parse``
+    refuses (ValueError or KeyError) is reported as not ``expected``."""
+    def convert(token: str):
+        try:
+            return parse(token)
+        except (KeyError, ValueError):
+            raise ValueError(f"expected {expected}, got {token!r}") from None
+    return convert
+
+
+def _member(allowed: tuple[str, ...]):
+    return _token({name: name for name in allowed}.__getitem__, f"one of {allowed}")
+
+
+_integer, _number = _token(int, "integer"), _token(float, "number")
+_boolean = _token({"true": True, "false": False}.__getitem__, "true or false")
+
+
+def _metric(token: str) -> str:
+    parse_metric_spec(token)
+    return token
+
+
+def _path_pair(token: str) -> tuple[str, str]:
+    parts = tuple(p.strip() for p in token.split(","))
+    if len(parts) != 2 or not all(parts):
+        raise ValueError("expected <matrix_path>,<ids_path>")
+    return parts
+
+
+# key -> (converter, default); None means "must be provided when needed". The
+# training keys are TrainConfig's fields, converted by their defaults' types;
+# TrainConfig checks each of them, the optimizer and stop metric included.
+_KEY_SPECS: dict[str, tuple] = {
+    "interactions": (str, None),
+    "k": (_integer, 5),
+    "split": (_member(SPLIT_STRATEGIES), "per_user_random"),
+    "ratios": (lambda tokens: check_ratios(map(_number, tokens)), (0.8, 0.1, 0.1)),
+    "imputation": (_member(IMPUTATION_POLICIES), "zeros"),
+    "standardize": (_boolean, False),
+    "fusion": (_member(FUSION_METHODS), "concat"),
+    "model": (_member(MODEL_KINDS), "mf_bpr"),
+    "d": (_integer, 64),
+    "d_p": (_integer, 64),
+    "n_layers": (_integer, 2),
+    "reg": (_number, 0.0),
+    **{f.name: ({int: _integer, float: _number, str: str}[type(f.default)], f.default)
+       for f in fields(TrainConfig)},
+    "topk": (lambda tokens: check_cutoffs(map(_integer, tokens)), DEFAULT_CUTOFFS),
+    "selection_metric": (_metric, "recall@20"),
+    "fail_fast": (_boolean, False),
+    **{f"features.{m}": (_path_pair, None) for m in MODALITIES},
 }
 
-_ENUMS = {
-    "split": SPLIT_STRATEGIES,
-    "imputation": IMPUTATION_POLICIES,
-    "fusion": FUSION_METHODS,
-    "model": MODEL_KINDS,
-    "optimizer": OPTIMIZERS,
-}
+
+def _convert(key: str, value: str | list[str]):
+    """The value of ``key`` from one token, or from the tokens of a list
+    key; a refused value raises TypeMismatch on ``key``. Config files,
+    ``MMREC_SEED`` and the command-line flags all convert through here."""
+    listed = key in _LIST_KEYS
+    if isinstance(value, list) != listed:
+        raise TypeMismatch(key, "expected a bracketed list" if listed else "this key is scalar-only")
+    return _checked(key, _KEY_SPECS[key][0], value)
 
 
 @dataclass
@@ -110,55 +149,11 @@ class ExperimentConfig:
         return self.values[key]
 
     def feature_paths(self) -> dict[str, tuple[str, str]]:
-        found = {}
-        for modality in MODALITIES:
-            pair = self.values.get(f"features.{modality}")
-            if pair is not None:
-                found[modality] = pair
-        return found
+        pairs = {modality: self.values.get(f"features.{modality}") for modality in MODALITIES}
+        return {modality: pair for modality, pair in pairs.items() if pair is not None}
 
     def with_combo(self, combo: dict[str, object]) -> "ExperimentConfig":
-        merged = dict(self.values)
-        merged.update(combo)
-        return replace(self, values=merged, grid={})
-
-
-def _coerce_scalar(key: str, type_tag: str, token: str, base_dir: Path):
-    if type_tag == "int":
-        try:
-            return int(token)
-        except ValueError:
-            raise TypeMismatch(key, f"expected integer, got {token!r}")
-    if type_tag == "float":
-        try:
-            return float(token)
-        except ValueError:
-            raise TypeMismatch(key, f"expected number, got {token!r}")
-    if type_tag == "bool":
-        if token in ("true", "false"):
-            return token == "true"
-        raise TypeMismatch(key, f"expected true or false, got {token!r}")
-    if type_tag == "metric":
-        try:
-            parse_metric_spec(token)
-        except ValueError as exc:
-            raise TypeMismatch(key, str(exc))
-        return token
-    if type_tag == "path":
-        return str(base_dir / token) if not os.path.isabs(token) else token
-    if type_tag == "pathpair":
-        parts = [p.strip() for p in token.split(",")]
-        if len(parts) != 2 or not all(parts):
-            raise TypeMismatch(key, "expected <matrix_path>,<ids_path>")
-        return tuple(
-            str(base_dir / p) if not os.path.isabs(p) else p for p in parts
-        )
-    if type_tag.startswith("enum:"):
-        allowed = _ENUMS[type_tag.split(":", 1)[1]]
-        if token not in allowed:
-            raise TypeMismatch(key, f"expected one of {allowed}, got {token!r}")
-        return token
-    raise AssertionError(type_tag)
+        return replace(self, values={**self.values, **combo}, grid={})
 
 
 def _unquote(token: str, line_no: int) -> str:
@@ -171,90 +166,80 @@ def _unquote(token: str, line_no: int) -> str:
 
 
 def parse_config(path: str | os.PathLike) -> ExperimentConfig:
-    """Parse a config file; unknown keys, duplicates and type errors raise."""
-    path = Path(path)
-    base_dir = path.parent.resolve()
+    """Parse a config file; unknown keys, duplicates and refused values raise."""
+    base_dir = Path(path).parent.resolve()
     values: dict[str, object] = {k: default for k, (_, default) in _KEY_SPECS.items()}
     grid: dict[str, list] = {}
     seen: set[str] = set()
 
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw_line in enumerate(fh, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if ":" not in line:
-                raise ParseError(line_no, "expected 'key: value'")
-            key, _, value_text = line.partition(":")
-            key = key.strip()
-            value_text = value_text.strip()
-            if key not in _KEY_SPECS:
-                raise UnknownKey(key)
-            if key in seen:
-                raise ParseError(line_no, f"duplicate key {key!r}")
-            seen.add(key)
-            if not value_text:
-                raise ParseError(line_no, f"missing value for {key!r}")
-            type_tag, _ = _KEY_SPECS[key]
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(*undecodable_line(exc, universal=True)) from None
+    for line_no, raw_line in enumerate(text.split("\n"), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if ":" not in line:
+            raise ParseError(line_no, "expected 'key: value'")
+        key, _, value_text = line.partition(":")
+        key = key.strip()
+        value_text = value_text.strip()
+        if key not in _KEY_SPECS:
+            raise UnknownKey(key)
+        if key in seen:
+            raise ParseError(line_no, f"duplicate key {key!r}")
+        seen.add(key)
+        if not value_text:
+            raise ParseError(line_no, f"missing value for {key!r}")
 
-            if value_text.startswith("["):
-                if not value_text.endswith("]"):
-                    raise ParseError(line_no, "unterminated list")
-                tokens = [t.strip() for t in value_text[1:-1].split(",")]
-                if tokens == [""]:
-                    tokens = []
-                tokens = [_unquote(t, line_no) for t in tokens]
-                if type_tag == "float3":
-                    if len(tokens) != 3:
-                        raise TypeMismatch(key, "expected three ratios")
-                    values[key] = tuple(_coerce_scalar(key, "float", t, base_dir) for t in tokens)
-                elif type_tag == "intlist":
-                    cutoffs = [_coerce_scalar(key, "int", t, base_dir) for t in tokens]
-                    values[key] = _checked(key, check_cutoffs, cutoffs)
-                elif key in GRID_KEYS:
-                    if not tokens:
-                        raise TypeMismatch(key, "a grid axis needs at least one value")
-                    grid[key] = [_coerce_scalar(key, type_tag, t, base_dir) for t in tokens]
-                else:
-                    raise TypeMismatch(key, "this key is scalar-only")
+        if value_text.startswith("["):
+            if not value_text.endswith("]"):
+                raise ParseError(line_no, "unterminated list")
+            inner = value_text[1:-1]
+            tokens = [_unquote(t, line_no) for t in inner.split(",")] if inner.strip() else []
+            if key in GRID_KEYS:
+                if not tokens:
+                    raise TypeMismatch(key, "a grid axis needs at least one value")
+                grid[key] = [_convert(key, t) for t in tokens]
             else:
-                token = _unquote(value_text, line_no)
-                if type_tag == "float3":
-                    raise TypeMismatch(key, "expected a bracketed list of three ratios")
-                if type_tag == "intlist":
-                    raise TypeMismatch(key, "expected a bracketed list of cutoffs")
-                values[key] = _coerce_scalar(key, type_tag, token, base_dir)
+                values[key] = _convert(key, tokens)
+        else:
+            values[key] = _convert(key, _unquote(value_text, line_no))
 
     env_seed = os.environ.get("MMREC_SEED")
     if env_seed is not None:
-        try:
-            values["seed"] = int(env_seed)
-        except ValueError:
-            raise TypeMismatch("seed", f"MMREC_SEED must be an integer, got {env_seed!r}")
-
+        values["seed"] = _convert("seed", env_seed)
     config = ExperimentConfig(values=values, grid=grid)
+    # paths are relative to the config file's directory
+    if values["interactions"] is not None:
+        values["interactions"] = str(base_dir / values["interactions"])
+    for modality, pair in config.feature_paths().items():
+        values[f"features.{modality}"] = tuple(str(base_dir / p) for p in pair)
     _validate(config)
     return config
 
 
 def _validate(config: ExperimentConfig) -> None:
+    """Each rule over the values, checked under the key it refuses."""
     v = config.values
     for key, low in (("d", 1), ("d_p", 1), ("n_layers", 0), ("reg", 0)):
-        if any(x < low for x in config.grid.get(key, [v[key]])):
+        if not all(x >= low for x in config.grid.get(key, [v[key]])):  # NaN fails too
             raise TypeMismatch(key, f"must be >= {low}")
     sel_k = parse_metric_spec(v["selection_metric"])[1]
     if sel_k not in v["topk"]:
         raise TypeMismatch("selection_metric", f"cutoff {sel_k} not in topk {v['topk']}")
-    for combo in expand_grid(config):
-        values = config.with_combo(combo).values
-        _data_params(values)
-        _checked("training", _train_config, values)
+    _data_params(v)
+    for f in fields(TrainConfig):
+        for x in config.grid.get(f.name, [v[f.name]]):
+            _checked(f.name, TrainConfig, **{f.name: x})
 
 
-def _checked(key: str, build, *args):
-    """``build(*args)``, with a ValueError it raises as TypeMismatch on ``key``."""
+def _checked(key: str, build, *args, **kwargs):
+    """``build(...)``, with a ValueError it raises as TypeMismatch on ``key``."""
     try:
-        return build(*args)
+        return build(*args, **kwargs)
     except ValueError as exc:
         raise TypeMismatch(key, str(exc)) from None
 
@@ -262,10 +247,8 @@ def _checked(key: str, build, *args):
 def _data_params(values: dict[str, object]) -> tuple[FilterParams, SplitSpec]:
     """The k-core and split parameters of a config's values."""
     _checked("seed", check_seed, values["seed"])
-    return (
-        _checked("k", FilterParams, values["k"]),
-        _checked("split", SplitSpec, values["split"], values["ratios"], values["seed"]),
-    )
+    spec = SplitSpec(values["split"], values["ratios"], values["seed"])
+    return _checked("k", FilterParams, values["k"]), spec
 
 
 def expand_grid(config: ExperimentConfig) -> list[dict[str, object]]:
@@ -336,11 +319,6 @@ def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> 
     return tables
 
 
-def _train_config(values: dict[str, object]) -> TrainConfig:
-    # every TrainConfig field is a config key of the same name
-    return TrainConfig(**{f.name: values[f.name] for f in fields(TrainConfig)})
-
-
 def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = None):
     """Train and evaluate one concrete (scalar) configuration."""
     v = config.values
@@ -349,7 +327,7 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     state, log = fit(
         v["model"],
         dataset,
-        _train_config(v),
+        TrainConfig(**{f.name: v[f.name] for f in fields(TrainConfig)}),
         d=v["d"],
         d_p=v["d_p"],
         n_layers=v["n_layers"],

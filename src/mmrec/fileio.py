@@ -1,5 +1,5 @@
 """Atomic artifact writes (a temporary file beside the target, then one
-``os.replace``) and the ``key: value`` meta files of datasets and checkpoints.
+``os.replace``), the ``key: value`` meta files, and undecodable lines.
 
 Every file a run leaves behind (dataset files, checkpoints, training logs,
 metric reports, ``summary.tsv`` and ``timings.tsv``) is written through
@@ -35,6 +35,16 @@ def atomic_write(path: str | os.PathLike, binary: bool = False) -> Iterator[IO]:
         raise
 
 
+def undecodable_line(exc: UnicodeDecodeError, universal: bool) -> tuple[int, str]:
+    """The 1-based line and a message for a file whose one ``read()`` raised
+    ``exc``; the error then holds the whole file, so its offset is the
+    file's. ``universal``: ``\\r\\n`` and a lone ``\\r`` end lines too."""
+    before = exc.object[:exc.start]
+    if universal:
+        before = before.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return before.count(b"\n") + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+
+
 def write_meta(path: str | os.PathLike, fields: dict[str, object]) -> None:
     """One ``key: value`` line per field, in order; None is written as empty."""
     with atomic_write(path) as fh:
@@ -42,7 +52,13 @@ def write_meta(path: str | os.PathLike, fields: dict[str, object]) -> None:
 
 
 def read_meta(path: str | os.PathLike) -> dict[str, str]:
-    """A meta file's fields, keys and values stripped; blank lines are skipped."""
+    """A meta file's fields, keys and values stripped; blank lines are
+    skipped. A byte that is not UTF-8 raises UnicodeError with its line."""
     with open(path, encoding="utf-8") as fh:
-        pairs = [line.partition(":") for line in fh if line.strip()]
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            line_no, message = undecodable_line(exc, universal=True)
+            raise UnicodeError(f"{os.fspath(path)}: line {line_no}: {message}") from None
+    pairs = [line.partition(":") for line in text.split("\n") if line.strip()]
     return {key.strip(): value.strip() for key, _, value in pairs}

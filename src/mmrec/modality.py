@@ -31,7 +31,7 @@ from .errors import (
     EmptyList,
     NonFiniteValue,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, undecodable_line
 
 MODALITIES = ("text", "image", "audio", "video")
 _MODALITY_RANK = {name: rank for rank, name in enumerate(MODALITIES)}
@@ -134,13 +134,18 @@ def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathL
     In the ID file lines end at ``\\n`` and trailing ``\\r`` is stripped; a
     line is skipped only when that leaves it empty, so an ID of blanks is
     kept. The ID count is checked against the header before the payload is
-    read.
+    read; a byte that is not UTF-8 raises DimensionMismatch with its line.
     NaN/Inf values are rejected.
     """
     with open(matrix_path, "rb") as fh:
         rows, cols = _parse_header(fh, matrix_path, b"MMF1")
         with open(ids_path, encoding="utf-8", newline="\n") as id_fh:
-            row_ids = [raw for raw in (line.rstrip("\r\n") for line in id_fh) if raw]
+            try:
+                text = id_fh.read()
+            except UnicodeDecodeError as exc:
+                line_no, message = undecodable_line(exc, universal=False)
+                raise DimensionMismatch(f"{os.fspath(ids_path)}: line {line_no}: {message}") from None
+        row_ids = [raw for raw in (line.rstrip("\r") for line in text.split("\n")) if raw]
         if len(row_ids) != rows:
             raise DimensionMismatch(f"{len(row_ids)} IDs for {rows} feature rows")
         if len(set(row_ids)) != len(row_ids):

@@ -415,14 +415,14 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
 def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
-    A `meta` file with a missing key or a bad value, meta that
-    :func:`init_params` would refuse, a tensor list that does not fit the
-    model kind, or a tensor that holds NaN or Inf or whose shape disagrees
-    with `meta` raises MalformedCheckpoint.
+    A `meta` file that is not UTF-8 or has a missing key or a bad value,
+    meta that :func:`init_params` would refuse, a tensor list that does not
+    fit the model kind, or a tensor that holds NaN or Inf or whose shape
+    disagrees with `meta` raises MalformedCheckpoint.
     """
     src = os.fspath(in_dir)
-    meta = read_meta(os.path.join(src, "meta"))
     try:
+        meta = read_meta(os.path.join(src, "meta"))
         state = ModelState(
             kind=meta["kind"], n_users=int(meta["n_users"]), n_items=int(meta["n_items"]),
             d=int(meta["d"]), tensors={}, lambda_reg=float(meta["lambda_reg"]),
@@ -430,6 +430,8 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
             n_layers=int(meta["n_layers"]) if meta["n_layers"] else None, seed=int(meta["seed"]),
         )
         names = meta["tensors"].split(",")
+    except UnicodeError as exc:
+        raise MalformedCheckpoint(str(exc)) from None
     except KeyError as exc:
         raise MalformedCheckpoint(f"{src}: meta has no {exc.args[0]!r} key") from None
     except ValueError as exc:

@@ -49,7 +49,7 @@ class TrainConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
+        if not self.learning_rate > 0:  # NaN fails too
             raise ValueError("learning_rate must be positive")
         if min(self.batch_size, self.patience, self.eval_interval) < 1:
             raise ValueError("batch_size, patience and eval_interval must be >= 1")
@@ -58,7 +58,7 @@ class TrainConfig:
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and self.adam_eps > 0):
             raise ValueError("adam parameters out of range")
         if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise ValueError(f"expected one of {OPTIMIZERS}, got {self.optimizer!r}")
         parse_metric_spec(self.stop_metric)
         check_seed(self.seed)
 

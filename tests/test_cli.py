@@ -1,8 +1,12 @@
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import mmrec
 from mmrec.cli import main
 from mmrec.data import Dataset, SplitSpec, load_dataset, save_dataset
 from mmrec.errors import MalformedDataset
@@ -83,6 +87,15 @@ class TestGrid:
         assert "2 combinations" in out
         assert (tmp_path / "out" / "summary.tsv").exists()
         assert (tmp_path / "out" / "combo_001" / "checkpoint" / "meta").exists()
+
+    def test_grid_where_every_combination_fails(self, tmp_path, capsys):
+        # sum fusion needs equal widths, so both combinations fail at fusion
+        config = write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm", "fusion: [sum, mean]"])
+        write_matrix(tmp_path / "image.mmf", np.ones((12, 4), dtype=np.float32))
+        assert run(["grid", "--config", config, "--out", tmp_path / "out"]) == 1
+        captured = capsys.readouterr()
+        assert "2 failed" in captured.out
+        assert captured.err == "no combination finished successfully\n"
 
     def test_grid_jobs_flag(self, tmp_path):
         config = write_toy_workspace(tmp_path, extra_lines=["reg: [0.0, 0.1]"])
@@ -265,6 +278,16 @@ class TestEvalRefusesCorruptDataset:
         assert run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"]) == 1
         assert "test.tsv: line 6: not UTF-8: byte 0xff" in capsys.readouterr().err
 
+    def test_undecodable_meta(self, tmp_path, capsys):
+        self.write(tmp_path)
+        meta = tmp_path / "ds" / "meta"
+        meta.write_bytes(meta.read_bytes().replace(b"strategy: ", b"strategy: \xff"))
+        capsys.readouterr()
+        assert run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"]) == 1
+        assert "meta: line 3: not UTF-8: byte 0xff" in capsys.readouterr().err
+        with pytest.raises(MalformedDataset, match="meta: line 3"):
+            load_dataset(tmp_path / "ds")
+
     def test_earliest_bad_line_is_reported(self, tmp_path):
         # the field-count check of line 7 does not outrank the range check of line 1
         self.write(tmp_path)
@@ -330,3 +353,26 @@ class TestBadValuesExit2:
         err = capsys.readouterr().err
         assert err == "config error: selection_metric: cutoff 20 not in topk (5, 10)\n"
         assert not (tmp_path / "out").exists()
+
+
+class TestEntryPoint:
+    """``python -m mmrec`` runs the same ``main`` and exits with its code."""
+
+    def mmrec(self, *argv):
+        src = os.path.dirname(os.path.dirname(mmrec.__file__))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        return subprocess.run([sys.executable, "-m", "mmrec", *map(str, argv)], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    def test_preprocess(self, tmp_path):
+        write_toy_workspace(tmp_path)
+        done = self.mmrec("preprocess", "--interactions", tmp_path / "interactions.tsv", "--k", "1",
+                          "--out", tmp_path / "ds")
+        assert done.returncode == 0, done.stderr
+        assert load_dataset(tmp_path / "ds").n_users == 20
+
+    def test_bad_flag_exits_2(self, tmp_path):
+        done = self.mmrec("preprocess", "--interactions", tmp_path / "none.tsv", "--ratios", "0.8,0.2",
+                          "--out", tmp_path / "ds")
+        assert done.returncode == 2
+        assert done.stderr == "config error: ratios: ratios must be three non-negative numbers\n"

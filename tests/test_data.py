@@ -58,6 +58,10 @@ class TestParse:
         with pytest.raises(MalformedHeader):
             parse("user\titemID\nu\ti\n")
 
+    def test_empty_input(self):
+        with pytest.raises(MalformedHeader, match="empty input"):
+            parse("")
+
     def test_non_numeric_rating(self):
         with pytest.raises(MalformedLine) as err:
             parse("userID\titemID\trating\ttimestamp\nu1\ti1\tfive\t0\n")

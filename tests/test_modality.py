@@ -53,6 +53,17 @@ class TestMmfFiles:
         with pytest.raises(BadMagic):
             read_matrix(path)
 
+    def test_duplicate_ids(self, tmp_path):
+        mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "a"])
+        with pytest.raises(DimensionMismatch, match="duplicate item IDs"):
+            load_feature_matrix(mp, ip)
+
+    def test_undecodable_id_names_file_and_line(self, tmp_path):
+        mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "b"])
+        ip.write_bytes(b"a\n\xffb\n")
+        with pytest.raises(DimensionMismatch, match=r"feat_ids.txt: line 2: not UTF-8: byte 0xff"):
+            load_feature_matrix(mp, ip)
+
     def test_id_count_mismatch(self, tmp_path):
         mp, ip = write_pair(tmp_path, [[1.0], [2.0]], ["a", "b", "c"])
         with pytest.raises(DimensionMismatch):

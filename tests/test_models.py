@@ -183,6 +183,13 @@ class TestScoreAll:
             with pytest.raises(DimensionMismatch, match=r"shape \(2, 3\), .* expects 2 columns"):
                 call()
 
+    @pytest.mark.parametrize("kind", ["vbpr_mm", "graph_mm"])
+    def test_fused_rows_must_cover_the_items(self, kind):
+        state = init_params(kind, 2, 2, 2, seed=0, d_p=2, d_fused=2, n_layers=1)
+        adj = build_adjacency(make_interaction_set({(0, 0), (1, 1)}, 2, 2))
+        with pytest.raises(MissingFeatures, match="fused features cover 3 items, dataset has 2"):
+            encode(state, np.zeros((3, 2)), adj)
+
     def test_missing_adjacency(self):
         state = init_params("graph_mm", 2, 2, 2, seed=0, d_fused=2, n_layers=1)
         with pytest.raises(MissingAdjacency):
@@ -336,6 +343,13 @@ class TestCheckpoint:
         kept = [line for line in meta.read_text().splitlines() if not line.startswith(f"{key}:")]
         meta.write_text("\n".join(kept) + "\n")
         with pytest.raises(MalformedCheckpoint, match=key):
+            load_checkpoint(tmp_path)
+
+    def test_undecodable_meta_is_typed(self, tmp_path):
+        save_checkpoint(init_params("mf_bpr", 3, 4, 2, seed=9), tmp_path)
+        meta = tmp_path / "meta"
+        meta.write_bytes(meta.read_bytes().replace(b"seed: 9", b"seed: 9\xff"))
+        with pytest.raises(MalformedCheckpoint, match=r"meta: line 8: not UTF-8: byte 0xff"):
             load_checkpoint(tmp_path)
 
     def test_meta_bad_value_is_typed(self, tmp_path):

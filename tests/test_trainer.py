@@ -212,6 +212,15 @@ class TestFit:
         for rel in ("ckpt/user_emb.mmf8", "ckpt/item_emb.mmf8", "ckpt/meta", "log.tsv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
+    def test_empty_train_split_is_refused(self):
+        from mmrec.data import Dataset
+
+        empty = make_interaction_set([], 2, 3)
+        ds = Dataset(2, 3, {"u0": 0, "u1": 1}, {f"i{j}": j for j in range(3)}, empty, empty,
+                     make_interaction_set([(0, 1)], 2, 3))
+        with pytest.raises(ValueError, match="train split is empty"):
+            fit("mf_bpr", ds, TrainConfig(max_epochs=1, seed=1), d=2)
+
     def test_no_validation_runs_to_max_epochs(self):
         # dataset with empty valid split
         from mmrec.data import Dataset

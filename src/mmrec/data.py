@@ -53,7 +53,7 @@ from .errors import (
     MissingTimestamps,
 )
 from .fileio import atomic_write, read_meta, undecodable_line, write_meta
-from .rng import check_seed, stream, stream_words
+from .rng import check_seed, stream
 
 SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
 _INT64 = np.iinfo(np.int64)
@@ -489,10 +489,12 @@ def _dense_codes(ids: np.ndarray, codes: np.ndarray, id_map: dict[str, int]) -> 
 def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec: SplitSpec) -> Dataset:
     """Partition filtered interactions into a train/valid/test Dataset.
 
-    ``per_user_random`` shuffles each user's items (in item order) with the
-    stream ``(seed, "split", user)`` and holds out the first of them (all
-    users' streams are derived in one ``rng.stream_words`` pass, which gives
-    the order ``Stream.permutation`` would);
+    ``per_user_random`` opens the stream ``(seed, "split")`` once and, for
+    each user in index order, shuffles the user's items (in item order) with
+    the next ``Stream.permutation`` of it, then holds out the first of them.
+    All users' words come from one ``raw`` draw. So a user's held-out items
+    depend on the seed and on how many rows every earlier user has, not on
+    the user alone;
     ``temporal_leave_last`` holds out each user's latest items, ordered by
     (timestamp, item); ``global_random`` shuffles all rows with the stream
     ``(seed, "split")`` and cuts by the ratios, then moves every pair of a
@@ -518,13 +520,14 @@ def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec
         if spec.strategy == "per_user_random":
             order = np.lexsort((items, users))
             # each user's sorted rows in shuffled order; held-out items first.
-            # Stream.permutation sorts a stream's words by their top 53 bits
-            words, owner = stream_words(spec.seed, "split", counts)
-            rows = order[np.lexsort((words >> np.uint64(11), owner))]
+            # Word j goes to row order[j]; Stream.permutation sorts words by
+            # their top 53 bits, so consecutive permutations are these sorts
+            words = stream(spec.seed, "split").raw(n)
+            rows = order[np.lexsort((words >> np.uint64(11), users[order]))]
             # free the words before the split's output arrays are allocated:
             # held to the end of split, they sat below those arrays in the
             # heap and raised the peak RSS of the training after it by ~5 MB
-            del words, owner
+            del words
             held = np.empty(n, dtype=np.int64)
             held[rows] = np.arange(n) - starts[users[rows]]
         else:

@@ -89,7 +89,14 @@ def _member(allowed: tuple[str, ...]):
     return _token({name: name for name in allowed}.__getitem__, f"one of {allowed}")
 
 
-_integer, _number = _token(int, "integer"), _token(float, "number")
+def _finite(token: str) -> float:
+    value = float(token)
+    if not np.isfinite(value):
+        raise ValueError(token)
+    return value
+
+
+_integer, _number = _token(int, "integer"), _token(_finite, "finite number")
 _boolean = _token({"true": True, "false": False}.__getitem__, "true or false")
 
 

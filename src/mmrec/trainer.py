@@ -49,13 +49,13 @@ class TrainConfig:
     seed: int = 2024
 
     def __post_init__(self):
-        if not self.learning_rate > 0:  # NaN fails too
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:  # NaN fails too
+            raise ValueError("learning_rate must be positive and finite")
         if min(self.batch_size, self.patience, self.eval_interval) < 1:
             raise ValueError("batch_size, patience and eval_interval must be >= 1")
         if self.max_epochs < 0:
             raise ValueError("max_epochs must be >= 0")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and self.adam_eps > 0):
+        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and 0 < self.adam_eps < np.inf):
             raise ValueError("adam parameters out of range")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"expected one of {OPTIMIZERS}, got {self.optimizer!r}")

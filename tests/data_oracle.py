@@ -177,11 +177,12 @@ def split(records, maps, spec: SplitSpec) -> Dataset:
 
     train, valid, test = [], [], []
     if spec.strategy == "per_user_random":
+        shuffle = stream(spec.seed, "split")
         for u in range(n_users):
             items = np.asarray(sorted(i for i, _ in by_user[u]), dtype=np.int64)
             n = len(items)
             n_test, n_valid = split_counts(n, spec.ratios)
-            shuffled = items[stream(spec.seed, "split", u).permutation(n)]
+            shuffled = items[shuffle.permutation(n)]
             test += [(u, int(i)) for i in shuffled[:n_test]]
             valid += [(u, int(i)) for i in shuffled[n_test:n_test + n_valid]]
             train += [(u, int(i)) for i in shuffled[n_test + n_valid:]]

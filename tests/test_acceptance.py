@@ -274,31 +274,38 @@ def test_criterion_6_masking_soundness():
 
 
 def test_criterion_7_learning_sanity():
+    """On block data the feature model's edge over mf is small next to the
+    spread between splits (one split's verdict can flip), so the ndcg claim
+    is the mean paired difference over eight split seeds; mf must beat
+    random on every one of them."""
     started = time.perf_counter()
-    dataset, fused = synthetic_block_dataset(data_seed=22, split_seed=32)
     cfg = TrainConfig(learning_rate=0.05, batch_size=4096, max_epochs=50, patience=10,
                       eval_interval=5, stop_metric="recall@20", seed=3)
-
-    mf_state, _ = fit("mf_bpr", dataset, cfg, d=8)
-    mf = evaluate(mf_state, dataset, "test", (10, 20))
-
     k = 20
-    users = [u for u in range(dataset.n_users) if len(dataset.test.row(u))]
-    baseline = float(np.mean([
-        min(1.0, k / (dataset.n_items - len(dataset.train.row(u)))) for u in users
-    ]))
-    ratio = mf.get("recall", 20) / baseline
-    assert mf.get("recall", 20) >= 3.0 * baseline, f"recall ratio only {ratio:.2f}x"
+    ratios, gains = [], []
+    for split_seed in range(32, 40):
+        dataset, fused = synthetic_block_dataset(data_seed=22, split_seed=split_seed)
+        mf_state, _ = fit("mf_bpr", dataset, cfg, d=8)
+        mf = evaluate(mf_state, dataset, "test", (10, k))
+        users = [u for u in range(dataset.n_users) if len(dataset.test.row(u))]
+        baseline = float(np.mean([
+            min(1.0, k / (dataset.n_items - len(dataset.train.row(u)))) for u in users
+        ]))
+        ratios.append(mf.get("recall", k) / baseline)
+        assert ratios[-1] >= 3.0, f"split seed {split_seed}: recall ratio only {ratios[-1]:.2f}x"
 
-    vb_state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, fused=fused)
-    vb = evaluate(vb_state, dataset, "test", (10, 20), fused)
-    assert vb.get("ndcg", 10) >= mf.get("ndcg", 10), (
-        f"vbpr ndcg@10 {vb.get('ndcg', 10):.4f} < mf {mf.get('ndcg', 10):.4f}"
-    )
+        vb_state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, fused=fused)
+        vb = evaluate(vb_state, dataset, "test", (10, k), fused)
+        gains.append(vb.get("ndcg", 10) - mf.get("ndcg", 10))
+        print(f"split seed {split_seed}: mf recall@{k} {ratios[-1]:.2f}x random, "
+              f"ndcg@10 mf {mf.get('ndcg', 10):.4f} vbpr {vb.get('ndcg', 10):.4f} "
+              f"({gains[-1]:+.4f})")
+    mean_gain = float(np.mean(gains))
+    assert mean_gain >= 0.0, f"vbpr ndcg@10 is {mean_gain:+.4f} below mf on average"
     elapsed = time.perf_counter() - started
-    report(7, "block-data sanity: mf recall 3x random, feature model ndcg >= mf",
+    report(7, "block-data sanity on 8 splits: mf recall 3x random, mean vbpr ndcg gain >= 0",
            elapsed < 120.0,
-           f"{ratio:.2f}x baseline, ndcg {mf.get('ndcg', 10):.3f} -> {vb.get('ndcg', 10):.3f}, {elapsed:.0f}s")
+           f"min {min(ratios):.2f}x baseline, mean ndcg gain {mean_gain:+.4f}, {elapsed:.0f}s")
 
 
 def test_criterion_8_four_modalities_all_fusions(tmp_path):

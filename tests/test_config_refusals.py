@@ -5,6 +5,7 @@ import pytest
 
 import mmrec.cli
 from mmrec.errors import ParseError, TypeMismatch, UnknownKey
+from mmrec.trainer import TrainConfig
 
 from test_experiment import write_toy_workspace
 
@@ -48,6 +49,10 @@ CONFIG_REFUSALS = [
     ("seed: -1", TypeMismatch, "seed"),
     ("learning_rate: [0.05, 0.0]", TypeMismatch, "learning_rate"),
     ("learning_rate: nan", TypeMismatch, "learning_rate"),
+    ("learning_rate: inf", TypeMismatch, "learning_rate"),
+    ("learning_rate: -inf", TypeMismatch, "learning_rate"),
+    ("reg: inf", TypeMismatch, "reg"),
+    ("adam_eps: inf", TypeMismatch, "adam_eps"),
     ("adam_beta1: 1.5", TypeMismatch, "adam_beta1"),
     ("adam_beta2: 1", TypeMismatch, "adam_beta2"),
     ("adam_eps: 0", TypeMismatch, "adam_eps"),
@@ -111,6 +116,11 @@ def test_config_line_is_refused_on_its_key(tmp_path, capsys, line, error, key):
     else:
         assert exc.line_no == len(argv[2].read_text().splitlines())
     assert not (tmp_path / "out").exists()
+
+
+def test_train_config_refuses_non_finite_adam_eps():
+    with pytest.raises(ValueError, match="adam parameters out of range"):
+        TrainConfig(adam_eps=float("inf"))
 
 
 def test_undecodable_config_names_its_line(tmp_path, capsys):

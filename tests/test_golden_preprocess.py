@@ -31,9 +31,9 @@ GOLDEN = {
         "meta": "6b7657335a199bc6eb1f24401ecb0d105b5e4fd06492b72bfc1f2985787538f1",
         "umap.tsv": "42db09421ce5ee2480fa100978cf05761ab9c09d74459ad13277ed719ada6d60",
         "imap.tsv": "5e3d893c8b1ed9e2c5aa63cee9ad07ed71c72d7a7c814c94c8d3e814d0f51711",
-        "train.tsv": "914056dbc57369eb2f8aec215d52fa4094b7028a5557f0832558f5c7d6f5050f",
-        "valid.tsv": "1bb81dbde24884b35a0c6d4b8c94b3931be3fa26033d29544616c5fbc9f6a1b1",
-        "test.tsv": "e6cd6e513be3cec37c6e02d8d1adb4d29efff49bb6c0ba5c55dc5174eb8caaed",
+        "train.tsv": "5a1a05416bc19b6a8d8d67f2e7c60a590b541582b5b9458f647810d2284a635a",
+        "valid.tsv": "8e1fe054fb5b5f612f87a8f2528bfc9daa486e70a6ffbac20eb00e809a726624",
+        "test.tsv": "915db79a6217bdcf390b2901dee7a384df33ba11f1a2b2ca090d6ca2d9c85f11",
     },
     "temporal_leave_last": {
         "meta": "076cdd0a52b4c3c635a6bf9101fddb5b6902980141993dca12f2cb810ede79e7",

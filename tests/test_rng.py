@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import mmrec.rng
-from mmrec.rng import check_seed, stream, stream_words
+from mmrec.rng import check_seed, stream
 
 
 def test_same_key_same_stream():
@@ -68,88 +67,16 @@ def test_check_seed_rejects_out_of_range():
         check_seed(2**64)
 
 
-# ------------------------------------------------------- bulk stream words
+# ---------------------------------------------- consecutive permutations
 
-SETTINGS = settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-# SeedSequence takes each int as one uint32 word below 2**32 and two from
-# there, so these seeds and tags give 3 to 5 entropy words, either side of
-# its pool of 4
-SEEDS = st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 5, 2**63, 2**64 - 1]) | st.integers(0, 2**64 - 1)
-TAGS = st.sampled_from(["split", "epoch", "", "ünï", 0, 7, 2**32, 2**64 - 1])
-COUNTS = st.lists(st.integers(0, 40), max_size=24)
-
-
-def check_stream_words(seed, tag, counts):
-    words, owner = stream_words(seed, tag, counts)
-    assert words.dtype == np.uint64
-    assert np.array_equal(words, np.concatenate([np.zeros(0, dtype=np.uint64)] + [
-        stream(seed, tag, i).raw(int(c)) for i, c in enumerate(counts) if c
-    ]))
-    assert np.array_equal(owner, np.repeat(np.arange(len(counts)), counts))
-
-
-@SETTINGS
-@given(seed=SEEDS, tag=TAGS, counts=COUNTS)
-def test_stream_words_match_each_stream(seed, tag, counts):
-    check_stream_words(seed, tag, counts)
-
-
-@SETTINGS
-@given(seed=SEEDS, tag=TAGS, counts=COUNTS, block=st.integers(1, 9))
-def test_stream_words_blocks_split_streams_anywhere(seed, tag, counts, block):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(mmrec.rng, "_BULK_ROWS", block)
-        check_stream_words(seed, tag, counts)
-
-
-@SETTINGS
-@given(seed=SEEDS, counts=COUNTS)
-def test_stream_words_sort_to_each_streams_permutation(seed, counts):
-    words, owner = stream_words(seed, "split", counts)
-    first = np.cumsum(counts, dtype=np.int64) - counts
-    expected = np.concatenate([np.zeros(0, dtype=np.int64)] + [
-        first[i] + stream(seed, "split", i).permutation(c) for i, c in enumerate(counts)
-    ])
-    assert np.array_equal(np.lexsort((words >> np.uint64(11), owner)), expected)
-
-
-def test_stream_words_long_stream_rotates_by_zero():
-    """XSL-RR rotates by the state's top 6 bits, so a rotation of 0 comes
-    about once in 64 words; this stream has one in its first 300."""
-    seed, tag, counts = 2, "split", [3, 0, 300, 1]
-    generator = np.random.PCG64(np.random.SeedSequence([seed, mmrec.rng._key_part(tag), 2]))
-    rotations = []
-    for _ in range(300):
-        generator.random_raw()
-        rotations.append(generator.state["state"]["state"] >> 122)
-    assert 0 in rotations
-    check_stream_words(seed, tag, counts)
-
-
-def test_stream_words_more_than_one_block():
-    counts = [0, 17000, 1, 20000, 3000]
-    assert sum(counts) > 2 * mmrec.rng._BULK_ROWS
-    check_stream_words(12345, "split", counts)
-
-
-def test_stream_words_empty():
-    for counts in ([], [0, 0, 0]):
-        words, owner = stream_words(3, "split", counts)
-        assert words.size == 0 and owner.size == 0
-
-
-def test_stream_words_refuses_indices_from_2_32():
-    # SeedSequence would take index 2**32 as two words; a zero-stride view
-    # gives that many streams without allocating them
-    counts = np.broadcast_to(np.int64(0), (2**32 + 1,))
-    with pytest.raises(ValueError, match="at most 2\\*\\*32 streams"):
-        stream_words(5, "split", counts)
-
-
-def test_stream_words_refuses_bad_arguments():
-    with pytest.raises(ValueError):
-        stream_words(5, "split", [1, -1])
-    with pytest.raises(ValueError):
-        stream_words(5, "split", [[1, 2]])
-    with pytest.raises(ValueError):
-        stream_words(2**64, "split", [1])
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), a=st.integers(0, 40), b=st.integers(0, 40))
+def test_consecutive_permutations_sort_one_raw_draw(seed, a, b):
+    """The per_user_random split and its oracle rest on this: a stream's
+    consecutive permutations are stable sorts of consecutive raw words by
+    their top 53 bits."""
+    s = stream(seed, "split")
+    first, second = s.permutation(a), s.permutation(b)
+    keys = stream(seed, "split").raw(a + b) >> np.uint64(11)
+    assert np.array_equal(first, np.argsort(keys[:a], kind="stable"))
+    assert np.array_equal(second, np.argsort(keys[a:], kind="stable"))

@@ -10,12 +10,18 @@ average each metric over the evaluated users in user-index order.
 through ``full_sort_predict``, ``mask_trained`` and ``top_k``; a caller that
 wants per-user lists calls those three itself. Both ranking helpers take a
 2-D chunk of score rows: ``mask_trained`` masks the chunk's train items in
-place in one scatter, and ``top_k`` finds each row's K-th best score by
-partition, then orders every item scoring at least that much by (-score,
-item), so the tie rule is exact. The four metrics come from the chunk's hit
-matrix by cumulative sums and are summed over users in order; the scalar
-one-list functions in ``tests/eval_oracle.py`` define the same values and
-are the reference the tests compare against.
+place in one scatter. ``top_k`` splits each row into groups of 16 items
+and takes the K-th largest group maximum as a floor: K distinct items reach
+it, so it is at most the row's K-th best score and no item below it can
+make the list. The items strictly above the floor lie in fewer than K
+groups or in the last few ungrouped items, so a row has fewer than 16 K of
+them; of the items tied at the floor, only as many as can still fit in the
+list are kept, in item order. Sorting these candidates by (-score,
+item) gives the exact list and tie rule without partitioning the whole
+catalog. The four metrics come from the chunk's hit matrix by cumulative
+sums and are summed over users in order; the scalar one-list functions in
+``tests/eval_oracle.py`` define the same values and are the reference the
+tests compare against.
 
 Only train items are masked, so a user's list does not depend on the target
 split. The module keeps a memo of the last ranking, keyed on copies of the
@@ -45,9 +51,8 @@ from .models import ModelState, encode, full_sort_predict
 METRICS = ("recall", "precision", "ndcg", "map")
 DEFAULT_CUTOFFS = (5, 10, 20, 50)
 _EVAL_CHUNK = 512
-# rows partitioned at a time in top_k, so its scratch copy stays small
-# next to the chunk's score matrix
-_PARTITION_ROWS = 64
+# items per group in top_k's bound on the K-th best score
+_GROUP = 16
 
 
 def parse_metric_spec(spec: str) -> tuple[str, int]:
@@ -84,6 +89,23 @@ def mask_trained(scores: np.ndarray, train: tuple[np.ndarray, np.ndarray]) -> np
     return scores
 
 
+def _floor(scores: np.ndarray, k: int) -> np.ndarray:
+    """A lower bound on each row's K-th best score, never below the lowest
+    finite float: the K-th largest of the row's group maxima (NaN ignored),
+    where item j of the first ``_GROUP * g`` items is in group ``j mod g``.
+    The K groups whose maxima reach it hold K distinct items that score at
+    least as much, so no item below the bound can make the top K."""
+    n_rows, n_items = scores.shape
+    groups = n_items // _GROUP
+    lowest = np.nextafter(-np.inf, 0.0)
+    if groups <= k:
+        return np.full(n_rows, lowest)
+    maxima = np.fmax.reduce(scores[:, :_GROUP * groups].reshape(n_rows, _GROUP, groups), axis=1)
+    maxima[np.isnan(maxima)] = -np.inf
+    maxima.partition(groups - k, axis=1)
+    return np.maximum(maxima[:, groups - k], lowest)
+
+
 def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
     """Indices of the K best non-masked items of each row of a chunk.
 
@@ -92,40 +114,40 @@ def top_k(masked_scores: np.ndarray, k: int) -> np.ndarray:
     n_items)) array; a row with fewer than k unmasked items is padded with
     -1 after its last item.
 
-    Partition finds each row's K-th best score. Every unmasked item scoring
-    at least that much, so every item tied with it, is a candidate, and the
-    candidates are sorted by (-score, item) before the first K are kept.
+    Each row gets a floor at or below its K-th best score (``_floor``), so
+    every listed item scores at least the floor. The items strictly above
+    it lie in fewer than K groups or in the ungrouped tail of fewer than
+    ``_GROUP`` items, so a row has fewer than ``_GROUP`` * K of them. Of the
+    items tied at the floor only the first (width - number above) in item
+    order are kept: every item above outranks them, and they outrank every
+    later tied item. Sorting each row's kept candidates by (-score, item)
+    then gives the same list as sorting the whole row.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
     scores = np.asarray(masked_scores, dtype=np.float64)
     n_rows, n_items = scores.shape
     width = min(k, n_items)
-    kth = np.full(n_rows, -np.inf)
-    if k < n_items:
-        for lo in range(0, n_rows, _PARTITION_ROWS):
-            block = np.partition(scores[lo:lo + _PARTITION_ROWS], n_items - k, axis=1)
-            # partition sorts NaN above every number, so a row holding NaN has
-            # one in its top k; such a row is partitioned again with NaN as -inf
-            nan_rows = np.isnan(block[:, n_items - k:]).any(axis=1)
-            if nan_rows.any():
-                redo = block[nan_rows]
-                redo[np.isnan(redo)] = -np.inf
-                redo.partition(n_items - k, axis=1)
-                block[nan_rows] = redo
-            kth[lo:lo + _PARTITION_ROWS] = block[:, n_items - k]
-    # no row's floor is below the lowest finite score, so masked items drop out
-    floor = np.maximum(kth, np.nextafter(-np.inf, 0.0))
+    floor = _floor(scores, k)
+    # row-major, so each row's candidates come in item order
     rows, items = np.divmod(np.flatnonzero(scores >= floor[:, None]), n_items)
-    # lexsort is stable and the candidates come in item order, so equal
-    # scores stay in ascending item order
-    order = np.lexsort((-scores[rows, items], rows))
-    rows, items = rows[order], items[order]
-    rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-    keep = rank < width
-    lists = np.full((n_rows, width), -1, dtype=np.int64)
-    lists[rows[keep], rank[keep]] = items[keep]
-    return lists
+    values = scores[rows, items]
+    tied = values == floor[rows]
+    above = np.bincount(rows[~tied], minlength=n_rows)
+    tied_rows = rows[tied]
+    tie_rank = np.arange(len(tied_rows)) - np.searchsorted(tied_rows, tied_rows)
+    keep = ~tied
+    keep[tied] = tie_rank < width - above[tied_rows]
+    rows, items, values = rows[keep], items[keep], values[keep]
+    column = np.arange(len(rows)) - np.searchsorted(rows, rows)
+    # padding sorts after every candidate, whose score is at least the
+    # lowest finite float, and keeps -1 as its item
+    keys = np.full((n_rows, max(column.max(initial=-1) + 1, width)), np.inf)
+    keys[rows, column] = -values
+    candidates = np.full(keys.shape, -1, dtype=np.int64)
+    candidates[rows, column] = items
+    order = np.argsort(keys, axis=1, kind="stable")[:, :width]
+    return np.take_along_axis(candidates, order, axis=1)
 
 
 def _ideal_dcg(n_hits: int) -> float:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -114,6 +115,52 @@ class TestTopK:
             lists = top_k(chunk, k)
             for shorter in range(1, k + 1):
                 assert np.array_equal(lists[:, :shorter], top_k(chunk, shorter))
+
+    def test_matches_argsort_oracle_where_the_group_bound_engages(self):
+        # catalogs of at least 16 * (k + 1) items, so top_k bounds each row's
+        # K-th best score by its K-th largest group maximum (group = item mod
+        # n_items // 16), plus catalogs no wider than k
+        rng = np.random.default_rng(4)
+        for case in range(120):
+            k = int(rng.integers(1, 81))
+            if case % 6 == 5:
+                n_items = int(rng.integers(1, k + 1))
+            else:
+                n_items = int(rng.integers(16 * (k + 1), 3001))
+            groups = max(n_items // 16, 1)
+            items = np.arange(n_items)
+            grouped = items < 16 * groups
+            chunk = rng.normal(size=(5, n_items))
+            chunk[0] = np.round(chunk[0], 1)  # ties across groups and at the floor
+            chunk[1, rng.random(n_items) < 0.02] = np.inf
+            chunk[2] = chunk[2, 0]  # a fully tied row
+            # a row with fewer than k groups holding an unmasked item
+            live = rng.choice(groups, size=int(rng.integers(0, min(k, groups))), replace=False)
+            chunk[3, grouped & ~np.isin(items % groups, live)] = -np.inf
+            chunk[4] = np.round(chunk[4], 2)
+            chunk[4, rng.random(n_items) < 0.3] = -np.inf
+            # whole NaN columns, among them every column of some groups
+            dead = rng.choice(groups, size=int(rng.integers(0, groups)), replace=False)
+            chunk[:, grouped & np.isin(items % groups, dead)] = np.nan
+            chunk[:, rng.random(n_items) < 0.05] = np.nan
+            lists = top_k(chunk, k)
+            assert lists.shape == (5, min(k, n_items))
+            for row, scores in zip(lists, chunk):
+                expected = naive_topk(scores, [], k)
+                assert row.tolist() == expected + [-1] * (len(row) - len(expected))
+
+    def test_peak_memory_is_below_a_fifth_of_the_chunk(self):
+        # an evaluation chunk at Baby shape; a whole-chunk copy would break this
+        rng = np.random.default_rng(5)
+        chunk = rng.normal(size=(512, 64)) @ rng.normal(size=(6791, 64)).T
+        chunk[np.repeat(np.arange(512), 10), rng.integers(0, 6791, size=5120)] = -np.inf
+        tracemalloc.start()
+        try:
+            top_k(chunk, 50)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < chunk.nbytes / 5
 
     def test_strictly_increasing_transform_invariance(self):
         rng = np.random.default_rng(1)

@@ -167,13 +167,18 @@ class InteractionSet:
     def from_arrays(
         cls, rows: np.ndarray, cols: np.ndarray, n_rows: int, n_cols: int
     ) -> "InteractionSet":
-        """The pairs ``(rows[j], cols[j])``, sorted; duplicates are kept."""
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        order = np.lexsort((cols, rows))
+        """The pairs ``(rows[j], cols[j])``, sorted; duplicates are kept.
+        ValueError for a column outside ``[0, n_cols)``, or if the sort keys
+        ``row * n_cols + col`` may pass int64."""
+        if int(n_rows) * int(n_cols) > _INT64.max:
+            raise ValueError(f"{n_rows} x {n_cols} pairs do not fit in int64 keys")
+        rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if np.any((cols < 0) | (cols >= n_cols)):
+            raise ValueError(f"column index outside [0, {n_cols})")
+        keys = np.sort(rows * n_cols + cols)
         indptr = np.zeros(n_rows + 1, dtype=np.int64)
         np.cumsum(np.bincount(rows, minlength=n_rows), out=indptr[1:])
-        return cls(n_rows, n_cols, indptr, cols[order])
+        return cls(n_rows, n_cols, indptr, keys % n_cols)
 
     def row(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
@@ -420,17 +425,20 @@ def dedupe_interactions(table: Interactions) -> Interactions:
 
     The kept row is the one with the greatest ``float(timestamp)``; missing
     timestamps compare lowest, and ties fall to the later input position.
+    Its int64 pair keys need ``len(user_ids) * len(item_ids)`` to fit.
     """
     # one int64 code per (user, item) pair, ordered like the raw ID pairs
     pair = table.users * len(table.item_ids) + table.items
     stamp = np.where(table.has_timestamp, table.timestamp.astype(np.float64), -np.inf)
-    # lexsort is stable, so rows with equal keys stay in input order and the
-    # last row of each pair's run is the one to keep
-    order = np.lexsort((stamp, pair))
-    pair = pair[order]
-    last = np.ones(len(order), dtype=bool)
-    last[:-1] = pair[1:] != pair[:-1]
-    return table.take(order[last])
+    # each pair's rows in one run, in no particular order within it; keep the
+    # run's latest stamp, and of the rows at it the one latest in the input
+    order = np.argsort(pair)
+    pair, stamp = pair[order], stamp[order]
+    new = np.ones(len(order), dtype=bool)
+    new[1:] = pair[1:] != pair[:-1]
+    first, run = np.flatnonzero(new), np.cumsum(new) - 1
+    latest = stamp == np.maximum.reduceat(stamp, first)[run]
+    return table.take(np.maximum.reduceat(np.where(latest, order, -1), first))
 
 
 def k_core_filter(table: Interactions, params: FilterParams) -> Interactions:
@@ -498,7 +506,9 @@ def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec
     ``temporal_leave_last`` holds out each user's latest items, ordered by
     (timestamp, item); ``global_random`` shuffles all rows with the stream
     ``(seed, "split")`` and cuts by the ratios, then moves every pair of a
-    user left without a train pair back to train.
+    user left without a train pair back to train. Its int64 sort keys need
+    ``n * max(n, n_items)`` to fit, for ``n`` rows, as
+    :func:`mmrec.trainer.make_batches` needs ``n_users * n_items``.
     """
     user_map, item_map = maps
     n_users, n_items = len(user_map), len(item_map)
@@ -518,23 +528,30 @@ def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec
         counts = np.bincount(users, minlength=n_users)
         starts = np.cumsum(counts) - counts
         if spec.strategy == "per_user_random":
-            order = np.lexsort((items, users))
+            # rows with equal keys are the same pair, so their order is moot
+            order = np.argsort(users * n_items + items)
             # each user's sorted rows in shuffled order; held-out items first.
             # Word j goes to row order[j]; Stream.permutation sorts words by
-            # their top 53 bits, so consecutive permutations are these sorts
+            # their top 53 bits, stably, so consecutive permutations are one
+            # sort by (user, top 53 bits, j); numpy sorts int64 faster than uint64
             words = stream(spec.seed, "split").raw(n)
-            rows = order[np.lexsort((words >> np.uint64(11), users[order]))]
+            rank = np.empty(n, dtype=np.int64)
+            rank[np.argsort((words >> np.uint64(11)).view(np.int64), kind="stable")] = np.arange(n)
+            rows = order[np.argsort(users[order] * n + rank)]
             # free the words before the split's output arrays are allocated:
             # held to the end of split, they sat below those arrays in the
             # heap and raised the peak RSS of the training after it by ~5 MB
-            del words
+            del words, rank
             held = np.empty(n, dtype=np.int64)
             held[rows] = np.arange(n) - starts[users[rows]]
         else:
             if not table.has_timestamp.all():
                 u = int(users[~table.has_timestamp].min())
                 raise MissingTimestamps(f"user index {u} has interactions without timestamps")
-            order = np.lexsort((items, table.timestamp, users))
+            # dense ranks, so that no key product can overflow
+            stamps, stamp_rank = np.unique(table.timestamp, return_inverse=True)
+            _, user_time = np.unique(users * len(stamps) + stamp_rank, return_inverse=True)
+            order = np.argsort(user_time * n_items + items)
             held = np.empty(n, dtype=np.int64)
             # counted back from each user's latest item
             held[order] = starts[users[order]] + counts[users[order]] - 1 - np.arange(n)
@@ -623,8 +640,10 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
         raws = sorted(id_map, key=id_map.__getitem__)
         _write_tsv(os.path.join(out, name), raws, map(id_map.__getitem__, raws))
     for name in ("train", "valid", "test"):
-        rows, cols = getattr(dataset, name).pair_arrays()
-        _write_tsv(os.path.join(out, f"{name}.tsv"), rows.tolist(), cols.tolist())
+        pairs = np.column_stack(getattr(dataset, name).pair_arrays())
+        # one %-format call for every line: the bytes of _write_tsv, faster
+        with atomic_write(os.path.join(out, f"{name}.tsv")) as fh:
+            fh.write(("%d\t%d\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
 
 
 def load_dataset(in_dir: str | os.PathLike) -> Dataset:

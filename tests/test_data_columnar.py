@@ -14,7 +14,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import data_oracle as oracle
+import mmrec.data
 from mmrec.data import (
+    Dataset,
     FilterParams,
     InteractionRecord,
     Interactions,
@@ -31,6 +33,7 @@ from mmrec.data import (
     split,
 )
 from mmrec.errors import MalformedLine, MmrecError
+from mmrec.rng import Stream
 
 from conftest import brute_force_k_core
 
@@ -265,3 +268,111 @@ def test_interaction_set_from_arrays_sorts_and_keeps_duplicates():
     iset = InteractionSet.from_arrays(np.array([1, 0, 1, 1]), np.array([3, 2, 1, 3]), 3, 4)
     assert iset.indptr.tolist() == [0, 1, 4, 4]
     assert iset.indices.tolist() == [2, 1, 3, 3]
+
+
+# ------------------------------------------------- the one-key sorts
+
+@SETTINGS
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_interaction_set_from_arrays_matches_oracle(n_rows, n_cols, data):
+    # n_cols = 1 included, and duplicates wherever a pair is drawn twice
+    drawn = data.draw(st.lists(st.tuples(st.integers(0, n_rows - 1), st.integers(0, n_cols - 1))))
+    rows, cols = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
+    got = InteractionSet.from_arrays(rows, cols, n_rows, n_cols)
+    assert got == oracle.interaction_set(drawn, n_rows, n_cols)
+
+
+def test_interaction_set_from_empty_arrays():
+    got = InteractionSet.from_arrays(np.array([], dtype=np.int64), [], 3, 1)
+    assert got.indptr.tolist() == [0, 0, 0, 0] and got.nnz == 0
+
+
+def test_interaction_set_keys_must_fit_in_int64():
+    # a wrapped key would sort and split back silently wrong
+    with pytest.raises(ValueError, match="int64"):
+        InteractionSet.from_arrays(np.array([2]), np.array([0]), 3, 2**62)
+    with pytest.raises(ValueError, match="int64"):
+        InteractionSet.from_arrays(np.array([1]), np.array([0]), 2, 2**62)
+    top = InteractionSet.from_arrays(np.array([0, 0]), np.array([2**62 - 1, 5]), 1, 2**62)
+    assert top.indices.tolist() == [5, 2**62 - 1]
+
+
+@pytest.mark.parametrize("col", [-1, 3])
+def test_interaction_set_refuses_a_column_outside_its_width(col):
+    # its key would fall among the next or previous row's keys
+    with pytest.raises(ValueError, match=r"outside \[0, 3\)"):
+        InteractionSet.from_arrays(np.array([0, 1]), np.array([col, 2]), 2, 3)
+
+
+def many_records(seed: int, n: int, stamps: list) -> list[InteractionRecord]:
+    """``n`` records over 30 users and 20 items, so most pairs repeat."""
+    rng = np.random.default_rng(seed)
+    picks = zip(rng.integers(0, 30, n), rng.integers(0, 20, n), rng.integers(0, len(stamps), n))
+    return [InteractionRecord(f"u{u}", f"i{i}", 1.0, stamps[t]) for u, i, t in picks]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_dedupe_of_many_repeats_matches_oracle(seed):
+    # about 7 rows per pair, tied at the greatest stamp in many of them,
+    # with missing and present stamps mixed in one pair
+    records = many_records(seed, 4000, [None, None, -1, 0, 1, 1, 2**53, 2**53 + 1])
+    assert oracle.records(dedupe_interactions(table(records))) == oracle.dedupe(records)
+
+
+def test_dedupe_of_an_empty_table():
+    assert len(dedupe_interactions(table([]))) == 0
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_temporal_split_of_tied_and_extreme_stamps_matches_oracle(seed):
+    # raw stamps this far apart overflow any product key built from them
+    extremes = [-(2**63), -(2**63) + 1, -1, 0, 1, 2**62, 2**63 - 2, 2**63 - 1]
+    records = oracle.records(dedupe_interactions(table(many_records(seed, 3000, extremes))))
+    spec = SplitSpec("temporal_leave_last", (0.5, 0.25, 0.25), 0)
+    maps = oracle.id_maps(records)
+    assert split(table(records), maps, spec) == oracle.split(records, maps, spec)
+
+
+class TiedStream(Stream):
+    """A stream whose words keep 2 of their top 53 bits, so nearly every
+    permutation meets words that tie there and differ in their low bits."""
+
+    def raw(self, n: int) -> np.ndarray:
+        return super().raw(n) & np.uint64(0xC000_0000_0000_07FF)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_per_user_split_of_tied_words_matches_oracle(monkeypatch, seed):
+    def tied_stream(seed, *key):
+        return TiedStream(np.random.SeedSequence(seed))
+
+    monkeypatch.setattr(mmrec.data, "stream", tied_stream)
+    monkeypatch.setattr(oracle, "stream", tied_stream)
+    records = oracle.records(dedupe_interactions(table(many_records(seed, 500, [None]))))
+    spec = SplitSpec("per_user_random", (0.5, 0.25, 0.25), seed)
+    maps = oracle.id_maps(records)
+    assert split(table(records), maps, spec) == oracle.split(records, maps, spec)
+
+
+# ------------------------------------------------------------ the writer
+
+def test_saved_pairs_are_the_bytes_of_one_format_per_line(tmp_path):
+    edges = [0, 9, 10, 99, 100, 10**6]
+    pairs = np.array([(u, i) for u in edges for i in edges], dtype=np.int64)
+    n = 10**6 + 1
+    sets = [InteractionSet.from_arrays(*part.T, n, n) for part in (pairs[::2], pairs[1::2], pairs[:0])]
+    # save_dataset writes the maps it is given; only the pair files are read
+    save_dataset(Dataset(n, n, {}, {}, *sets), SplitSpec("global_random", (1, 0, 0), 0), tmp_path)
+    for name, iset in zip(("train", "valid", "test"), sets):
+        rows, cols = iset.pair_arrays()
+        want = "".join(map("{}\t{}\n".format, rows.tolist(), cols.tolist()))
+        assert (tmp_path / f"{name}.tsv").read_bytes() == want.encode()
+    assert (tmp_path / "test.tsv").read_bytes() == b""
+
+
+def test_a_zero_valid_ratio_writes_an_empty_valid_file(tmp_path):
+    records = many_records(0, 300, [None])
+    spec = SplitSpec("per_user_random", (0.8, 0.0, 0.2), 3)
+    save_dataset(preprocess(table(records), FilterParams(k=1), spec), spec, tmp_path)
+    assert (tmp_path / "valid.tsv").read_bytes() == b""
+    assert (tmp_path / "train.tsv").read_bytes() and (tmp_path / "test.tsv").read_bytes()

@@ -30,6 +30,7 @@ from .evaluation import (
     DEFAULT_CUTOFFS,
     METRICS,
     MetricReport,
+    Ranking,
     evaluate,
     mask_trained,
     top_k,

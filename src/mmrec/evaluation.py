@@ -8,9 +8,9 @@ average each metric over the evaluated users in user-index order.
 ``evaluate`` is the one ranking path. It encodes the model once
 (``models.encode``), then scores, masks and ranks users 512 at a time
 through ``full_sort_predict``, ``mask_trained`` and ``top_k``; a caller that
-wants per-user lists calls those three itself. Both ranking helpers take a
-2-D chunk of score rows: ``mask_trained`` masks the chunk's train items in
-place in one scatter. ``top_k`` splits each row into groups of 16 items
+wants per-user top-K lists reads ``ranking.lists``. Both ranking helpers
+take a 2-D chunk of score rows: ``mask_trained`` masks the chunk's train
+items in place in one scatter. ``top_k`` splits each row into groups of 16 items
 and takes the K-th largest group maximum as a floor: K distinct items reach
 it, so it is at most the row's K-th best score and no item below it can
 make the list. The items strictly above the floor lie in fewer than K
@@ -24,12 +24,14 @@ sums and are summed over users in order; the scalar one-list functions in
 tests compare against.
 
 Only train items are masked, so a user's list does not depend on the target
-split. The module keeps a memo of the last ranking, keyed on copies of the
-encoded user and item tables and of the train ``indptr`` and ``indices``,
-compared bit for bit. The validation and test reports of one trained model
-thus share one ranking: ``evaluate`` ranks only the users the memo does not
-hold yet, and reads a prefix of its lists for a smaller K. A call that needs
-wider lists, or has another model or train mask, ranks afresh.
+split, and the validation and test reports of one trained model can share
+one ranking. The caller owns it: ``run_single`` makes one ``Ranking`` after
+training and passes it to both reports. ``evaluate`` ranks into it only the
+target users it does not hold yet, and reads a prefix of its lists for a
+smaller K; a ranking with another user count, or too narrow for the
+cutoffs, is refused with ``ValueError``. The caller keeps a ranking only
+while the model and the train split stay unchanged. Without one,
+``evaluate`` ranks afresh and keeps nothing once it returns.
 
 A model whose user or item count differs from the dataset's is refused
 with ``DatasetMismatch`` (``mmrec eval`` exits 1).
@@ -163,51 +165,18 @@ def _entries(matrix: InteractionSet, users: np.ndarray) -> tuple[np.ndarray, np.
     return np.repeat(np.arange(len(users)), counts), matrix.indices[positions]
 
 
-@dataclass
-class _Ranking:
-    """Top-K lists per user of one encoded model over one train mask."""
+class Ranking:
+    """Top-K lists per user of one trained model over its train mask.
 
-    key: tuple[np.ndarray, ...]
-    lists: np.ndarray  # (n_users, width); a row is set once its user is ranked
-    ranked: np.ndarray  # bool per user
+    Row u of the (n_users, width) int64 table ``lists`` holds user u's list
+    once ``ranked[u]`` is set; ``evaluate`` ranks into it only the target
+    users it lacks. The caller keeps a ranking only while the model and the
+    train split stay unchanged: nothing checks that.
+    """
 
-
-# the memo of the last ranking; it holds one entry
-_last: _Ranking | None = None
-
-
-def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
-    """Same dtype, shape and bytes: -0.0 is not 0.0, and a NaN equals itself."""
-    if a.dtype != b.dtype or a.shape != b.shape:
-        return False
-    as_int = np.dtype(f"i{a.dtype.itemsize}")
-    return np.array_equal(a.view(as_int), b.view(as_int))
-
-
-def _ranked_lists(rep: ModelState, train: InteractionSet, users: np.ndarray, width: int) -> np.ndarray:
-    """The memo's (n_users, >= width) list table with the rows of ``users``
-    ranked; it starts afresh unless its key matches and it is wide enough."""
-    global _last
-    key = (rep.tensors["user_emb"], rep.tensors["item_emb"], train.indptr, train.indices)
-    memo = _last
-    if memo is None or memo.lists.shape[1] < width or not all(map(_same_bits, memo.key, key)):
-        # the old entry is freed before ranking, and the new key is copied
-        # after it, once the score chunks are freed
-        _last = memo = None
-        lists, ranked = np.empty((rep.n_users, width), dtype=np.int64), np.zeros(rep.n_users, dtype=bool)
-    else:
-        lists, ranked = memo.lists, memo.ranked
-    missing = users[~ranked[users]]
-    for start in range(0, len(missing), _EVAL_CHUNK):
-        chunk = missing[start:start + _EVAL_CHUNK]
-        masked = mask_trained(full_sort_predict(rep, chunk), _entries(train, chunk))
-        lists[chunk] = top_k(masked, lists.shape[1])
-        ranked[chunk] = True
-    if memo is None:
-        # copies: encode returns an mf_bpr state's own tensors, and training
-        # updates those in place
-        _last = _Ranking(tuple(a.copy() for a in key), lists, ranked)
-    return lists
+    def __init__(self, n_users: int, width: int):
+        self.lists = np.empty((n_users, width), dtype=np.int64)
+        self.ranked = np.zeros(n_users, dtype=bool)
 
 
 def _metric_values(hits: np.ndarray, n_truth: np.ndarray, cutoffs: tuple[int, ...]) -> np.ndarray:
@@ -241,8 +210,11 @@ def evaluate(
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS,
     fused: np.ndarray | None = None,
     adjacency=None,
+    ranking: Ranking | None = None,
 ) -> MetricReport:
-    """Mean ranking metrics over users with ground truth in ``target``."""
+    """Mean ranking metrics over users with ground truth in ``target``,
+    read from ``ranking`` after ranking into it the users it lacks; without
+    one, every such user is ranked afresh."""
     cutoffs = check_cutoffs(cutoffs)
     if target not in ("valid", "test"):
         raise ValueError(f"target split must be valid or test, got {target!r}")
@@ -251,18 +223,30 @@ def evaluate(
             f"model has {state.n_users} users and {state.n_items} items, "
             f"dataset has {dataset.n_users} and {dataset.n_items}"
         )
+    width = min(cutoffs[-1], dataset.n_items)
+    if ranking is None:
+        ranking = Ranking(dataset.n_users, width)
+    elif ranking.lists.shape[0] != dataset.n_users or not width <= ranking.lists.shape[1] <= dataset.n_items:
+        raise ValueError(
+            f"a ranking of shape {ranking.lists.shape} does not fit {dataset.n_users} users "
+            f"and lists of {width} to {dataset.n_items} items"
+        )
     split = getattr(dataset, target)
     n_truth = np.diff(split.indptr)
     users = np.flatnonzero(n_truth > 0)
     if users.size == 0:
         raise EmptySplit(f"no user has ground truth in the {target} split")
     rep = encode(state, fused, adjacency)
-    width = min(cutoffs[-1], dataset.n_items)
-    table = _ranked_lists(rep, dataset.train, users, width)
+    missing = users[~ranking.ranked[users]]
+    for start in range(0, len(missing), _EVAL_CHUNK):
+        chunk = missing[start:start + _EVAL_CHUNK]
+        masked = mask_trained(full_sort_predict(rep, chunk), _entries(dataset.train, chunk))
+        ranking.lists[chunk] = top_k(masked, ranking.lists.shape[1])
+        ranking.ranked[chunk] = True
     per_user = []
     for start in range(0, len(users), _EVAL_CHUNK):
         chunk = users[start:start + _EVAL_CHUNK]
-        lists = table[chunk, :width]
+        lists = ranking.lists[chunk, :width]
         truth_rows, truth_items = _entries(split, chunk)
         keys = np.arange(len(chunk))[:, None] * dataset.n_items + lists
         hits = np.isin(keys, truth_rows * dataset.n_items + truth_items) & (lists >= 0)

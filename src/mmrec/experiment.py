@@ -51,6 +51,7 @@ from .evaluation import (
     DEFAULT_CUTOFFS,
     METRICS,
     MetricReport,
+    Ranking,
     check_cutoffs,
     evaluate,
     parse_metric_spec,
@@ -343,13 +344,15 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
         adjacency=adjacency,
     )
     cutoffs = v["topk"]
+    # one ranking of the trained model serves both reports
+    ranking = Ranking(dataset.n_users, min(cutoffs[-1], dataset.n_items))
     valid_report = (
-        evaluate(state, dataset, "valid", cutoffs, fused, adjacency)
+        evaluate(state, dataset, "valid", cutoffs, fused, adjacency, ranking=ranking)
         if dataset.valid.nnz > 0
         else None
     )
     test_report = (
-        evaluate(state, dataset, "test", cutoffs, fused, adjacency)
+        evaluate(state, dataset, "test", cutoffs, fused, adjacency, ranking=ranking)
         if dataset.test.nnz > 0
         else None
     )

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import mmrec.evaluation
+import mmrec.experiment
 import mmrec.models
 
 from mmrec.data import Dataset
@@ -15,6 +16,7 @@ from mmrec.errors import EmptySplit
 from mmrec.evaluation import (
     METRICS,
     MetricReport,
+    Ranking,
     evaluate,
     format_metric_report,
     mask_trained,
@@ -22,8 +24,8 @@ from mmrec.evaluation import (
     top_k,
     write_metric_report,
 )
+from mmrec.experiment import parse_config, run_single
 from mmrec.models import FEATURE_KINDS, GRAPH_KINDS, ModelState, build_adjacency, init_params
-from mmrec.trainer import OptimizerState, TrainConfig, adam_step
 
 from conftest import all_scores, make_interaction_set, synthetic_block_dataset, topk_lists
 from eval_oracle import EmptyGroundTruth, map_at_k, ndcg_at_k, precision_at_k, recall_at_k
@@ -511,66 +513,52 @@ class TestChunkedMaskAndTopK:
         assert top_k(chunk, 5).tolist() == [[2, 0, -1], [-1, -1, -1], [0, 1, 2]]
 
 
-# ------------------------------------------- the memo of the last ranking
-
-def cold_evaluate(monkeypatch, *args):
-    """``evaluate`` with the memo of the last ranking forgotten first."""
-    monkeypatch.setattr(mmrec.evaluation, "_last", None)
-    return evaluate(*args)
-
+# ------------------------------------------------ a ranking shared by reports
 
 def users_of(split):
     return set(np.flatnonzero(np.diff(split.indptr)).tolist())
 
 
 @pytest.mark.parametrize("kind", ["mf_bpr", "vbpr_mm", "graph_mm"])
-def test_reports_sharing_a_ranking_equal_cold_reports(kind, monkeypatch):
+def test_reports_sharing_a_ranking_equal_cold_reports(kind):
     ds, fused = synthetic_block_dataset()
-    assert users_of(ds.test) <= users_of(ds.valid)  # so the test report is served by the memo
+    assert users_of(ds.test) <= users_of(ds.valid)  # so the test report ranks no one
     fused = fused if kind in FEATURE_KINDS else None
     adjacency = build_adjacency(ds.train) if kind in GRAPH_KINDS else None
     state = init_params(kind, ds.n_users, ds.n_items, 4, seed=2, d_p=3, d_fused=4, n_layers=2)
-    # valid, then test from the memo, a prefix of it, and wider lists than it holds
-    calls = [("valid", (5, 20, 50)), ("test", (5, 20, 50)), ("test", (10,)), ("valid", (60, 50))]
-    warm = [evaluate(state, ds, target, cutoffs, fused, adjacency) for target, cutoffs in calls]
-    cold = [cold_evaluate(monkeypatch, state, ds, target, cutoffs, fused, adjacency)
-            for target, cutoffs in calls]
-    assert warm == cold
+    ranking = Ranking(ds.n_users, 50)
+    # valid, then test from the shared lists, and a prefix of them
+    calls = [("valid", (5, 20, 50)), ("test", (5, 20, 50)), ("test", (10,))]
+    shared = [evaluate(state, ds, target, cutoffs, fused, adjacency, ranking=ranking)
+              for target, cutoffs in calls]
+    cold = [evaluate(state, ds, target, cutoffs, fused, adjacency) for target, cutoffs in calls]
+    assert shared == cold
 
 
-def test_training_in_place_after_an_evaluation_ranks_again(monkeypatch):
+@pytest.mark.parametrize("n_users_off, width", [(0, 19), (-1, 20), (1, 20), (0, 101)])
+def test_a_ranking_that_does_not_fit_is_refused(n_users_off, width):
     ds, _ = synthetic_block_dataset()
-    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=5)
-    before = evaluate(state, ds, "valid", (10,))
-    rng = np.random.default_rng(0)
-    grads = {name: rng.normal(size=t.shape) for name, t in state.tensors.items()}
-    # encode hands back these very tensors, and the step updates them in place
-    adam_step(state, grads, OptimizerState.zeros(state), TrainConfig(learning_rate=0.1))
-    after = evaluate(state, ds, "valid", (10,))
-    assert after == cold_evaluate(monkeypatch, state, ds, "valid", (10,))
-    assert after != before
+    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=2)
+    ranking = Ranking(ds.n_users + n_users_off, width)
+    with pytest.raises(ValueError, match="does not fit"):
+        evaluate(state, ds, "valid", (5, 20), ranking=ranking)
+    assert not ranking.ranked.any()
 
 
-def test_another_train_split_of_the_same_shape_ranks_again(monkeypatch):
-    ds, _ = synthetic_block_dataset(split_seed=11)
-    other, _ = synthetic_block_dataset(split_seed=12)
-    assert (other.n_users, other.n_items) == (ds.n_users, ds.n_items) and other.train != ds.train
-    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=5)
-    evaluate(state, ds, "test", (20,))
-    assert evaluate(state, other, "test", (20,)) == cold_evaluate(monkeypatch, state, other, "test", (20,))
-
-
-@pytest.mark.parametrize("valid_every", [1, 10])
-def test_test_report_ranks_only_users_missing_from_the_memo(valid_every, monkeypatch):
+def partly_validated_dataset(valid_every):
+    """1100 users over 30 items; every ``valid_every``-th user has no valid
+    item, unless ``valid_every`` is 1."""
     rng = np.random.default_rng(9)
     n_users, n_items = 1100, 30
     picks = [rng.choice(n_items, 5, replace=False) for _ in range(n_users)]
     train = {(u, int(i)) for u, items in enumerate(picks) for i in items[:3]}
-    # every valid_every-th user has no valid item
     valid = {(u, int(items[3])) for u, items in enumerate(picks) if valid_every == 1 or u % valid_every}
     test = {(u, int(items[4])) for u, items in enumerate(picks)}
-    ds = manual_dataset(n_users, n_items, train, test, valid)
-    state = init_params("mf_bpr", n_users, n_items, 4, seed=3)
+    return manual_dataset(n_users, n_items, train, test, valid)
+
+
+def counted_chunks(monkeypatch):
+    """The user chunks that ``evaluate`` scores, appended as it scores them."""
     ranked = []
     predict = mmrec.evaluation.full_sort_predict
 
@@ -579,12 +567,60 @@ def test_test_report_ranks_only_users_missing_from_the_memo(valid_every, monkeyp
         return predict(rep, users)
 
     monkeypatch.setattr(mmrec.evaluation, "full_sort_predict", counted)
-    monkeypatch.setattr(mmrec.evaluation, "_last", None)
-    evaluate(state, ds, "valid")
+    return ranked
+
+
+@pytest.mark.parametrize("valid_every", [1, 10])
+def test_test_report_ranks_only_users_missing_from_the_ranking(valid_every, monkeypatch):
+    ds = partly_validated_dataset(valid_every)
+    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=3)
+    ranking = Ranking(ds.n_users, ds.n_items)
+    ranked = counted_chunks(monkeypatch)
+    evaluate(state, ds, "valid", ranking=ranking)
     assert len(ranked) == math.ceil(len(users_of(ds.valid)) / 512)
     del ranked[:]
-    report = evaluate(state, ds, "test")
+    report = evaluate(state, ds, "test", ranking=ranking)
     missing = sorted(users_of(ds.test) - users_of(ds.valid))
     assert len(ranked) == (0 if valid_every == 1 else 1)
     assert sorted(u for chunk in ranked for u in chunk.tolist()) == missing
-    assert report == cold_evaluate(monkeypatch, state, ds, "test")
+    assert report == evaluate(state, ds, "test")
+
+
+def test_run_single_ranks_each_user_once_for_both_reports(tmp_path, monkeypatch):
+    ds = partly_validated_dataset(10)
+    (tmp_path / "run.cfg").write_text("interactions: unused.tsv\nmax_epochs: 1\n", encoding="utf-8")
+    monkeypatch.delenv("MMREC_SEED", raising=False)
+    config = parse_config(tmp_path / "run.cfg")
+    ranked = counted_chunks(monkeypatch)
+    starts = {}
+    report_evaluate = mmrec.experiment.evaluate
+
+    def marked(state, dataset, target, *args, **kwargs):
+        starts[target] = len(ranked)
+        return report_evaluate(state, dataset, target, *args, **kwargs)
+
+    # fit's in-fit validation goes through mmrec.trainer, so only the
+    # reports are marked, and their chunks come after fit's
+    monkeypatch.setattr(mmrec.experiment, "evaluate", marked)
+    _, _, valid_report, test_report = run_single(config, ds, [])
+    valid_chunks, test_chunks = ranked[starts["valid"]:starts["test"]], ranked[starts["test"]:]
+    assert len(valid_chunks) == 2 and len(test_chunks) == 1
+    assert sorted(np.concatenate(valid_chunks).tolist()) == sorted(users_of(ds.valid))
+    assert sorted(np.concatenate(test_chunks).tolist()) == sorted(users_of(ds.test) - users_of(ds.valid))
+    assert (valid_report.n_evaluated, test_report.n_evaluated) == (990, 1100)
+
+
+def test_evaluate_keeps_nothing_once_it_returns():
+    ds = partly_validated_dataset(1)
+    # a first call on another model, so numpy's own lazy set-up is not counted
+    evaluate(init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=1), ds, "valid")
+    state = init_params("mf_bpr", ds.n_users, ds.n_items, 4, seed=2)
+    tracemalloc.start()
+    try:
+        report = evaluate(state, ds, "valid")
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert report.n_evaluated == ds.n_users
+    # a list table would be n_users * n_items * 8 bytes (264 kB)
+    assert held < 8_000

@@ -20,7 +20,14 @@ columns; :meth:`Interactions.from_records` builds one from
   check per rule (field count, empty ID, rating, timestamp, in that order)
   finds its first bad row and that row's message; the earliest line raises
   :class:`MalformedLine` with its 1-based number (the header is line 1) and
-  its first failed check's message. So does a file that is not UTF-8;
+  its first failed check's message. So does a file that is not UTF-8.
+  :func:`read_interactions` reads a file's bytes into one buffer and turns
+  ``\\r\\n`` and then a lone ``\\r`` into ``\\n``, as a text read with
+  universal newlines would; :func:`parse_interactions` encodes a stream's
+  text once and ends lines at ``\\n`` only. Both enter one bytes parser: it
+  finds the fields by their tab and line-feed offsets, reads numbers and ID
+  keys as 8-byte words of the buffer, and factorizes each ID column with
+  one exact sort of its rows' key words, decoding only the distinct IDs;
 - dedupe keeps one row per (user, item) pair, the one with the greatest
   ``float(timestamp)``; a missing timestamp compares lowest and the later
   input position wins a tie. The result is sorted by raw (user, item) IDs;
@@ -32,8 +39,9 @@ columns; :meth:`Interactions.from_records` builds one from
 :func:`load_dataset` refuses, raising :class:`MalformedDataset`, a file
 that is not UTF-8, a ``meta`` without integer sizes, and a pair or map
 file with a wrong field count, a non-integer index or an index outside
-the sizes in ``meta``, naming the file and the earliest bad line. Its
-lines end at ``\\n`` only, so a raw ID may hold a lone ``\\r``.
+the sizes in ``meta``, naming the file and the earliest bad line. It
+reads each file's bytes through the same parser, with lines that end at
+``\\n`` only, so a raw ID may hold a lone ``\\r``.
 """
 
 from __future__ import annotations
@@ -214,106 +222,178 @@ class Dataset:
 
 # ------------------------------------------------------------------ parsing
 
-class _Fields:
-    """A TSV body split into fields in bulk, as byte spans of its UTF-8 form.
+# zero bytes on each side of a parsed buffer, so that an 8-byte load at any
+# field's start or end stays inside the buffer
+_PAD = 8
+# _LOW[c] keeps the low c bytes of a 64-bit word and _HIGH[c] its high c bytes
+_LOW = np.array([(1 << 8 * c) - 1 for c in range(9)], dtype=np.uint64)
+_HIGH = ~_LOW[::-1]
+_ZEROS = np.uint64(0x3030303030303030)  # "00000000"
+_HIGH_NIBBLES = np.uint64(0xF0F0F0F0F0F0F0F0)
+_SIXES = np.uint64(0x0606060606060606)
 
-    Lines end at ``\\n`` only. Empty lines are skipped and trailing ``\\r``
-    is stripped from the others. The rows are the kept lines up to the first
-    one without ``n_cols`` fields; ``errors`` holds that line's (row, message)
-    pair, if there is one, and ``line_index`` gives each row's position among
-    all lines of the body.
+
+def _sorted_groups(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """The order that sorts the rows by their key words, most significant
+    word first, and whether each sorted row's key differs from the one
+    before it."""
+    # least significant word first; only the later sorts must be stable
+    order = np.argsort(words[-1])
+    for w in words[-2::-1]:
+        order = order[np.argsort(w[order], kind="stable")]
+    new = np.zeros(order.size, dtype=bool)
+    new[:1] = True
+    for w in words:
+        w = w[order]
+        new[1:] |= w[1:] != w[:-1]
+    return order, new
+
+
+class _Fields:
+    """The lines of ``buf[lo:hi]`` split into fields in bulk, as byte spans.
+
+    ``buf`` holds UTF-8 bytes with at least ``_PAD`` bytes before ``lo``
+    and exactly ``_PAD`` zero bytes after ``hi``; spans are offsets from
+    ``lo``. Lines end at ``\\n`` only. Empty lines are skipped and trailing
+    ``\\r`` is stripped from the others. The rows are the kept lines up to
+    the first one without ``n_cols`` fields; ``errors`` holds that line's
+    (row, message) pair, if there is one, and ``line_index`` gives each
+    row's position among all lines of the body. Row ``r``'s field ``c``
+    spans ``bounds[r, c] + 1`` to ``bounds[r, c + 1]``: the first bound is
+    one before the line's start, then come the tabs and the line's end.
     """
 
-    def __init__(self, body: str, n_cols: int):
-        raw = body.encode("utf-8", "surrogatepass")
-        self.bytes = b = np.frombuffer(raw, dtype=np.uint8)
-        ends = np.flatnonzero(b == 10)
-        if b.size and b[-1] != 10:
-            ends = np.append(ends, b.size)  # the last line has no terminator
-        starts = np.concatenate([[0], ends[:-1] + 1]).astype(np.int64)[: ends.size]
-        tabs = np.flatnonzero(b == 9)
+    def __init__(self, buf: bytes | bytearray, lo: int, hi: int, n_cols: int):
+        size = hi - lo
+        # the body and the zeros after it, so a field's end can be read too
+        self.bytes = b = np.frombuffer(buf, dtype=np.uint8)[lo:]
+        # entry i is body bytes [i - _PAD, i - _PAD + 8) as one big-endian
+        # number: an unaligned strided view, no copy
+        self._words = np.ndarray((size + _PAD + 1,), ">u8", buf, lo - _PAD, (1,))
+        body = b[:size]
+        ends = np.flatnonzero(body == 10)
+        if size and body[-1] != 10:
+            ends = np.append(ends, size)  # the last line has no terminator
+        tabs = np.flatnonzero(body == 9)
+        n_tabs = np.diff(np.searchsorted(tabs, ends), prepend=0)
+        starts = np.concatenate([[0], ends[:-1] + 1])[: ends.size]
         self.line_index = np.flatnonzero(ends > starts)
-        n_tabs = np.bincount(np.searchsorted(ends, tabs), minlength=ends.size)[self.line_index]
-        starts, ends = starts[self.line_index], ends[self.line_index]
-        if b"\r" in raw:
+        if self.line_index.size < ends.size:  # skip the empty lines
+            starts, ends, n_tabs = starts[self.line_index], ends[self.line_index], n_tabs[self.line_index]
+        if buf.find(b"\r", lo, hi) >= 0:
             while (cr := np.flatnonzero((ends > starts) & (b[ends - 1] == 13))).size:
                 ends[cr] -= 1
         bad = np.flatnonzero(n_tabs != n_cols - 1)[:1]
         self.errors = [(int(r), f"expected {n_cols} fields, got {n_tabs[r] + 1}") for r in bad]
         n = int(bad[0]) if bad.size else starts.size
-        inner = tabs[: n * (n_cols - 1)].reshape(n, n_cols - 1)
-        self.start = np.column_stack([starts[:n], inner + 1])
-        self.end = np.column_stack([inner, ends[:n]])
+        # the rows before the first bad one hold n_cols - 1 tabs each, and
+        # empty lines hold none, so the rows' tabs are the first ones
+        self.bounds = np.empty((n, n_cols + 1), dtype=np.int64)
+        self.bounds[:, 0] = starts[:n] - 1
+        self.bounds[:, 1:-1] = tabs[: n * (n_cols - 1)].reshape(n, n_cols - 1)
+        self.bounds[:, -1] = ends[:n]
 
     def __len__(self) -> int:
-        return self.start.shape[0]
+        return self.bounds.shape[0]
 
-    def window(self, start: np.ndarray, width: int) -> np.ndarray:
-        """Bytes ``[start, start + width)`` for each ``start``, as rows of an
-        array; zero outside the body."""
-        pad = np.zeros(width, dtype=np.uint8)
-        padded = np.concatenate([pad, self.bytes, pad])
-        return np.lib.stride_tricks.sliding_window_view(padded, width)[start + width]
+    def span(self, col: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each row's field ``col`` as (start, end) offsets."""
+        return self.bounds[:, col] + 1, self.bounds[:, col + 1]
+
+    def load(self, pos: np.ndarray) -> np.ndarray:
+        """Body bytes ``[pos, pos + 8)`` for each ``pos``, as big-endian
+        uint64. A ``pos`` off the buffer is moved onto it, so callers mask
+        every byte outside their field."""
+        return self._words[np.clip(pos + _PAD, 0, self._words.size - 1)].astype(np.uint64)
+
+    def key_words(self, col: int) -> tuple[list[np.ndarray], np.ndarray]:
+        """Field ``col``'s keys as word arrays, most significant first, and
+        each row's byte length.
+
+        A field's key is its UTF-8 bytes, zero-padded, then its length, read
+        as big-endian 64-bit words: keys sort in code-point order, and the
+        length tells "a" from "a\\0".
+        """
+        start, end = self.span(col)
+        length = end - start
+        width = int(length.max(initial=0))
+        len_bytes = max(1, -(-width.bit_length() // 8))
+        words = [
+            self.load(start + 8 * k) & _HIGH[np.clip(length - 8 * k, 0, 8)]
+            for k in range((width + len_bytes + 7) // 8)
+        ]
+        # the length fills the low bytes of the last word, after every text
+        words[-1] |= length.astype(np.uint64)
+        return words, length
+
+    def texts(self, col: int) -> list[str]:
+        """Field ``col`` of every row, in row order."""
+        words, length = self.key_words(col)
+        return _decode(np.stack(words, axis=1), length)
 
     def column(self, col: int) -> tuple[list[str], np.ndarray]:
         """Field ``col``'s distinct texts in code-point order, and each row's
-        index into them."""
-        start, end = self.start[:, col], self.end[:, col]
-        length = end - start
-        width = int(length.max(initial=1))
-        # zero-padded UTF-8 bytes sort in code-point order and the length
-        # after them tells "a" from "a\0"; read as big-endian 64-bit words
-        len_bytes = 1 if width < 256 else 4
-        keys = np.zeros((start.size, -(-(width + len_bytes) // 8) * 8), dtype=np.uint8)
-        keys[:, :width] = np.where(np.arange(width) < length[:, None], self.window(start, width), 0)
-        length_bytes = length.astype(f">u{len_bytes}").view(np.uint8)
-        keys[:, width:width + len_bytes] = length_bytes.reshape(-1, len_bytes)
-        words = keys.view(">u8").astype(np.uint64)
-        # least significant word first; only the later sorts must be stable
-        order = np.argsort(words[:, -1])
-        for w in range(words.shape[1] - 2, -1, -1):
-            order = order[np.argsort(words[order, w], kind="stable")]
-        words = words[order]
-        new = np.ones(start.size, dtype=bool)
-        new[1:] = (words[1:] != words[:-1]).any(axis=1)
-        codes = np.empty(start.size, dtype=np.int64)
+        index into them: one exact sort of the rows' key words."""
+        words, length = self.key_words(col)
+        order, new = _sorted_groups(words)
+        codes = np.empty(order.size, dtype=np.int64)
         codes[order] = np.cumsum(new) - 1
         first = order[new]
-        return self.texts(start[first], end[first]), codes
+        keys = np.stack([w[first] for w in words], axis=1)
+        del words, order, new
+        return _decode(keys, length[first]), codes
 
-    def texts(self, start: np.ndarray, end: np.ndarray) -> list[str]:
-        """The byte spans ``[start, end)`` decoded, in one decode."""
-        length = end - start
-        # every span and a tab after it, one after another in one buffer
-        at = np.cumsum(length + 1) - (length + 1)
-        idx = np.arange(int((length + 1).sum())) + np.repeat(start - at, length + 1)
-        buffer = self.bytes[np.minimum(idx, self.bytes.size - 1)]
-        buffer[at + length] = ord("\t")
-        return buffer.tobytes().decode("utf-8", "surrogatepass").split("\t")[:-1]
+
+def _decode(keys: np.ndarray, length: np.ndarray) -> list[str]:
+    """The texts whose key words are the rows of ``keys`` and whose byte
+    lengths are ``length``, in one decode."""
+    # each key's bytes in text order; a tab ends each text, over the first
+    # byte of padding or of the length
+    b = keys.astype(">u8").view(np.uint8)
+    b[np.arange(b.shape[0]), length] = ord("\t")
+    text = b[np.arange(b.shape[1]) <= length[:, None]].tobytes()
+    return text.decode("utf-8", "surrogatepass").split("\t")[:-1]
 
 
 def _fits_int64(value: int) -> bool:
     return _INT64.min <= value <= _INT64.max
 
 
+def _digit_values(d: np.ndarray) -> np.ndarray:
+    """The number each word spells, read big-endian as eight decimal
+    digits, one byte each (0 to 9)."""
+    # digit pairs in 16-bit lanes, then fours in 32-bit lanes, then eight
+    d = (d >> np.uint64(8) & np.uint64(0x00FF00FF00FF00FF)) * np.uint64(10) + (
+        d & np.uint64(0x00FF00FF00FF00FF)
+    )
+    d = (d >> np.uint64(16) & np.uint64(0x0000FFFF0000FFFF)) * np.uint64(100) + (
+        d & np.uint64(0x0000FFFF0000FFFF)
+    )
+    return (d >> np.uint64(32)) * np.uint64(10000) + (d & np.uint64(0xFFFFFFFF))
+
+
 def _decimal_ints(fields: _Fields, col: int) -> tuple[np.ndarray, np.ndarray] | None:
     """Field ``col`` as (int64 values, presence) when every non-empty field
     is an optional ``-`` and 1 to 18 ASCII digits, else None."""
-    start, end = fields.start[:, col], fields.end[:, col]
+    start, end = fields.span(col)
     present = end > start
-    negative = present & (fields.window(start, 1)[:, 0] == ord("-"))
+    negative = present & (fields.bytes[start] == ord("-"))
     n_digits = end - start - negative
+    del start
     if np.any(present & ((n_digits < 1) | (n_digits > 18))):
         return None
-    width = int(n_digits.max(initial=1))
-    # right-aligned, so the last column holds the units digit
-    digits = fields.window(end - width, width).astype(np.int16) - ord("0")
-    is_digit = np.arange(width) >= width - n_digits[:, None]
-    if np.any(is_digit & ((digits < 0) | (digits > 9))):
-        return None
-    values = np.zeros(start.size, dtype=np.int64)
-    for j in range(width):
-        values = values * 10 + np.where(is_digit[:, j], digits[:, j], 0)
+    values = np.zeros(n_digits.size, dtype=np.int64)
+    # eight digits per word, counted back from the units digit: xor with
+    # "0" turns a digit into its value, and the bytes before a field's
+    # first digit are masked to 0
+    for k in range((int(n_digits.max(initial=0)) + 7) // 8):
+        d = fields.load(end - 8 * (k + 1))
+        d ^= _ZEROS
+        d &= _LOW[np.clip(n_digits - 8 * k, 0, 8)]
+        # a byte was a digit when it and the byte 6 above it are below 16
+        if np.any(d & _HIGH_NIBBLES) or np.any((d + _SIXES) & _HIGH_NIBBLES):
+            return None
+        values += _digit_values(d).astype(np.int64) * 10 ** (8 * k)
     return np.where(negative, -values, values), present
 
 
@@ -352,27 +432,37 @@ def _int_column(
     if parsed is not None:
         return *parsed, []
     values, errors = _distinct_numbers(fields, col, int, _fits_int64, np.int64(0), messages)
-    return values, fields.end[:, col] > fields.start[:, col], errors
+    start, end = fields.span(col)
+    return values, end > start, errors
 
 
-def parse_interactions(source: TextIO) -> Interactions:
-    """Parse a TSV text stream into a table, preserving order.
+def _read_padded(path: str | os.PathLike) -> bytearray:
+    """A file's bytes between ``_PAD`` zero bytes on each side, read into
+    one buffer. UnicodeDecodeError, at the file's offsets, unless they are
+    UTF-8."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        buf = bytearray(size + 2 * _PAD)
+        n = fh.readinto(memoryview(buf)[_PAD:_PAD + size])
+        # the rest of a file that grew since fstat or is not a regular file
+        buf[_PAD + n:] = fh.read() + bytes(_PAD)
+    if not buf.isascii():
+        str(memoryview(buf)[_PAD:-_PAD], "utf-8")  # raises if not UTF-8
+    return buf
 
-    Raises MalformedHeader if userID or itemID is absent, MalformedLine for
-    the first row with a wrong field count, an empty ID, a rating that is
-    not a finite float, or a timestamp that is not an int64 integer. Line
-    numbers are 1-based and count the header.
-    """
-    text = source.read()
-    if not text:
+
+def _parse(buf: bytes | bytearray) -> Interactions:
+    """:func:`parse_interactions` of the bytes between ``_PAD`` bytes on
+    each side of ``buf``."""
+    hi = len(buf) - _PAD
+    if hi == _PAD:
         raise MalformedHeader("empty input, no header line")
-    header, _, body = text.partition("\n")
-    del text
-    columns = header.rstrip("\r").split("\t")
+    eol = buf.find(b"\n", _PAD, hi)
+    eol = hi if eol < 0 else eol
+    columns = buf[_PAD:eol].decode("utf-8", "surrogatepass").rstrip("\r").split("\t")
     if "userID" not in columns or "itemID" not in columns:
         raise MalformedHeader(f"header must name userID and itemID, got {columns}")
-    fields = _Fields(body, len(columns))
-    del body
+    fields = _Fields(buf, min(eol + 1, hi), hi, len(columns))
 
     # each check adds its first bad row and message; for one row they are
     # listed in the order the checks run
@@ -408,14 +498,30 @@ def parse_interactions(source: TextIO) -> Interactions:
     )
 
 
+def parse_interactions(source: TextIO) -> Interactions:
+    """Parse a TSV text stream into a table, preserving order.
+
+    Raises MalformedHeader if userID or itemID is absent, MalformedLine for
+    the first row with a wrong field count, an empty ID, a rating that is
+    not a finite float, or a timestamp that is not an int64 integer. Line
+    numbers are 1-based and count the header. Lines end at ``\\n`` only.
+    """
+    pad = bytes(_PAD)
+    return _parse(b"".join((pad, source.read().encode("utf-8", "surrogatepass"), pad)))
+
+
 def read_interactions(path: str | os.PathLike) -> Interactions:
-    """:func:`parse_interactions` of a file read with universal newlines;
-    bytes that are not UTF-8 raise MalformedLine."""
-    with open(path, encoding="utf-8") as fh:
-        try:
-            return parse_interactions(fh)
-        except UnicodeDecodeError as exc:
-            raise MalformedLine(*undecodable_line(exc, universal=True)) from None
+    """:func:`parse_interactions` of a file's bytes, read into one buffer.
+    Bytes that are not UTF-8 raise MalformedLine. Lines end as in a text
+    read with universal newlines: ``\\r\\n`` and then a lone ``\\r`` become
+    ``\\n`` before parsing."""
+    try:
+        buf = _read_padded(path)
+    except UnicodeDecodeError as exc:
+        raise MalformedLine(*undecodable_line(exc, universal=True)) from None
+    if b"\r" in buf:
+        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    return _parse(buf)
 
 
 # ------------------------------------------------------------ the pipeline
@@ -586,12 +692,12 @@ def _write_tsv(path: str, first: Iterable, second: Iterable) -> None:
 def _read_tsv(path: str) -> _Fields:
     """The two fields of each line of a dataset file; lines end at ``\\n``
     and empty lines are skipped. :func:`_read_indices` reports bad lines."""
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        try:
-            return _Fields(fh.read(), 2)
-        except UnicodeDecodeError as exc:
-            line_no, message = undecodable_line(exc, universal=False)
-            raise MalformedDataset(f"{path}: line {line_no}: {message}") from None
+    try:
+        buf = _read_padded(path)
+    except UnicodeDecodeError as exc:
+        line_no, message = undecodable_line(exc, universal=False)
+        raise MalformedDataset(f"{path}: line {line_no}: {message}") from None
+    return _Fields(buf, _PAD, len(buf) - _PAD, 2)
 
 
 def _read_indices(path: str, fields: _Fields, col: int, what: str, bound: int) -> np.ndarray:
@@ -622,7 +728,7 @@ def _read_pairs(path: str, n_rows: int, n_cols: int) -> InteractionSet:
 def _read_map(path: str, size: int, what: str) -> dict[str, int]:
     fields = _read_tsv(path)
     dense = _read_indices(path, fields, 1, what, size)
-    id_map = dict(zip(fields.texts(fields.start[:, 0], fields.end[:, 0]), range(size)))
+    id_map = dict(zip(fields.texts(0), range(size)))
     if len(id_map) != size or not np.array_equal(dense, np.arange(size)):
         raise MalformedDataset(f"{path}: expected {size} distinct IDs indexed 0..{size - 1} in order")
     return id_map

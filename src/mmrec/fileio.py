@@ -36,8 +36,9 @@ def atomic_write(path: str | os.PathLike, binary: bool = False) -> Iterator[IO]:
 
 
 def undecodable_line(exc: UnicodeDecodeError, universal: bool) -> tuple[int, str]:
-    """The 1-based line and a message for a file whose one ``read()`` raised
-    ``exc``; the error then holds the whole file, so its offset is the
+    """The 1-based line and a message for a file whose bytes, decoded all
+    at once, raised ``exc``: one bytes read decoded whole, or one text
+    ``read()``. The error then holds the whole file, so its offset is the
     file's. ``universal``: ``\\r\\n`` and a lone ``\\r`` end lines too."""
     before = exc.object[:exc.start]
     if universal:

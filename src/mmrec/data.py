@@ -14,20 +14,20 @@ with a presence mask. Every stage takes such a table and works on whole
 columns; :meth:`Interactions.from_records` builds one from
 :class:`InteractionRecord` objects in memory. The rules:
 
-- parsing skips empty lines, strips trailing ``\\r`` and reads an empty
-  rating or timestamp field as absent. Ratings go through ``float`` and must
-  be finite; timestamps go through ``int`` and must fit in int64. One bulk
-  check per rule (field count, empty ID, rating, timestamp, in that order)
-  finds its first bad row and that row's message; the earliest line raises
-  :class:`MalformedLine` with its 1-based number (the header is line 1) and
-  its first failed check's message. So does a file that is not UTF-8.
-  :func:`read_interactions` reads a file's bytes into one buffer and turns
-  ``\\r\\n`` and then a lone ``\\r`` into ``\\n``, as a text read with
-  universal newlines would; :func:`parse_interactions` encodes a stream's
-  text once and ends lines at ``\\n`` only. Both enter one bytes parser: it
-  finds the fields by their tab and line-feed offsets, reads numbers and ID
-  keys as 8-byte words of the buffer, and factorizes each ID column with
-  one exact sort of its rows' key words, decoding only the distinct IDs;
+- parsing follows mmrec's one line rule (see :mod:`mmrec.fileio`): a line
+  ends at ``\\n`` only, its trailing ``\\r`` are dropped, and a line left
+  empty is skipped. An empty rating or timestamp field is absent. Ratings
+  go through ``float`` and must be finite; timestamps go through ``int``
+  and must fit in int64. One bulk check per rule (field count, empty ID,
+  rating, timestamp, in that order) finds its first bad row and that row's
+  message; the earliest line raises :class:`MalformedLine` with its 1-based
+  number (the header is line 1) and its first failed check's message. So
+  does a file that is not UTF-8. :func:`read_interactions` reads a file's
+  bytes into one buffer and :func:`parse_interactions` encodes a stream's
+  text once; both enter one bytes parser: it finds the fields by their tab
+  and line-feed offsets, reads numbers and ID keys as 8-byte words of the
+  buffer, and factorizes each ID column with one exact sort of its rows'
+  key words, decoding only the distinct IDs;
 - dedupe keeps one row per (user, item) pair, the one with the greatest
   ``float(timestamp)``; a missing timestamp compares lowest and the later
   input position wins a tie. The result is sorted by raw (user, item) IDs;
@@ -40,8 +40,8 @@ columns; :meth:`Interactions.from_records` builds one from
 that is not UTF-8, a ``meta`` without integer sizes, and a pair or map
 file with a wrong field count, a non-integer index or an index outside
 the sizes in ``meta``, naming the file and the earliest bad line. It
-reads each file's bytes through the same parser, with lines that end at
-``\\n`` only, so a raw ID may hold a lone ``\\r``.
+reads each file's bytes through the same parser and line rule, so a raw ID
+may hold a lone ``\\r``.
 """
 
 from __future__ import annotations
@@ -254,8 +254,8 @@ class _Fields:
 
     ``buf`` holds UTF-8 bytes with at least ``_PAD`` bytes before ``lo``
     and exactly ``_PAD`` zero bytes after ``hi``; spans are offsets from
-    ``lo``. Lines end at ``\\n`` only. Empty lines are skipped and trailing
-    ``\\r`` is stripped from the others. The rows are the kept lines up to
+    ``lo``. Lines end at ``\\n`` only, their trailing ``\\r`` are stripped,
+    and the lines left empty are skipped. The rows are the kept lines up to
     the first one without ``n_cols`` fields; ``errors`` holds that line's
     (row, message) pair, if there is one, and ``line_index`` gives each
     row's position among all lines of the body. Row ``r``'s field ``c``
@@ -277,12 +277,12 @@ class _Fields:
         tabs = np.flatnonzero(body == 9)
         n_tabs = np.diff(np.searchsorted(tabs, ends), prepend=0)
         starts = np.concatenate([[0], ends[:-1] + 1])[: ends.size]
-        self.line_index = np.flatnonzero(ends > starts)
-        if self.line_index.size < ends.size:  # skip the empty lines
-            starts, ends, n_tabs = starts[self.line_index], ends[self.line_index], n_tabs[self.line_index]
         if buf.find(b"\r", lo, hi) >= 0:
             while (cr := np.flatnonzero((ends > starts) & (b[ends - 1] == 13))).size:
                 ends[cr] -= 1
+        self.line_index = np.flatnonzero(ends > starts)
+        if self.line_index.size < ends.size:  # skip the empty lines
+            starts, ends, n_tabs = starts[self.line_index], ends[self.line_index], n_tabs[self.line_index]
         bad = np.flatnonzero(n_tabs != n_cols - 1)[:1]
         self.errors = [(int(r), f"expected {n_cols} fields, got {n_tabs[r] + 1}") for r in bad]
         n = int(bad[0]) if bad.size else starts.size
@@ -325,11 +325,6 @@ class _Fields:
         # the length fills the low bytes of the last word, after every text
         words[-1] |= length.astype(np.uint64)
         return words, length
-
-    def texts(self, col: int) -> list[str]:
-        """Field ``col`` of every row, in row order."""
-        words, length = self.key_words(col)
-        return _decode(np.stack(words, axis=1), length)
 
     def column(self, col: int) -> tuple[list[str], np.ndarray]:
         """Field ``col``'s distinct texts in code-point order, and each row's
@@ -512,15 +507,11 @@ def parse_interactions(source: TextIO) -> Interactions:
 
 def read_interactions(path: str | os.PathLike) -> Interactions:
     """:func:`parse_interactions` of a file's bytes, read into one buffer.
-    Bytes that are not UTF-8 raise MalformedLine. Lines end as in a text
-    read with universal newlines: ``\\r\\n`` and then a lone ``\\r`` become
-    ``\\n`` before parsing."""
+    Bytes that are not UTF-8 raise MalformedLine."""
     try:
         buf = _read_padded(path)
     except UnicodeDecodeError as exc:
-        raise MalformedLine(*undecodable_line(exc, universal=True)) from None
-    if b"\r" in buf:
-        buf = buf.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        raise MalformedLine(*undecodable_line(exc)) from None
     return _parse(buf)
 
 
@@ -683,19 +674,20 @@ def preprocess(table: Interactions, filter_params: FilterParams, spec: SplitSpec
 
 # ------------------------------------------------------------- persistence
 
-def _write_tsv(path: str, first: Iterable, second: Iterable) -> None:
-    """Two columns, one tab-separated row per entry, in one write."""
+def _write_tsv(path: str, line: str, values: list) -> None:
+    """``line``, a %-format of two tab-separated fields, once per two
+    ``values`` in turn: every line in one format call and one write."""
     with atomic_write(path) as fh:
-        fh.write("".join(map("{}\t{}\n".format, first, second)))
+        fh.write((line * (len(values) // 2)) % tuple(values))
 
 
 def _read_tsv(path: str) -> _Fields:
-    """The two fields of each line of a dataset file; lines end at ``\\n``
-    and empty lines are skipped. :func:`_read_indices` reports bad lines."""
+    """The two fields of each line of a dataset file, under the line rule.
+    :func:`_read_indices` reports bad lines."""
     try:
         buf = _read_padded(path)
     except UnicodeDecodeError as exc:
-        line_no, message = undecodable_line(exc, universal=False)
+        line_no, message = undecodable_line(exc)
         raise MalformedDataset(f"{path}: line {line_no}: {message}") from None
     return _Fields(buf, _PAD, len(buf) - _PAD, 2)
 
@@ -728,10 +720,10 @@ def _read_pairs(path: str, n_rows: int, n_cols: int) -> InteractionSet:
 def _read_map(path: str, size: int, what: str) -> dict[str, int]:
     fields = _read_tsv(path)
     dense = _read_indices(path, fields, 1, what, size)
-    id_map = dict(zip(fields.texts(0), range(size)))
-    if len(id_map) != size or not np.array_equal(dense, np.arange(size)):
+    ids, codes = fields.column(0)
+    if len(ids) != size or not np.array_equal(dense, np.arange(size)):
         raise MalformedDataset(f"{path}: expected {size} distinct IDs indexed 0..{size - 1} in order")
-    return id_map
+    return dict(zip(map(ids.__getitem__, codes.tolist()), range(size)))
 
 
 def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) -> None:
@@ -743,13 +735,12 @@ def save_dataset(dataset: Dataset, spec: SplitSpec, out_dir: str | os.PathLike) 
         "ratios": ",".join(repr(float(r)) for r in spec.ratios), "seed": spec.seed,
     })
     for name, id_map in (("umap.tsv", dataset.user_map), ("imap.tsv", dataset.item_map)):
-        raws = sorted(id_map, key=id_map.__getitem__)
-        _write_tsv(os.path.join(out, name), raws, map(id_map.__getitem__, raws))
+        # in index order, whatever order the dict was filled in
+        rows = sorted(id_map.items(), key=lambda item: item[1])
+        _write_tsv(os.path.join(out, name), "%s\t%d\n", [field for row in rows for field in row])
     for name in ("train", "valid", "test"):
         pairs = np.column_stack(getattr(dataset, name).pair_arrays())
-        # one %-format call for every line: the bytes of _write_tsv, faster
-        with atomic_write(os.path.join(out, f"{name}.tsv")) as fh:
-            fh.write(("%d\t%d\n" * len(pairs)) % tuple(pairs.ravel().tolist()))
+        _write_tsv(os.path.join(out, f"{name}.tsv"), "%d\t%d\n", pairs.ravel().tolist())
 
 
 def load_dataset(in_dir: str | os.PathLike) -> Dataset:

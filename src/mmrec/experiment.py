@@ -180,11 +180,11 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     grid: dict[str, list] = {}
     seen: set[str] = set()
 
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            raise ParseError(*undecodable_line(exc, universal=True)) from None
+            raise ParseError(*undecodable_line(exc)) from None
     for line_no, raw_line in enumerate(text.split("\n"), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):

@@ -1,5 +1,13 @@
 """Atomic artifact writes (a temporary file beside the target, then one
-``os.replace``), the ``key: value`` meta files, and undecodable lines.
+``os.replace``), the ``key: value`` meta files, undecodable lines, and the
+one line rule.
+
+Every text file mmrec reads (interaction files and streams, dataset files,
+feature ID files, config and meta files) follows one line rule: a line ends
+at ``\\n`` only, its trailing ``\\r`` are dropped, and a line left empty is
+skipped. So ``\\r\\n`` ends a line as ``\\n`` does, a lone ``\\r`` inside a
+line is part of it, and line numbers count every ``\\n``, skipped lines
+included.
 
 Every file a run leaves behind (dataset files, checkpoints, training logs,
 metric reports, ``summary.tsv`` and ``timings.tsv``) is written through
@@ -35,15 +43,13 @@ def atomic_write(path: str | os.PathLike, binary: bool = False) -> Iterator[IO]:
         raise
 
 
-def undecodable_line(exc: UnicodeDecodeError, universal: bool) -> tuple[int, str]:
+def undecodable_line(exc: UnicodeDecodeError) -> tuple[int, str]:
     """The 1-based line and a message for a file whose bytes, decoded all
     at once, raised ``exc``: one bytes read decoded whole, or one text
     ``read()``. The error then holds the whole file, so its offset is the
-    file's. ``universal``: ``\\r\\n`` and a lone ``\\r`` end lines too."""
-    before = exc.object[:exc.start]
-    if universal:
-        before = before.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    return before.count(b"\n") + 1, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
+    file's."""
+    line_no = exc.object[:exc.start].count(b"\n") + 1
+    return line_no, f"not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})"
 
 
 def write_meta(path: str | os.PathLike, fields: dict[str, object]) -> None:
@@ -55,11 +61,11 @@ def write_meta(path: str | os.PathLike, fields: dict[str, object]) -> None:
 def read_meta(path: str | os.PathLike) -> dict[str, str]:
     """A meta file's fields, keys and values stripped; blank lines are
     skipped. A byte that is not UTF-8 raises UnicodeError with its line."""
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", newline="\n") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:
-            line_no, message = undecodable_line(exc, universal=True)
+            line_no, message = undecodable_line(exc)
             raise UnicodeError(f"{os.fspath(path)}: line {line_no}: {message}") from None
     pairs = [line.partition(":") for line in text.split("\n") if line.strip()]
     return {key.strip(): value.strip() for key, _, value in pairs}

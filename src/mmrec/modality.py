@@ -131,11 +131,12 @@ def read_matrix(path: str | os.PathLike, magic: bytes = b"MMF1") -> np.ndarray:
 def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathLike) -> FeatureMatrix:
     """Read an MMF1 matrix plus its ID file, keeping the float32 values.
 
-    In the ID file lines end at ``\\n`` and trailing ``\\r`` is stripped; a
-    line is skipped only when that leaves it empty, so an ID of blanks is
-    kept. The ID count is checked against the header before the payload is
-    read; a byte that is not UTF-8 raises DimensionMismatch with its line.
-    NaN/Inf values are rejected.
+    The ID file follows the line rule of :mod:`mmrec.fileio`: lines end at
+    ``\\n``, their trailing ``\\r`` are stripped, and a line is skipped only
+    when that leaves it empty, so an ID of blanks is kept. The ID count is
+    checked against the header before the payload is read; a byte that is
+    not UTF-8 raises DimensionMismatch with its line. NaN/Inf values are
+    rejected.
     """
     with open(matrix_path, "rb") as fh:
         rows, cols = _parse_header(fh, matrix_path, b"MMF1")
@@ -143,7 +144,7 @@ def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathL
             try:
                 text = id_fh.read()
             except UnicodeDecodeError as exc:
-                line_no, message = undecodable_line(exc, universal=False)
+                line_no, message = undecodable_line(exc)
                 raise DimensionMismatch(f"{os.fspath(ids_path)}: line {line_no}: {message}") from None
         row_ids = [raw for raw in (line.rstrip("\r") for line in text.split("\n")) if raw]
         if len(row_ids) != rows:

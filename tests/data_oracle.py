@@ -57,9 +57,12 @@ def parse(source) -> list[InteractionRecord]:
 
     records = []
     for line_no, line in enumerate(lines, start=2):
-        if line in ("", "\n"):
+        # a line ends at \n, its trailing \r are dropped, and a line left
+        # empty is skipped
+        line = line.rstrip("\r\n")
+        if not line:
             continue
-        fields = line.rstrip("\r\n").split("\t")
+        fields = line.split("\t")
         if len(fields) != len(columns):
             raise MalformedLine(line_no, f"expected {len(columns)} fields, got {len(fields)}")
         user, item = fields[user_col], fields[item_col]

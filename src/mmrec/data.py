@@ -14,20 +14,20 @@ with a presence mask. Every stage takes such a table and works on whole
 columns; :meth:`Interactions.from_records` builds one from
 :class:`InteractionRecord` objects in memory. The rules:
 
-- parsing follows mmrec's one line rule (see :mod:`mmrec.fileio`): a line
-  ends at ``\\n`` only, its trailing ``\\r`` are dropped, and a line left
-  empty is skipped. An empty rating or timestamp field is absent. Ratings
-  go through ``float`` and must be finite; timestamps go through ``int``
-  and must fit in int64. One bulk check per rule (field count, empty ID,
-  rating, timestamp, in that order) finds its first bad row and that row's
-  message; the earliest line raises :class:`MalformedLine` with its 1-based
-  number (the header is line 1) and its first failed check's message. So
-  does a file that is not UTF-8. :func:`read_interactions` reads a file's
-  bytes into one buffer and :func:`parse_interactions` encodes a stream's
-  text once; both enter one bytes parser: it finds the fields by their tab
-  and line-feed offsets, reads numbers and ID keys as 8-byte words of the
-  buffer, and factorizes each ID column with one exact sort of its rows'
-  key words, decoding only the distinct IDs;
+- parsing takes its lines from :mod:`mmrec.fileio` under mmrec's one line
+  rule, and the first line kept is the header. An empty rating or
+  timestamp field is absent. Ratings go through ``float`` and must be
+  finite; timestamps go through ``int`` and must fit in int64. One bulk
+  check per rule (field count, empty ID, rating, timestamp, in that order)
+  finds its first bad row and that row's message; the earliest line raises
+  :class:`MalformedLine` with its 1-based number in the input and its
+  first failed check's message. So does a file that is not UTF-8.
+  :func:`read_interactions` reads a file's bytes into one buffer and
+  :func:`parse_interactions` encodes a stream's text once; both enter one
+  bytes parser: it finds the fields by their tab offsets within the kept
+  lines, reads numbers and ID keys as 8-byte words of the buffer, and
+  factorizes each ID column with one exact sort of its rows' key words,
+  decoding only the distinct IDs;
 - dedupe keeps one row per (user, item) pair, the one with the greatest
   ``float(timestamp)``; a missing timestamp compares lowest and the later
   input position wins a tie. The result is sorted by raw (user, item) IDs;
@@ -40,8 +40,8 @@ columns; :meth:`Interactions.from_records` builds one from
 that is not UTF-8, a ``meta`` without integer sizes, and a pair or map
 file with a wrong field count, a non-integer index or an index outside
 the sizes in ``meta``, naming the file and the earliest bad line. It
-reads each file's bytes through the same parser and line rule, so a raw ID
-may hold a lone ``\\r``.
+reads each file's bytes through the same reader, line rule and parser, so
+a raw ID may hold a lone ``\\r``.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .errors import (
     MalformedLine,
     MissingTimestamps,
 )
-from .fileio import atomic_write, read_meta, undecodable_line, write_meta
+from .fileio import PAD, at_line, atomic_write, line_spans, read_meta, read_padded, write_meta
 from .rng import check_seed, stream
 
 SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
@@ -222,9 +222,6 @@ class Dataset:
 
 # ------------------------------------------------------------------ parsing
 
-# zero bytes on each side of a parsed buffer, so that an 8-byte load at any
-# field's start or end stays inside the buffer
-_PAD = 8
 # _LOW[c] keeps the low c bytes of a 64-bit word and _HIGH[c] its high c bytes
 _LOW = np.array([(1 << 8 * c) - 1 for c in range(9)], dtype=np.uint64)
 _HIGH = ~_LOW[::-1]
@@ -250,44 +247,35 @@ def _sorted_groups(words: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Fields:
-    """The lines of ``buf[lo:hi]`` split into fields in bulk, as byte spans.
+    """Lines of a ``PAD``-padded UTF-8 buffer split into fields in bulk, as
+    byte spans.
 
-    ``buf`` holds UTF-8 bytes with at least ``_PAD`` bytes before ``lo``
-    and exactly ``_PAD`` zero bytes after ``hi``; spans are offsets from
-    ``lo``. Lines end at ``\\n`` only, their trailing ``\\r`` are stripped,
-    and the lines left empty are skipped. The rows are the kept lines up to
-    the first one without ``n_cols`` fields; ``errors`` holds that line's
-    (row, message) pair, if there is one, and ``line_index`` gives each
-    row's position among all lines of the body. Row ``r``'s field ``c``
-    spans ``bounds[r, c] + 1`` to ``bounds[r, c + 1]``: the first bound is
-    one before the line's start, then come the tabs and the line's end.
+    ``lines`` are (start, end, 0-based line number) arrays of the lines to
+    split, a tail of what :func:`mmrec.fileio.line_spans` gives; spans are
+    offsets in ``buf``. The rows are those lines up to the first one without
+    ``n_cols`` fields; ``errors`` holds that line's (row, message) pair, if
+    there is one, and ``line_index`` gives each row's line number. Row
+    ``r``'s field ``c`` spans ``bounds[r, c] + 1`` to ``bounds[r, c + 1]``:
+    the first bound is one before the line's start, then come the tabs and
+    the line's end.
     """
 
-    def __init__(self, buf: bytes | bytearray, lo: int, hi: int, n_cols: int):
-        size = hi - lo
-        # the body and the zeros after it, so a field's end can be read too
-        self.bytes = b = np.frombuffer(buf, dtype=np.uint8)[lo:]
-        # entry i is body bytes [i - _PAD, i - _PAD + 8) as one big-endian
-        # number: an unaligned strided view, no copy
-        self._words = np.ndarray((size + _PAD + 1,), ">u8", buf, lo - _PAD, (1,))
-        body = b[:size]
-        ends = np.flatnonzero(body == 10)
-        if size and body[-1] != 10:
-            ends = np.append(ends, size)  # the last line has no terminator
-        tabs = np.flatnonzero(body == 9)
+    def __init__(self, buf: bytes | bytearray, lines: tuple[np.ndarray, ...], n_cols: int):
+        starts, ends, self.line_index = lines
+        self.bytes = b = np.frombuffer(buf, dtype=np.uint8)
+        # entry i is buf bytes [i, i + 8) as one big-endian number: an
+        # unaligned strided view, no copy
+        self._words = np.ndarray((b.size - 7,), ">u8", buf, 0, (1,))
+        lo = int(starts[0]) if starts.size else b.size
+        tabs = np.flatnonzero(b[lo:] == 9)
+        tabs += lo
+        # no tab lies between one line's end and the next line's start
         n_tabs = np.diff(np.searchsorted(tabs, ends), prepend=0)
-        starts = np.concatenate([[0], ends[:-1] + 1])[: ends.size]
-        if buf.find(b"\r", lo, hi) >= 0:
-            while (cr := np.flatnonzero((ends > starts) & (b[ends - 1] == 13))).size:
-                ends[cr] -= 1
-        self.line_index = np.flatnonzero(ends > starts)
-        if self.line_index.size < ends.size:  # skip the empty lines
-            starts, ends, n_tabs = starts[self.line_index], ends[self.line_index], n_tabs[self.line_index]
         bad = np.flatnonzero(n_tabs != n_cols - 1)[:1]
         self.errors = [(int(r), f"expected {n_cols} fields, got {n_tabs[r] + 1}") for r in bad]
         n = int(bad[0]) if bad.size else starts.size
         # the rows before the first bad one hold n_cols - 1 tabs each, and
-        # empty lines hold none, so the rows' tabs are the first ones
+        # skipped lines hold none, so the rows' tabs are the first ones
         self.bounds = np.empty((n, n_cols + 1), dtype=np.int64)
         self.bounds[:, 0] = starts[:n] - 1
         self.bounds[:, 1:-1] = tabs[: n * (n_cols - 1)].reshape(n, n_cols - 1)
@@ -301,10 +289,10 @@ class _Fields:
         return self.bounds[:, col] + 1, self.bounds[:, col + 1]
 
     def load(self, pos: np.ndarray) -> np.ndarray:
-        """Body bytes ``[pos, pos + 8)`` for each ``pos``, as big-endian
-        uint64. A ``pos`` off the buffer is moved onto it, so callers mask
-        every byte outside their field."""
-        return self._words[np.clip(pos + _PAD, 0, self._words.size - 1)].astype(np.uint64)
+        """Bytes ``[pos, pos + 8)`` for each ``pos``, as big-endian uint64.
+        A ``pos`` off the buffer is moved onto it, so callers mask every
+        byte outside their field."""
+        return self._words[np.clip(pos, 0, self._words.size - 1)].astype(np.uint64)
 
     def key_words(self, col: int) -> tuple[list[np.ndarray], np.ndarray]:
         """Field ``col``'s keys as word arrays, most significant first, and
@@ -431,33 +419,17 @@ def _int_column(
     return values, end > start, errors
 
 
-def _read_padded(path: str | os.PathLike) -> bytearray:
-    """A file's bytes between ``_PAD`` zero bytes on each side, read into
-    one buffer. UnicodeDecodeError, at the file's offsets, unless they are
-    UTF-8."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        buf = bytearray(size + 2 * _PAD)
-        n = fh.readinto(memoryview(buf)[_PAD:_PAD + size])
-        # the rest of a file that grew since fstat or is not a regular file
-        buf[_PAD + n:] = fh.read() + bytes(_PAD)
-    if not buf.isascii():
-        str(memoryview(buf)[_PAD:-_PAD], "utf-8")  # raises if not UTF-8
-    return buf
-
-
 def _parse(buf: bytes | bytearray) -> Interactions:
-    """:func:`parse_interactions` of the bytes between ``_PAD`` bytes on
-    each side of ``buf``."""
-    hi = len(buf) - _PAD
-    if hi == _PAD:
+    """:func:`parse_interactions` of the bytes between ``PAD`` bytes on
+    each side of ``buf``; the first kept line is the header."""
+    starts, ends, index = line_spans(buf)
+    if not starts.size:
         raise MalformedHeader("empty input, no header line")
-    eol = buf.find(b"\n", _PAD, hi)
-    eol = hi if eol < 0 else eol
-    columns = buf[_PAD:eol].decode("utf-8", "surrogatepass").rstrip("\r").split("\t")
+    columns = buf[starts[0]:ends[0]].decode("utf-8", "surrogatepass").split("\t")
     if "userID" not in columns or "itemID" not in columns:
         raise MalformedHeader(f"header must name userID and itemID, got {columns}")
-    fields = _Fields(buf, min(eol + 1, hi), hi, len(columns))
+    fields = _Fields(buf, (starts[1:], ends[1:], index[1:]), len(columns))
+    del starts, ends  # free them before the columns are built
 
     # each check adds its first bad row and message; for one row they are
     # listed in the order the checks run
@@ -481,7 +453,7 @@ def _parse(buf: bytes | bytearray) -> Interactions:
 
     if errors:
         row, message = min(errors, key=lambda error: error[0])
-        raise MalformedLine(int(fields.line_index[row]) + 2, message)
+        raise MalformedLine(int(fields.line_index[row]) + 1, message)
     return Interactions(
         np.array(user_ids, dtype=object),
         np.array(item_ids, dtype=object),
@@ -499,20 +471,17 @@ def parse_interactions(source: TextIO) -> Interactions:
     Raises MalformedHeader if userID or itemID is absent, MalformedLine for
     the first row with a wrong field count, an empty ID, a rating that is
     not a finite float, or a timestamp that is not an int64 integer. Line
-    numbers are 1-based and count the header. Lines end at ``\\n`` only.
+    numbers are 1-based and count every line. The header is the first line
+    kept under the line rule of :mod:`mmrec.fileio`.
     """
-    pad = bytes(_PAD)
+    pad = bytes(PAD)
     return _parse(b"".join((pad, source.read().encode("utf-8", "surrogatepass"), pad)))
 
 
 def read_interactions(path: str | os.PathLike) -> Interactions:
     """:func:`parse_interactions` of a file's bytes, read into one buffer.
     Bytes that are not UTF-8 raise MalformedLine."""
-    try:
-        buf = _read_padded(path)
-    except UnicodeDecodeError as exc:
-        raise MalformedLine(*undecodable_line(exc)) from None
-    return _parse(buf)
+    return _parse(read_padded(path, MalformedLine))
 
 
 # ------------------------------------------------------------ the pipeline
@@ -628,17 +597,16 @@ def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec
             # rows with equal keys are the same pair, so their order is moot
             order = np.argsort(users * n_items + items)
             # each user's sorted rows in shuffled order; held-out items first.
-            # Word j goes to row order[j]; Stream.permutation sorts words by
-            # their top 53 bits, stably, so consecutive permutations are one
-            # sort by (user, top 53 bits, j); numpy sorts int64 faster than uint64
-            words = stream(spec.seed, "split").raw(n)
+            # Stream.permutation is a stable sort of words, so one permutation
+            # of all n rows, ranked within each user's run of rows, is every
+            # user's permutation drawn in turn
             rank = np.empty(n, dtype=np.int64)
-            rank[np.argsort((words >> np.uint64(11)).view(np.int64), kind="stable")] = np.arange(n)
+            rank[stream(spec.seed, "split").permutation(n)] = np.arange(n)
             rows = order[np.argsort(users[order] * n + rank)]
-            # free the words before the split's output arrays are allocated:
+            # free the ranks before the split's output arrays are allocated:
             # held to the end of split, they sat below those arrays in the
             # heap and raised the peak RSS of the training after it by ~5 MB
-            del words, rank
+            del rank
             held = np.empty(n, dtype=np.int64)
             held[rows] = np.arange(n) - starts[users[rows]]
         else:
@@ -684,12 +652,8 @@ def _write_tsv(path: str, line: str, values: list) -> None:
 def _read_tsv(path: str) -> _Fields:
     """The two fields of each line of a dataset file, under the line rule.
     :func:`_read_indices` reports bad lines."""
-    try:
-        buf = _read_padded(path)
-    except UnicodeDecodeError as exc:
-        line_no, message = undecodable_line(exc)
-        raise MalformedDataset(f"{path}: line {line_no}: {message}") from None
-    return _Fields(buf, _PAD, len(buf) - _PAD, 2)
+    buf = read_padded(path, at_line(MalformedDataset, path))
+    return _Fields(buf, line_spans(buf), 2)
 
 
 def _read_indices(path: str, fields: _Fields, col: int, what: str, bound: int) -> np.ndarray:
@@ -703,7 +667,7 @@ def _read_indices(path: str, fields: _Fields, col: int, what: str, bound: int) -
     errors += [(int(r), f"{what} index {values[r]} outside [0, {bound})") for r in outside]
     if errors:
         row, message = min(errors, key=lambda error: error[0])
-        raise MalformedDataset(f"{path}: line {fields.line_index[row] + 1}: {message}")
+        raise at_line(MalformedDataset, path)(fields.line_index[row] + 1, message)
     return values
 
 

@@ -57,7 +57,7 @@ from .evaluation import (
     parse_metric_spec,
     write_metric_report,
 )
-from .fileio import atomic_write, undecodable_line
+from .fileio import atomic_write, read_lines
 from .modality import (
     FUSION_METHODS,
     IMPUTATION_POLICIES,
@@ -180,12 +180,7 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
     grid: dict[str, list] = {}
     seen: set[str] = set()
 
-    with open(path, encoding="utf-8", newline="\n") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise ParseError(*undecodable_line(exc)) from None
-    for line_no, raw_line in enumerate(text.split("\n"), start=1):
+    for line_no, raw_line in read_lines(path, ParseError):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

@@ -31,7 +31,7 @@ from .errors import (
     EmptyList,
     NonFiniteValue,
 )
-from .fileio import atomic_write, undecodable_line
+from .fileio import at_line, atomic_write, read_lines
 
 MODALITIES = ("text", "image", "audio", "video")
 _MODALITY_RANK = {name: rank for rank, name in enumerate(MODALITIES)}
@@ -131,22 +131,16 @@ def read_matrix(path: str | os.PathLike, magic: bytes = b"MMF1") -> np.ndarray:
 def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathLike) -> FeatureMatrix:
     """Read an MMF1 matrix plus its ID file, keeping the float32 values.
 
-    The ID file follows the line rule of :mod:`mmrec.fileio`: lines end at
-    ``\\n``, their trailing ``\\r`` are stripped, and a line is skipped only
-    when that leaves it empty, so an ID of blanks is kept. The ID count is
-    checked against the header before the payload is read; a byte that is
-    not UTF-8 raises DimensionMismatch with its line. NaN/Inf values are
-    rejected.
+    The ID file is read by :func:`mmrec.fileio.read_lines`, under its line
+    rule: lines end at ``\\n``, their trailing ``\\r`` are stripped, and a
+    line is skipped only when that leaves it empty, so an ID of blanks is
+    kept. The ID count is checked against the header before the payload is
+    read; a byte that is not UTF-8 raises DimensionMismatch with its line.
+    NaN/Inf values are rejected.
     """
     with open(matrix_path, "rb") as fh:
         rows, cols = _parse_header(fh, matrix_path, b"MMF1")
-        with open(ids_path, encoding="utf-8", newline="\n") as id_fh:
-            try:
-                text = id_fh.read()
-            except UnicodeDecodeError as exc:
-                line_no, message = undecodable_line(exc)
-                raise DimensionMismatch(f"{os.fspath(ids_path)}: line {line_no}: {message}") from None
-        row_ids = [raw for raw in (line.rstrip("\r") for line in text.split("\n")) if raw]
+        row_ids = [line for _, line in read_lines(ids_path, at_line(DimensionMismatch, ids_path))]
         if len(row_ids) != rows:
             raise DimensionMismatch(f"{len(row_ids)} IDs for {rows} feature rows")
         if len(set(row_ids)) != len(row_ids):

@@ -41,12 +41,13 @@ def pairs(iset: InteractionSet) -> list[tuple[int, int]]:
 
 
 def parse(source) -> list[InteractionRecord]:
-    lines = iter(source)
-    try:
-        header_line = next(lines)
-    except StopIteration:
+    # a line ends at \n, its trailing \r are dropped, and a line left empty
+    # is skipped; the first line kept is the header
+    lines = [(line_no, line.rstrip("\r\n")) for line_no, line in enumerate(source, start=1)]
+    lines = [(line_no, line) for line_no, line in lines if line]
+    if not lines:
         raise MalformedHeader("empty input, no header line")
-    columns = header_line.rstrip("\r\n").split("\t")
+    columns = lines[0][1].split("\t")
     try:
         user_col = columns.index("userID")
         item_col = columns.index("itemID")
@@ -56,12 +57,7 @@ def parse(source) -> list[InteractionRecord]:
     ts_col = columns.index("timestamp") if "timestamp" in columns else None
 
     records = []
-    for line_no, line in enumerate(lines, start=2):
-        # a line ends at \n, its trailing \r are dropped, and a line left
-        # empty is skipped
-        line = line.rstrip("\r\n")
-        if not line:
-            continue
+    for line_no, line in lines[1:]:
         fields = line.split("\t")
         if len(fields) != len(columns):
             raise MalformedLine(line_no, f"expected {len(columns)} fields, got {len(fields)}")

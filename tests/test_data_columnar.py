@@ -101,7 +101,9 @@ def tsv_texts(draw, valid_numbers=False):
             fields.append("z")
         lines.append("\t".join(fields))
     ending = draw(st.sampled_from(["\n", "\r\n"]))
-    text = "\t".join(columns) + ending + "".join(line + ending for line in lines)
+    # lines the line rule skips may come before the header too
+    lead = "".join(draw(st.lists(st.sampled_from(["\n", "\r\n", "\r\r\n"]), max_size=2)))
+    text = lead + "\t".join(columns) + ending + "".join(line + ending for line in lines)
     if lines and draw(st.booleans()):
         text = text[: -len(ending)]  # last line without its terminator
     return text

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from mmrec.data import load_dataset, parse_interactions, read_interactions
-from mmrec.errors import MmrecError
+from mmrec.errors import MalformedHeader, MalformedLine, MmrecError
 from mmrec.evaluation import MetricReport
 from mmrec.experiment import parse_config
 from mmrec.fileio import atomic_write, read_meta, write_meta
@@ -81,17 +81,23 @@ LINE_CASES = {
     "cr-only-file": (b"", b"a\rb", b"\r\r", ["a\rb"]),
     "bad-byte-after-lone-cr": (b"\r\n", b"a\r\xff", b"\n", 2),
 }
-HEADER = b"userID\titemID\n"  # an interaction file's line 1
+HEADER = b"userID\titemID\n"  # the first line an interaction file keeps
+
+
+def _interactions(tmp_path, text: bytes, from_file: bool):
+    if not from_file:
+        return parse_interactions(io.StringIO(text.decode("utf-8")))
+    (tmp_path / "x.tsv").write_bytes(text)
+    return read_interactions(tmp_path / "x.tsv")
 
 
 def read_interactions_file(tmp_path, lead, raw, tail):
-    (tmp_path / "x.tsv").write_bytes(HEADER + lead + raw + b"\tx" + tail)
-    table = read_interactions(tmp_path / "x.tsv")
+    table = _interactions(tmp_path, lead + HEADER + raw + b"\tx" + tail, from_file=True)
     return table.user_ids[table.users].tolist()
 
 
 def parse_interactions_stream(tmp_path, lead, raw, tail):
-    table = parse_interactions(io.StringIO((HEADER + lead + raw + b"\tx" + tail).decode("utf-8")))
+    table = _interactions(tmp_path, lead + HEADER + raw + b"\tx" + tail, from_file=False)
     return table.user_ids[table.users].tolist()
 
 
@@ -153,5 +159,27 @@ def test_one_line_rule(tmp_path, reader, case):
     except (MmrecError, UnicodeError) as exc:
         found = re.search(r"line (\d+): not UTF-8", str(exc))
         assert found, exc
-        got = int(found.group(1)) - (reader is read_interactions_file)  # its header is line 1
+        got = int(found.group(1)) - (reader is read_interactions_file)  # its header is a line
     assert got == want
+
+
+FROM_FILE = pytest.mark.parametrize("from_file", [True, False], ids=["file", "stream"])
+
+
+@FROM_FILE
+@pytest.mark.parametrize("blank", [b"\n", b"\r\n", b"\r\r\n\n"])
+def test_lines_skipped_before_an_interaction_header(tmp_path, from_file, blank):
+    table = _interactions(tmp_path, blank + HEADER + b"u\ti\n", from_file)
+    assert table.user_ids[table.users].tolist() == ["u"]
+    # a bad row reports its line in the file, skipped lines counted
+    with pytest.raises(MalformedLine, match="expected 2 fields, got 3") as err:
+        _interactions(tmp_path, blank + HEADER + b"u\ti\nu\ti\tx\n", from_file)
+    assert err.value.line_no == blank.count(b"\n") + 3
+
+
+@FROM_FILE
+@pytest.mark.parametrize("text", [b"", b"\n", b"\r\n\r\r\n\n", b"\r"])
+def test_an_interaction_input_of_skipped_lines_has_no_header(tmp_path, from_file, text):
+    with pytest.raises(MalformedHeader) as err:
+        _interactions(tmp_path, text, from_file)
+    assert str(err.value) == "empty input, no header line"

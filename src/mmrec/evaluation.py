@@ -5,23 +5,24 @@ whole catalog, mask the user's train items (and only those), take the
 top-K by descending score with ties broken by ascending item index, and
 average each metric over the evaluated users in user-index order.
 
-``evaluate`` is the one ranking path. It encodes the model once
-(``models.encode``), then scores, masks and ranks users 512 at a time
-through ``full_sort_predict``, ``mask_trained`` and ``top_k``; a caller that
-wants per-user top-K lists reads ``ranking.lists``. Both ranking helpers
-take a 2-D chunk of score rows: ``mask_trained`` masks the chunk's train
-items in place in one scatter. ``top_k`` splits each row into groups of 16 items
-and takes the K-th largest group maximum as a floor: K distinct items reach
-it, so it is at most the row's K-th best score and no item below it can
-make the list. The items strictly above the floor lie in fewer than K
-groups or in the last few ungrouped items, so a row has fewer than 16 K of
-them; of the items tied at the floor, only as many as can still fit in the
-list are kept, in item order. Sorting these candidates by (-score,
-item) gives the exact list and tie rule without partitioning the whole
-catalog. The four metrics come from the chunk's hit matrix by cumulative
-sums and are summed over users in order; the scalar one-list functions in
-``tests/eval_oracle.py`` define the same values and are the reference the
-tests compare against.
+``evaluate`` is the one ranking path. It encodes the model (``models.encode``)
+only when a target user lacks a list, then scores those users 512 at a time
+into one score buffer per call, and masks and ranks them, through
+``full_sort_predict``, ``mask_trained`` and ``top_k``; a caller that wants
+per-user top-K lists reads ``ranking.lists``. Both ranking helpers take a 2-D
+chunk of score rows: ``mask_trained`` masks the chunk's train items in place
+in one scatter. ``top_k`` splits each row into groups of 16 items and takes
+the K-th largest group maximum as a floor: K distinct items reach it, so it is
+at most the row's K-th best score and no item below it can make the list. The
+items strictly above the floor lie in fewer than K groups or in the last few
+ungrouped items, so a row has fewer than 16 K of them; of the items tied at
+the floor, only as many as can still fit in the list are kept, in item order.
+Sorting these candidates by (-score, item) gives the exact list and tie rule
+without partitioning the whole catalog. A chunk's hits are found by a sorted
+search of its ascending truth keys; the four metrics come from its hit matrix
+by cumulative sums and are summed over users in order; the scalar one-list
+functions in ``tests/eval_oracle.py`` define the same values and are the
+reference the tests compare against.
 
 Only train items are masked, so a user's list does not depend on the target
 split, and the validation and test reports of one trained model can share
@@ -48,7 +49,7 @@ import numpy as np
 from .data import Dataset, InteractionSet
 from .errors import DatasetMismatch, EmptySplit
 from .fileio import atomic_write
-from .models import ModelState, encode, full_sort_predict
+from .models import ModelState, _check_inputs, encode, full_sort_predict
 
 METRICS = ("recall", "precision", "ndcg", "map")
 DEFAULT_CUTOFFS = (5, 10, 20, 50)
@@ -236,20 +237,24 @@ def evaluate(
     users = np.flatnonzero(n_truth > 0)
     if users.size == 0:
         raise EmptySplit(f"no user has ground truth in the {target} split")
-    rep = encode(state, fused, adjacency)
+    _check_inputs(state, fused, adjacency)
     missing = users[~ranking.ranked[users]]
-    for start in range(0, len(missing), _EVAL_CHUNK):
-        chunk = missing[start:start + _EVAL_CHUNK]
-        masked = mask_trained(full_sort_predict(rep, chunk), _entries(dataset.train, chunk))
-        ranking.lists[chunk] = top_k(masked, ranking.lists.shape[1])
-        ranking.ranked[chunk] = True
+    if missing.size:
+        rep = encode(state, fused, adjacency)
+        scores = np.empty((min(_EVAL_CHUNK, len(missing)), dataset.n_items))
+        for start in range(0, len(missing), _EVAL_CHUNK):
+            chunk = missing[start:start + _EVAL_CHUNK]
+            masked = mask_trained(full_sort_predict(rep, chunk, out=scores), _entries(dataset.train, chunk))
+            ranking.lists[chunk] = top_k(masked, ranking.lists.shape[1])
+            ranking.ranked[chunk] = True
     per_user = []
     for start in range(0, len(users), _EVAL_CHUNK):
         chunk = users[start:start + _EVAL_CHUNK]
         lists = ranking.lists[chunk, :width]
-        truth_rows, truth_items = _entries(split, chunk)
         keys = np.arange(len(chunk))[:, None] * dataset.n_items + lists
-        hits = np.isin(keys, truth_rows * dataset.n_items + truth_items) & (lists >= 0)
+        # truth keys ascend; a -1 pad's key is the previous row's last item
+        truth = np.ravel_multi_index(_entries(split, chunk), (len(chunk), dataset.n_items))
+        hits = (truth.take(np.searchsorted(truth, keys), mode="clip") == keys) & (lists >= 0)
         per_user.append(_metric_values(hits, n_truth[chunk], cutoffs))
     values = np.concatenate(per_user)
     n_evaluated = len(values)

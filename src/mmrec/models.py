@@ -112,7 +112,7 @@ def propagate_mean(adjacency: sp.csr_matrix, e0: np.ndarray, n_layers: int) -> n
     for _ in range(n_layers):
         acc = adjacency @ acc
         total += acc
-    return total / (n_layers + 1)
+    return np.divide(total, n_layers + 1, out=total)
 
 
 # ------------------------------------------------------------- model kinds
@@ -294,17 +294,21 @@ def encode(state: ModelState, fused: np.ndarray | None = None,
 
 
 def full_sort_predict(state: ModelState, users: np.ndarray | list[int], fused: np.ndarray | None = None,
-                      adjacency: sp.csr_matrix | None = None) -> np.ndarray:
-    """Rows of the full score matrix for the requested users; pure.
+                      adjacency: sp.csr_matrix | None = None, out: np.ndarray | None = None) -> np.ndarray:
+    """Rows of the full score matrix for the requested users; pure but for ``out``.
 
     The state is encoded on every call; to score many user chunks, pass
     ``encode(state, fused, adjacency)`` instead, which needs no features.
+    With ``out``, a C-contiguous float64 buffer of at least ``len(users)``
+    rows, the scores go into its first rows and that view is returned, with
+    the same bytes as without ``out``, so one buffer serves every chunk.
     """
     users = np.asarray(users, dtype=np.int64)
     if users.size and (users.min() < 0 or users.max() >= state.n_users):
         raise IndexOutOfRange(f"user indices must lie in [0, {state.n_users})")
     rep = encode(state, fused, adjacency)
-    return rep.tensors["user_emb"][users] @ rep.tensors["item_emb"].T
+    return np.matmul(rep.tensors["user_emb"][users], rep.tensors["item_emb"].T,
+                     out=None if out is None else out[:len(users)])
 
 
 def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | None = None,
@@ -388,8 +392,11 @@ def _scatter_rows(n_rows: int, parts: list[tuple[np.ndarray, np.ndarray]],
     order, so every element sums in a fixed sequence. The sum is the product
     of a 0/1 selection matrix in CSR form, whose rows keep their entries in
     that order, with the stacked values; a CSR product adds each row's
-    entries in stored order, starting from zero.
+    entries in stored order, starting from zero, so for a base alone it is
+    ``0.0 + 1.0 * base``, which is ``base + 0.0``.
     """
+    if base is not None and not parts:
+        return base + 0.0
     if base is not None:
         parts = [(np.arange(n_rows), base)] + parts
     rows = np.concatenate([r for r, _ in parts])

@@ -12,7 +12,7 @@ import mmrec.experiment
 import mmrec.models
 
 from mmrec.data import Dataset
-from mmrec.errors import EmptySplit
+from mmrec.errors import DimensionMismatch, EmptySplit, MissingAdjacency, MissingFeatures
 from mmrec.evaluation import (
     METRICS,
     MetricReport,
@@ -25,7 +25,9 @@ from mmrec.evaluation import (
     write_metric_report,
 )
 from mmrec.experiment import parse_config, run_single
-from mmrec.models import FEATURE_KINDS, GRAPH_KINDS, ModelState, build_adjacency, init_params
+from mmrec.models import (
+    FEATURE_KINDS, GRAPH_KINDS, ModelState, build_adjacency, encode, full_sort_predict, init_params,
+)
 
 from conftest import all_scores, make_interaction_set, synthetic_block_dataset, topk_lists
 from eval_oracle import EmptyGroundTruth, map_at_k, ndcg_at_k, precision_at_k, recall_at_k
@@ -562,9 +564,9 @@ def counted_chunks(monkeypatch):
     ranked = []
     predict = mmrec.evaluation.full_sort_predict
 
-    def counted(rep, users):
+    def counted(rep, users, **kwargs):
         ranked.append(users.copy())
-        return predict(rep, users)
+        return predict(rep, users, **kwargs)
 
     monkeypatch.setattr(mmrec.evaluation, "full_sort_predict", counted)
     return ranked
@@ -584,6 +586,58 @@ def test_test_report_ranks_only_users_missing_from_the_ranking(valid_every, monk
     assert len(ranked) == (0 if valid_every == 1 else 1)
     assert sorted(u for chunk in ranked for u in chunk.tolist()) == missing
     assert report == evaluate(state, ds, "test")
+
+
+def test_a_fully_ranked_report_encodes_nothing(monkeypatch):
+    ds = partly_validated_dataset(1)
+    fused = np.random.default_rng(5).normal(size=(ds.n_items, 4))
+    adjacency = build_adjacency(ds.train)
+    state = init_params("graph_mm", ds.n_users, ds.n_items, 4, seed=3, d_fused=4, n_layers=2)
+    ranking = Ranking(ds.n_users, ds.n_items)
+    evaluate(state, ds, "valid", fused=fused, adjacency=adjacency, ranking=ranking)
+    calls = []
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(mmrec.evaluation, "encode", counted("encode", mmrec.evaluation.encode))
+    monkeypatch.setattr(mmrec.models, "propagate_mean", counted("propagate_mean", mmrec.models.propagate_mean))
+    report = evaluate(state, ds, "test", fused=fused, adjacency=adjacency, ranking=ranking)
+    assert calls == []
+    monkeypatch.undo()
+    assert report == evaluate(state, ds, "test", fused=fused, adjacency=adjacency)
+
+
+@pytest.mark.parametrize("kind, inputs, error", [
+    ("vbpr_mm", {"fused": None}, MissingFeatures),
+    ("graph_mm", {"fused": None}, MissingFeatures),
+    ("graph_mm", {"adjacency": None}, MissingAdjacency),
+    ("vbpr_mm", {"fused": np.zeros((30, 3))}, DimensionMismatch),
+    ("graph_mm", {"fused": np.zeros((29, 4))}, MissingFeatures),
+])
+def test_a_fully_ranked_report_still_checks_its_inputs(kind, inputs, error):
+    ds = partly_validated_dataset(1)
+    given = {"fused": np.ones((ds.n_items, 4)), "adjacency": build_adjacency(ds.train)}
+    state = init_params(kind, ds.n_users, ds.n_items, 4, seed=3, d_p=3, d_fused=4, n_layers=2)
+    ranking = Ranking(ds.n_users, ds.n_items)
+    evaluate(state, ds, "valid", ranking=ranking, **given)
+    assert ranking.ranked.all()
+    with pytest.raises(error):
+        evaluate(state, ds, "test", ranking=ranking, **{**given, **inputs})
+
+
+@pytest.mark.parametrize("n_users", [512, 76])
+def test_scores_written_into_a_buffer_equal_fresh_scores(n_users):
+    rep = encode(init_params("mf_bpr", 1100, 300, 64, seed=4))
+    users = np.arange(1100)[-n_users:]
+    buffer = np.full((512, 300), np.nan)
+    scores = full_sort_predict(rep, users, out=buffer)
+    assert scores.base is buffer and scores.shape == (n_users, 300)
+    assert scores.tobytes() == buffer[:n_users].tobytes() == full_sort_predict(rep, users).tobytes()
+    assert np.isnan(buffer[n_users:]).all()
 
 
 def test_run_single_ranks_each_user_once_for_both_reports(tmp_path, monkeypatch):

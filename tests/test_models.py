@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from mmrec.errors import (
     DimensionMismatch,
@@ -16,6 +17,7 @@ from mmrec.modality import write_matrix
 from mmrec.models import (
     ModelState,
     TripleBatch,
+    _scatter_rows,
     build_adjacency,
     calculate_loss,
     encode,
@@ -286,6 +288,18 @@ class TestLoss:
         _, grads = calculate_loss(state, batch, fused, adj)
         numeric = finite_difference_grads(state, batch, fused, adj)
         assert max_relative_error(grads, numeric) < 1e-4
+
+
+    def test_a_base_alone_scatters_to_the_csr_product_bit_for_bit(self):
+        rng = np.random.default_rng(6)
+        base = rng.normal(size=(40, 8))
+        base[::3] = 0.0
+        base[1::3, ::2] = -0.0
+        n = len(base)
+        pick = sp.csr_matrix((np.ones(n), (np.arange(n), np.arange(n))), shape=(n, n))
+        summed = _scatter_rows(n, [], base)
+        assert summed is not base and summed.tobytes() == (pick @ base).tobytes()
+        assert not np.signbit(summed[base == 0.0]).any()  # -0.0 + 0.0 is +0.0
 
 
 class TestFullSortPredict:

@@ -18,21 +18,22 @@ items strictly above the floor lie in fewer than K groups or in the last few
 ungrouped items, so a row has fewer than 16 K of them; of the items tied at
 the floor, only as many as can still fit in the list are kept, in item order.
 Sorting these candidates by (-score, item) gives the exact list and tie rule
-without partitioning the whole catalog. A chunk's hits are found by a sorted
-search of its ascending truth keys; the four metrics come from its hit matrix
-by cumulative sums and are summed over users in order; the scalar one-list
-functions in ``tests/eval_oracle.py`` define the same values and are the
-reference the tests compare against.
+without partitioning the whole catalog. A chunk's hits are the (user, rank)
+cells where its lists meet one reused boolean truth mask; a report's metrics
+come from all its hits at once, each user's terms added in list order, and
+are summed over users in order; the scalar one-list functions in
+``tests/eval_oracle.py`` define the same values and are the reference the
+tests compare against.
 
 Only train items are masked, so a user's list does not depend on the target
 split, and the validation and test reports of one trained model can share
-one ranking. The caller owns it: ``run_single`` makes one ``Ranking`` after
-training and passes it to both reports. ``evaluate`` ranks into it only the
-target users it does not hold yet, and reads a prefix of its lists for a
-smaller K; a ranking with another user count, or too narrow for the
-cutoffs, is refused with ``ValueError``. The caller keeps a ranking only
-while the model and the train split stay unchanged. Without one,
-``evaluate`` ranks afresh and keeps nothing once it returns.
+one ranking. The caller owns it: ``run_single`` makes one ``Ranking``, which
+``fit``'s last scheduled validation may fill and both reports read.
+``evaluate`` ranks into it only the target users it does not hold yet, and
+reads a prefix of its lists for a smaller K; a ranking with another user
+count, or too narrow for the cutoffs, is refused with ``ValueError``. A
+ranking is kept only while the model and the train split stay unchanged.
+Without one, ``evaluate`` ranks afresh and keeps nothing once it returns.
 
 A model whose user or item count differs from the dataset's is refused
 with ``DatasetMismatch`` (``mmrec eval`` exits 1).
@@ -180,27 +181,27 @@ class Ranking:
         self.ranked = np.zeros(n_users, dtype=bool)
 
 
-def _metric_values(hits: np.ndarray, n_truth: np.ndarray, cutoffs: tuple[int, ...]) -> np.ndarray:
-    """Per-user metric values, shape (users, len(METRICS), len(cutoffs)) in
-    ``METRICS`` order, from a chunk's hit matrix. Each value is computed
-    with the same operations, in the same order, as the scalar ``*_at_k``
-    oracle in ``tests/eval_oracle.py``."""
-    width = hits.shape[1]
-    pos = np.arange(1, width + 1)
-    hit_count = np.cumsum(hits, axis=1)
-    discounts = np.array([1.0 / math.log2(p + 1) for p in range(1, width + 1)])
-    dcg = np.cumsum(np.where(hits, discounts, 0.0), axis=1)
-    precision_sum = np.cumsum(np.where(hits, hit_count / pos, 0.0), axis=1)
+def _metric_values(users: np.ndarray, ranks: np.ndarray, n_truth: np.ndarray,
+                   cutoffs: tuple[int, ...]) -> np.ndarray:
+    """Per-user metric values, shape (len(n_truth), len(METRICS), len(cutoffs))
+    in ``METRICS`` order, from a report's hits: hit i is at 1-based list
+    position ``ranks[i]`` of user ``users[i]``, in user and then list order.
+    ``np.bincount`` adds each user's terms in list order from 0.0, as the oracle does."""
+    n_users = len(n_truth)
+    hits_so_far = np.arange(1, len(users) + 1) - np.searchsorted(users, users)
+    discounts = np.array([1.0 / math.log2(p + 1) for p in range(1, ranks.max(initial=0) + 1)])[ranks - 1]
+    precisions = hits_so_far / ranks
     ideal = np.minimum(n_truth[:, None], np.array(cutoffs))
     lengths, inverse = np.unique(ideal, return_inverse=True)
     idcg = np.array([_ideal_dcg(int(n)) for n in lengths])[inverse].reshape(ideal.shape)
-    values = np.empty((len(hits), len(METRICS), len(cutoffs)))
+    values = np.empty((n_users, len(METRICS), len(cutoffs)))
     for j, k in enumerate(cutoffs):
-        col = min(k, width) - 1
-        values[:, 0, j] = hit_count[:, col] / n_truth
-        values[:, 1, j] = hit_count[:, col] / k
-        values[:, 2, j] = dcg[:, col] / idcg[:, j]
-        values[:, 3, j] = precision_sum[:, col] / ideal[:, j]
+        upto = ranks <= k
+        hit_count = np.bincount(users[upto], minlength=n_users)
+        values[:, 0, j] = hit_count / n_truth
+        values[:, 1, j] = hit_count / k
+        values[:, 2, j] = np.bincount(users[upto], discounts[upto], n_users) / idcg[:, j]
+        values[:, 3, j] = np.bincount(users[upto], precisions[upto], n_users) / ideal[:, j]
     return values
 
 
@@ -247,16 +248,21 @@ def evaluate(
             masked = mask_trained(full_sort_predict(rep, chunk, out=scores), _entries(dataset.train, chunk))
             ranking.lists[chunk] = top_k(masked, ranking.lists.shape[1])
             ranking.ranked[chunk] = True
-    per_user = []
+    # one truth mask per call, set and cleared per chunk; a chunk's truth
+    # entries are one slice of the split, as the users between its own hold none
+    truth = np.zeros((min(_EVAL_CHUNK, len(users)), dataset.n_items), dtype=bool)
+    hits = []
     for start in range(0, len(users), _EVAL_CHUNK):
         chunk = users[start:start + _EVAL_CHUNK]
+        truth_rows = np.repeat(np.arange(len(chunk), dtype=np.int16), n_truth[chunk])
+        entries = truth_rows, split.indices[split.indptr[chunk[0]]:split.indptr[chunk[-1] + 1]]
+        truth[entries] = True
         lists = ranking.lists[chunk, :width]
-        keys = np.arange(len(chunk))[:, None] * dataset.n_items + lists
-        # truth keys ascend; a -1 pad's key is the previous row's last item
-        truth = np.ravel_multi_index(_entries(split, chunk), (len(chunk), dataset.n_items))
-        hits = (truth.take(np.searchsorted(truth, keys), mode="clip") == keys) & (lists >= 0)
-        per_user.append(_metric_values(hits, n_truth[chunk], cutoffs))
-    values = np.concatenate(per_user)
+        # a -1 pad reads the last item's cell, so it is masked out
+        rows, ranks = np.nonzero(np.take_along_axis(truth[:len(chunk)], lists, axis=1) & (lists >= 0))
+        truth[entries] = False
+        hits.append((rows + start, ranks + 1))
+    values = _metric_values(*map(np.concatenate, zip(*hits)), n_truth[users], cutoffs)
     n_evaluated = len(values)
     # summed in user order, as a running total would be
     sums = np.add.accumulate(values, axis=0)[-1]

@@ -327,6 +327,9 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     v = config.values
     fused = fuse(tables, v["fusion"]) if tables else None
     adjacency = build_adjacency(dataset.train) if v["model"] in GRAPH_KINDS else None
+    cutoffs = v["topk"]
+    # one ranking of the trained model serves its last validation and both reports
+    ranking = Ranking(dataset.n_users, min(cutoffs[-1], dataset.n_items))
     state, log = fit(
         v["model"],
         dataset,
@@ -337,10 +340,8 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
         lambda_reg=v["reg"],
         fused=fused,
         adjacency=adjacency,
+        ranking=ranking,
     )
-    cutoffs = v["topk"]
-    # one ranking of the trained model serves both reports
-    ranking = Ranking(dataset.n_users, min(cutoffs[-1], dataset.n_items))
     valid_report = (
         evaluate(state, dataset, "valid", cutoffs, fused, adjacency, ranking=ranking)
         if dataset.valid.nnz > 0

@@ -4,6 +4,8 @@ An epoch visits every train pair exactly once as a positive, in an order
 shuffled per (seed, epoch); each positive is paired with one uniformly
 sampled unobserved item. Validation runs every ``eval_interval`` epochs on
 the stopping metric; the best-scoring parameters are kept and returned.
+Only the last scheduled validation ranks into a caller's ``ranking``, kept
+if it picks the returned parameters, so final reports need not rank them again.
 The loop is strictly sequential, so two runs with the same config and seed
 produce byte-identical logs and checkpoints.
 """
@@ -18,7 +20,7 @@ import scipy.sparse as sp
 
 from .data import Dataset, InteractionSet
 from .errors import NoNegativeAvailable, NonFiniteGradient
-from .evaluation import MetricReport, evaluate, parse_metric_spec
+from .evaluation import MetricReport, Ranking, evaluate, parse_metric_spec
 from .fileio import atomic_write
 from .models import (
     GRAPH_KINDS,
@@ -203,6 +205,7 @@ def fit(
     lambda_reg: float = 0.0,
     fused: np.ndarray | None = None,
     adjacency: sp.csr_matrix | None = None,
+    ranking: Ranking | None = None,
 ) -> tuple[ModelState, TrainLog]:
     """Train one model, returning the best-validation parameters and a log.
 
@@ -211,6 +214,11 @@ def fit(
     parameters are returned. A model kind that reads the train graph uses
     ``adjacency`` when given (it must be ``build_adjacency(dataset.train)``),
     else builds it.
+
+    An empty ``ranking`` at least as wide as the stop metric's K (capped at
+    the catalog) is ranked into at the last scheduled validation, epoch
+    ``max_epochs - max_epochs % eval_interval``, and cleared again unless
+    that epoch is the best: it holds lists of the returned parameters or none.
     """
     if dataset.train.nnz == 0:
         raise ValueError("train split is empty")
@@ -223,6 +231,8 @@ def fit(
     log = TrainLog()
     stop_name, stop_k = parse_metric_spec(cfg.stop_metric)
     has_validation = dataset.valid.nnz > 0
+    shares = ranking is not None and ranking.lists.shape[1] >= min(stop_k, dataset.n_items)
+    last_eval = cfg.max_epochs - cfg.max_epochs % cfg.eval_interval if shares else -1
 
     best_state: ModelState | None = None
     best_value = -np.inf
@@ -240,7 +250,8 @@ def fit(
         log.epoch_losses.append(float(np.mean(batch_losses)))
 
         if has_validation and epoch % cfg.eval_interval == 0:
-            report = evaluate(state, dataset, "valid", (stop_k,), fused, adjacency)
+            shared = ranking if epoch == last_eval else None
+            report = evaluate(state, dataset, "valid", (stop_k,), fused, adjacency, ranking=shared)
             log.evaluations.append((epoch, report))
             value = report.get(stop_name, stop_k)
             if value > best_value:
@@ -254,6 +265,8 @@ def fit(
                     log.stop_reason = "early_stop"
                     break
 
+    if shares and log.best_epoch != last_eval:
+        ranking.ranked[:] = False
     if best_state is None:
         best_state = state.copy()
     return best_state, log

@@ -640,12 +640,9 @@ def test_scores_written_into_a_buffer_equal_fresh_scores(n_users):
     assert np.isnan(buffer[n_users:]).all()
 
 
-def test_run_single_ranks_each_user_once_for_both_reports(tmp_path, monkeypatch):
-    ds = partly_validated_dataset(10)
-    (tmp_path / "run.cfg").write_text("interactions: unused.tsv\nmax_epochs: 1\n", encoding="utf-8")
-    monkeypatch.delenv("MMREC_SEED", raising=False)
-    config = parse_config(tmp_path / "run.cfg")
-    ranked = counted_chunks(monkeypatch)
+def marked_reports(monkeypatch, ranked):
+    """Where each final report's chunks start in ``ranked``, by target; fit's
+    in-fit validation goes through mmrec.trainer, so it is not marked."""
     starts = {}
     report_evaluate = mmrec.experiment.evaluate
 
@@ -653,15 +650,50 @@ def test_run_single_ranks_each_user_once_for_both_reports(tmp_path, monkeypatch)
         starts[target] = len(ranked)
         return report_evaluate(state, dataset, target, *args, **kwargs)
 
-    # fit's in-fit validation goes through mmrec.trainer, so only the
-    # reports are marked, and their chunks come after fit's
     monkeypatch.setattr(mmrec.experiment, "evaluate", marked)
-    _, _, valid_report, test_report = run_single(config, ds, [])
+    return starts
+
+
+def single_run_config(tmp_path, monkeypatch, *lines):
+    (tmp_path / "run.cfg").write_text("\n".join(["interactions: unused.tsv", *lines]) + "\n", encoding="utf-8")
+    monkeypatch.delenv("MMREC_SEED", raising=False)
+    return parse_config(tmp_path / "run.cfg")
+
+
+def test_run_single_ranks_each_user_once_for_both_reports(tmp_path, monkeypatch):
+    ds = partly_validated_dataset(10)
+    config = single_run_config(tmp_path, monkeypatch, "max_epochs: 1", "eval_interval: 1")
+    ranked = counted_chunks(monkeypatch)
+    starts = marked_reports(monkeypatch, ranked)
+    _, _, valid_report, test_report = run_single(config, ds, [], str(tmp_path / "shared"))
+    fit_chunks = ranked[:starts["valid"]]
     valid_chunks, test_chunks = ranked[starts["valid"]:starts["test"]], ranked[starts["test"]:]
-    assert len(valid_chunks) == 2 and len(test_chunks) == 1
-    assert sorted(np.concatenate(valid_chunks).tolist()) == sorted(users_of(ds.valid))
+    # fit's last validation ranked the valid users once, for both reports
+    assert len(fit_chunks) == 2 and valid_chunks == [] and len(test_chunks) == 1
+    assert sorted(np.concatenate(fit_chunks).tolist()) == sorted(users_of(ds.valid))
     assert sorted(np.concatenate(test_chunks).tolist()) == sorted(users_of(ds.test) - users_of(ds.valid))
     assert (valid_report.n_evaluated, test_report.n_evaluated) == (990, 1100)
+    fit = mmrec.experiment.fit
+    # a run whose fit gets no ranking ranks each report afresh, into the same files
+    monkeypatch.setattr(mmrec.experiment, "fit", lambda *args, ranking, **kwargs: fit(*args, **kwargs))
+    run_single(config, ds, [], str(tmp_path / "cold"))
+    for name in ("valid_report.tsv", "test_report.tsv", "train_log.tsv"):
+        assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
+
+
+def test_run_single_shares_nothing_with_a_validation_wider_than_the_reports(tmp_path, monkeypatch):
+    ds = partly_validated_dataset(10)
+    config = single_run_config(
+        tmp_path, monkeypatch, "max_epochs: 1", "topk: [5, 10]", "selection_metric: recall@10",
+        "stop_metric: recall@20",
+    )
+    ranked = counted_chunks(monkeypatch)
+    starts = marked_reports(monkeypatch, ranked)
+    state, _, valid_report, test_report = run_single(config, ds, [])
+    # fit ranked the valid users at width 20, and the reports rank at width 10
+    assert len(ranked[:starts["valid"]]) == len(ranked[starts["valid"]:starts["test"]]) == 2
+    assert valid_report == evaluate(state, ds, "valid", (5, 10))
+    assert test_report == evaluate(state, ds, "test", (5, 10))
 
 
 def test_evaluate_keeps_nothing_once_it_returns():
@@ -678,3 +710,27 @@ def test_evaluate_keeps_nothing_once_it_returns():
     assert report.n_evaluated == ds.n_users
     # a list table would be n_users * n_items * 8 bytes (264 kB)
     assert held < 8_000
+
+
+def test_metric_peak_memory_is_below_a_score_chunk_with_hundreds_of_truth_items():
+    # 600 users over 1000 items, each with 400 test items: comparing every
+    # truth item with its user's list, or holding int64 keys and positions
+    # of a chunk's truth entries, breaks this bound
+    rng = np.random.default_rng(11)
+    n_users, n_items = 600, 1000
+    picks = [rng.choice(n_items, 402, replace=False) for _ in range(n_users)]
+    train = {(u, int(i)) for u, items in enumerate(picks) for i in items[:2]}
+    test = {(u, int(i)) for u, items in enumerate(picks) for i in items[2:]}
+    ds = manual_dataset(n_users, n_items, train, test)
+    state = init_params("mf_bpr", n_users, n_items, 4, seed=3)
+    ranking = Ranking(n_users, 50)
+    first = evaluate(state, ds, "test", ranking=ranking)
+    assert ranking.ranked.all()
+    tracemalloc.start()
+    try:
+        report = evaluate(state, ds, "test", ranking=ranking)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == first
+    assert peak < 512 * n_items * 8

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from mmrec.errors import NoNegativeAvailable, NonFiniteGradient
+from mmrec.evaluation import Ranking, evaluate
 from mmrec.models import init_params
 from mmrec.trainer import (
     OptimizerState,
@@ -170,7 +171,7 @@ class TestFit:
         values = iter([0.9] + [0.1] * 50)
         real_evaluate = trainer_mod.evaluate
 
-        def fake_evaluate(state, ds, target, cutoffs, fused=None, adjacency=None):
+        def fake_evaluate(state, ds, target, cutoffs, fused=None, adjacency=None, **kwargs):
             report = real_evaluate(state, ds, target, cutoffs, fused, adjacency)
             forced = next(values)
             for k in report.cutoffs:
@@ -183,6 +184,32 @@ class TestFit:
         assert log.stop_reason == "early_stop"
         assert len(log.evaluations) == 2
         assert log.best_epoch == 1
+
+    def test_last_validation_that_is_not_the_best_leaves_the_ranking_empty(self, block_data, monkeypatch):
+        import mmrec.trainer as trainer_mod
+
+        dataset, _ = block_data
+        values = iter([0.9, 0.1])
+        shared = []
+        real_evaluate = trainer_mod.evaluate
+
+        def fake_evaluate(state, ds, target, cutoffs, fused=None, adjacency=None, ranking=None):
+            report = real_evaluate(state, ds, target, cutoffs, fused, adjacency, ranking=ranking)
+            shared.append(None if ranking is None else int(ranking.ranked.sum()))
+            report.values["recall"][cutoffs[0]] = next(values)
+            return report
+
+        monkeypatch.setattr(trainer_mod, "evaluate", fake_evaluate)
+        # validations at epochs 2 and 4; epoch 5 is not one
+        cfg = TrainConfig(max_epochs=5, eval_interval=2, batch_size=4096, seed=5)
+        ranking = Ranking(dataset.n_users, 50)
+        state, log = fit("mf_bpr", dataset, cfg, d=4, ranking=ranking)
+        users_with_valid = int(np.count_nonzero(np.diff(dataset.valid.indptr)))
+        # only the last validation ranked into it, then its lists were dropped
+        assert shared == [None, users_with_valid]
+        assert log.best_epoch == 2 and not ranking.ranked.any()
+        for target in ("valid", "test"):
+            assert evaluate(state, dataset, target, ranking=ranking) == evaluate(state, dataset, target)
 
     def test_loss_decreases_on_separable_data(self, block_data):
         dataset, _ = block_data

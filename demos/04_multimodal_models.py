@@ -13,10 +13,10 @@ from mmrec import (
     Interactions,
     SplitSpec,
     TrainConfig,
-    build_adjacency,
     evaluate,
     fit,
     fuse,
+    model_inputs,
     preprocess,
 )
 from mmrec.modality import ModalityTable
@@ -45,13 +45,11 @@ for raw, dense in dataset.item_map.items():
 indicator = np.zeros((dataset.n_items, 2))
 indicator[np.arange(dataset.n_items), blocks] = 1.0
 present = np.ones(dataset.n_items, dtype=bool)
-fused = fuse(
-    [
-        ModalityTable("text", indicator.copy(), present.copy()),
-        ModalityTable("image", indicator.copy(), present.copy()),
-    ],
-    "concat",
-)
+tables = [
+    ModalityTable("text", indicator.copy(), present.copy()),
+    ModalityTable("image", indicator.copy(), present.copy()),
+]
+fused = fuse(tables, "concat")
 print(f"fused feature matrix: {fused.shape[0]} items x {fused.shape[1]} dims")
 
 cfg = TrainConfig(
@@ -64,18 +62,16 @@ cfg = TrainConfig(
     seed=3,
 )
 
-adjacency = build_adjacency(dataset.train)
 runs = [
-    ("mf_bpr", dict(d=8), None),
-    ("vbpr_mm", dict(d=8, d_p=4), fused),
-    ("graph_mm", dict(d=8, n_layers=2), fused),
+    ("mf_bpr", dict(d=8)),
+    ("vbpr_mm", dict(d=8, d_p=4)),
+    ("graph_mm", dict(d=8, n_layers=2)),
 ]
 print(f"{'model':10s} {'recall@20':>10s} {'ndcg@10':>10s} {'epochs':>7s}")
-for kind, dims, features in runs:
-    state, log = fit(kind, dataset, cfg, fused=features, **dims)
-    report = evaluate(
-        state, dataset, "test", (10, 20), features,
-        adjacency if kind == "graph_mm" else None,
-    )
+for kind, dims in runs:
+    # the fused features for every kind, and the train graph for graph_mm
+    inputs = model_inputs(kind, dataset, tables, "concat")
+    state, log = fit(kind, dataset, cfg, inputs=inputs, **dims)
+    report = evaluate(state, dataset, "test", (10, 20), inputs)
     print(f"{kind:10s} {report.get('recall', 20):>10.4f} "
           f"{report.get('ndcg', 10):>10.4f} {len(log.epoch_losses):>7d}")

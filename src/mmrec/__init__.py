@@ -41,6 +41,7 @@ from .experiment import (
     RunResult,
     SummaryReport,
     expand_grid,
+    model_inputs,
     parse_config,
     run_experiment,
     run_single,
@@ -56,6 +57,7 @@ from .modality import (
     write_matrix,
 )
 from .models import (
+    ModelInputs,
     ModelState,
     TripleBatch,
     build_adjacency,

@@ -22,12 +22,14 @@ from .experiment import (
     _data_params,
     _prepare_inputs,
     load_modality_tables,
+    model_inputs,
     parse_config,
     run_experiment,
     run_single,
 )
+# fuse and build_adjacency are unused here but stay bound: mmbench/layers.py wraps them by name
 from .modality import fuse
-from .models import FEATURE_KINDS, GRAPH_KINDS, build_adjacency, load_checkpoint
+from .models import FEATURE_KINDS, build_adjacency, load_checkpoint
 
 
 def _comma_list(text: str) -> list[str]:
@@ -124,20 +126,16 @@ def _cmd_eval(args) -> int:
     state = load_checkpoint(args.checkpoint)
     dataset = load_dataset(args.data)
 
-    fused = None
-    adjacency = None
+    tables, fusion = [], None
     if state.kind in FEATURE_KINDS:
         if args.config is None:
             raise MissingFeatures(f"{state.kind} needs --config with features.<modality> entries")
         config = parse_config(args.config)
-        tables = load_modality_tables(config, dataset.item_map)
+        tables, fusion = load_modality_tables(config, dataset.item_map), config["fusion"]
         if not tables:
             raise MissingFeatures("config has no features.<modality> entries")
-        fused = fuse(tables, config["fusion"])
-    if state.kind in GRAPH_KINDS:
-        adjacency = build_adjacency(dataset.train)
 
-    report = evaluate(state, dataset, args.split, cutoffs, fused, adjacency)
+    report = evaluate(state, dataset, args.split, cutoffs, model_inputs(state.kind, dataset, tables, fusion))
     sys.stdout.write(format_metric_report(report))
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)

@@ -50,7 +50,7 @@ import numpy as np
 from .data import Dataset, InteractionSet
 from .errors import DatasetMismatch, EmptySplit
 from .fileio import atomic_write
-from .models import ModelState, _check_inputs, encode, full_sort_predict
+from .models import ModelInputs, ModelState, _check_inputs, encode, full_sort_predict
 
 METRICS = ("recall", "precision", "ndcg", "map")
 DEFAULT_CUTOFFS = (5, 10, 20, 50)
@@ -210,8 +210,7 @@ def evaluate(
     dataset: Dataset,
     target: str,
     cutoffs: tuple[int, ...] = DEFAULT_CUTOFFS,
-    fused: np.ndarray | None = None,
-    adjacency=None,
+    inputs: ModelInputs = ModelInputs(),
     ranking: Ranking | None = None,
 ) -> MetricReport:
     """Mean ranking metrics over users with ground truth in ``target``,
@@ -238,10 +237,10 @@ def evaluate(
     users = np.flatnonzero(n_truth > 0)
     if users.size == 0:
         raise EmptySplit(f"no user has ground truth in the {target} split")
-    _check_inputs(state, fused, adjacency)
+    _check_inputs(state, inputs)
     missing = users[~ranking.ranked[users]]
     if missing.size:
-        rep = encode(state, fused, adjacency)
+        rep = encode(state, inputs)
         scores = np.empty((min(_EVAL_CHUNK, len(missing)), dataset.n_items))
         for start in range(0, len(missing), _EVAL_CHUNK):
             chunk = missing[start:start + _EVAL_CHUNK]

@@ -67,7 +67,7 @@ from .modality import (
     load_feature_matrix,
     read_header,
 )
-from .models import FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, build_adjacency, save_checkpoint
+from .models import FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, ModelInputs, build_adjacency, save_checkpoint
 from .rng import check_seed
 from .trainer import TrainConfig, fit, write_train_log
 
@@ -322,11 +322,18 @@ def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> 
     return tables
 
 
+def model_inputs(kind: str, dataset, tables, fusion: str) -> ModelInputs:
+    """What a ``kind`` model reads besides its tensors: the tables fused by
+    ``fusion`` whenever there are any, so that a fusion they do not allow
+    fails every kind alike, and the train adjacency if ``kind`` reads it."""
+    fused = fuse(tables, fusion) if tables else None
+    return ModelInputs(fused, build_adjacency(dataset.train) if kind in GRAPH_KINDS else None)
+
+
 def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = None):
     """Train and evaluate one concrete (scalar) configuration."""
     v = config.values
-    fused = fuse(tables, v["fusion"]) if tables else None
-    adjacency = build_adjacency(dataset.train) if v["model"] in GRAPH_KINDS else None
+    inputs = model_inputs(v["model"], dataset, tables, v["fusion"])
     cutoffs = v["topk"]
     # one ranking of the trained model serves its last validation and both reports
     ranking = Ranking(dataset.n_users, min(cutoffs[-1], dataset.n_items))
@@ -338,17 +345,16 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
         d_p=v["d_p"],
         n_layers=v["n_layers"],
         lambda_reg=v["reg"],
-        fused=fused,
-        adjacency=adjacency,
+        inputs=inputs,
         ranking=ranking,
     )
     valid_report = (
-        evaluate(state, dataset, "valid", cutoffs, fused, adjacency, ranking=ranking)
+        evaluate(state, dataset, "valid", cutoffs, inputs, ranking=ranking)
         if dataset.valid.nnz > 0
         else None
     )
     test_report = (
-        evaluate(state, dataset, "test", cutoffs, fused, adjacency, ranking=ranking)
+        evaluate(state, dataset, "test", cutoffs, inputs, ranking=ranking)
         if dataset.test.nnz > 0
         else None
     )

@@ -6,7 +6,8 @@ private ``_KINDS`` table, which supplies:
 * a tensor spec: each tensor's row axis (``"users"``, ``"items"``, or None
   for a projection whose rows are the fused feature width) and the state
   field that gives its width; the meta fields the kind needs (``d_p``,
-  ``n_layers``); and whether it reads fused item features and the adjacency;
+  ``n_layers``); and whether it reads the fused item features and the
+  adjacency of its :class:`ModelInputs`;
 * score blocks ``(user table, item table, projection or None)``: the score
   is the sum over blocks of <user row, item row>, where an item row is
   ``item_table[i]``, or ``item_table[i] @ projection`` when there is one;
@@ -84,6 +85,15 @@ class ModelState:
         return replace(self, tensors={k: v.copy() for k, v in self.tensors.items()})
 
 
+@dataclass(frozen=True, eq=False)
+class ModelInputs:
+    """What a model reads besides its tensors: fused item features, one row per item, and
+    the train adjacency of :func:`build_adjacency`, as ``experiment.model_inputs`` builds them."""
+
+    fused: np.ndarray | None = None
+    adjacency: sp.csr_matrix | None = None
+
+
 def build_adjacency(train: InteractionSet) -> sp.csr_matrix:
     """Symmetric degree-normalized bipartite adjacency over user+item nodes.
 
@@ -123,49 +133,49 @@ def propagate_mean(adjacency: sp.csr_matrix, e0: np.ndarray, n_layers: int) -> n
 # (base or None, row parts), onto which the head adds the regularizer rows;
 # it may pop the blocks' parts from the list it is given.
 
-def _mf_blocks(state, fused, adjacency):
+def _mf_blocks(state, inputs):
     return [(state.tensors["user_emb"], state.tensors["item_emb"], None)]
 
 
-def _mf_pull_back(state, fused, adjacency, parts):
+def _mf_pull_back(state, inputs, parts):
     user_parts, item_parts = parts[0]
     return {"user_emb": (None, user_parts), "item_emb": (None, item_parts)}
 
 
-def _vbpr_blocks(state, fused, adjacency):
+def _vbpr_blocks(state, inputs):
     # mf_bpr's block plus a feature block, projected after the rows are gathered
     t = state.tensors
-    return _mf_blocks(state, fused, adjacency) + [(t["user_mod_emb"], fused, t["proj"])]
+    return _mf_blocks(state, inputs) + [(t["user_mod_emb"], inputs.fused, t["proj"])]
 
 
-def _vbpr_pull_back(state, fused, adjacency, parts):
+def _vbpr_pull_back(state, inputs, parts):
     mod_parts, feature_parts = parts[1]
     return {
-        **_mf_pull_back(state, fused, adjacency, parts),
+        **_mf_pull_back(state, inputs, parts),
         "user_mod_emb": (None, mod_parts),
-        "proj": fused.T @ _scatter_rows(state.n_items, feature_parts),
+        "proj": inputs.fused.T @ _scatter_rows(state.n_items, feature_parts),
     }
 
 
-def _graph_blocks(state, fused, adjacency):
+def _graph_blocks(state, inputs):
     e0 = np.vstack([
         state.tensors["user_emb"],
-        state.tensors["item_emb"] + fused @ state.tensors["mod_proj"],
+        state.tensors["item_emb"] + inputs.fused @ state.tensors["mod_proj"],
     ])
-    ef = propagate_mean(adjacency, e0, state.n_layers)
+    ef = propagate_mean(inputs.adjacency, e0, state.n_layers)
     return [(ef[: state.n_users], ef[state.n_users:], None)]
 
 
-def _graph_pull_back(state, fused, adjacency, parts):
+def _graph_pull_back(state, inputs, parts):
     n_u = state.n_users
     # item nodes follow the user nodes; the block's parts are popped, so the
     # batch rows are freed before the propagation
     g_final = _scatter_rows(n_u + state.n_items, [
         (offset + rows, values) for offset, side in zip((0, n_u), parts.pop()) for rows, values in side
     ])
-    g0 = propagate_mean(adjacency, g_final, state.n_layers)
+    g0 = propagate_mean(inputs.adjacency, g_final, state.n_layers)
     # the dense pull-back is the base; the regularizer rows are added onto it
-    return {"user_emb": (g0[:n_u], []), "item_emb": (g0[n_u:], []), "mod_proj": fused.T @ g0[n_u:]}
+    return {"user_emb": (g0[:n_u], []), "item_emb": (g0[n_u:], []), "mod_proj": inputs.fused.T @ g0[n_u:]}
 
 
 @dataclass(frozen=True)
@@ -247,8 +257,9 @@ def _fused_width(state: ModelState) -> int:
     return state.tensors[name].shape[0]
 
 
-def _check_inputs(state: ModelState, fused: np.ndarray | None, adjacency) -> None:
+def _check_inputs(state: ModelState, inputs: ModelInputs) -> None:
     spec = _KINDS[state.kind]
+    fused = inputs.fused
     if spec.features:
         if fused is None:
             raise MissingFeatures(f"{state.kind} needs fused item features")
@@ -261,7 +272,7 @@ def _check_inputs(state: ModelState, fused: np.ndarray | None, adjacency) -> Non
             raise DimensionMismatch(
                 f"fused features have shape {fused.shape}, {state.kind} expects {width} columns"
             )
-    if spec.graph and adjacency is None:
+    if spec.graph and inputs.adjacency is None:
         raise MissingAdjacency(f"{state.kind} needs the train adjacency")
 
 
@@ -271,18 +282,18 @@ def _item_rows(table: np.ndarray, proj: np.ndarray | None, rows=None) -> np.ndar
     return picked if proj is None else picked @ proj
 
 
-def encode(state: ModelState, fused: np.ndarray | None = None,
-           adjacency: sp.csr_matrix | None = None) -> ModelState:
+def encode(state: ModelState, inputs: ModelInputs = ModelInputs()) -> ModelState:
     """The model's final user and item representations as a plain ``mf_bpr``
     state, so that score(u, i) = <user_emb[u], item_emb[i]> for every kind.
 
     The representations are the kind's score blocks side by side: ``mf_bpr``
     keeps its own tables, ``vbpr_mm`` stacks ``[U, M]`` and ``[V, fP]``, and
     ``graph_mm`` splits the propagated embeddings into user and item rows.
-    Encode once and score many user chunks from it.
+    ``inputs`` must hold what the kind reads. Encode once and score many user
+    chunks from it.
     """
-    _check_inputs(state, fused, adjacency)
-    blocks = _KINDS[state.kind].blocks(state, fused, adjacency)
+    _check_inputs(state, inputs)
+    blocks = _KINDS[state.kind].blocks(state, inputs)
     users = [user_table for user_table, _, _ in blocks]
     items = [_item_rows(item_table, proj) for _, item_table, proj in blocks]
     # one block is used as it is, without a copy
@@ -293,12 +304,12 @@ def encode(state: ModelState, fused: np.ndarray | None = None,
     )
 
 
-def full_sort_predict(state: ModelState, users: np.ndarray | list[int], fused: np.ndarray | None = None,
-                      adjacency: sp.csr_matrix | None = None, out: np.ndarray | None = None) -> np.ndarray:
+def full_sort_predict(state: ModelState, users: np.ndarray | list[int], inputs: ModelInputs = ModelInputs(),
+                      out: np.ndarray | None = None) -> np.ndarray:
     """Rows of the full score matrix for the requested users; pure but for ``out``.
 
     The state is encoded on every call; to score many user chunks, pass
-    ``encode(state, fused, adjacency)`` instead, which needs no features.
+    ``encode(state, inputs)`` instead, which needs no inputs.
     With ``out``, a C-contiguous float64 buffer of at least ``len(users)``
     rows, the scores go into its first rows and that view is returned, with
     the same bytes as without ``out``, so one buffer serves every chunk.
@@ -306,13 +317,13 @@ def full_sort_predict(state: ModelState, users: np.ndarray | list[int], fused: n
     users = np.asarray(users, dtype=np.int64)
     if users.size and (users.min() < 0 or users.max() >= state.n_users):
         raise IndexOutOfRange(f"user indices must lie in [0, {state.n_users})")
-    rep = encode(state, fused, adjacency)
+    rep = encode(state, inputs)
     return np.matmul(rep.tensors["user_emb"][users], rep.tensors["item_emb"].T,
                      out=None if out is None else out[:len(users)])
 
 
-def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | None = None,
-                   adjacency: sp.csr_matrix | None = None) -> tuple[float, dict[str, np.ndarray]]:
+def calculate_loss(state: ModelState, batch: TripleBatch,
+                   inputs: ModelInputs = ModelInputs()) -> tuple[float, dict[str, np.ndarray]]:
     """Mean BPR loss over the batch plus analytic gradients.
 
     loss = mean_t softplus(-(x_ui - x_uj))
@@ -324,7 +335,7 @@ def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | No
     """
     if len(batch) == 0:
         raise EmptyBatch("cannot compute a loss over zero triples")
-    _check_inputs(state, fused, adjacency)
+    _check_inputs(state, inputs)
     spec = _KINDS[state.kind]
     users = np.asarray(batch.users, dtype=np.int64)
     pos = np.asarray(batch.pos_items, dtype=np.int64)
@@ -336,7 +347,7 @@ def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | No
     # is the sum of the blocks' inner products, in block order
     rows = [
         (user_table[users], _item_rows(item_table, proj, pos) - _item_rows(item_table, proj, neg))
-        for user_table, item_table, proj in spec.blocks(state, fused, adjacency)
+        for user_table, item_table, proj in spec.blocks(state, inputs)
     ]
     s = reduce(np.add, (_row_dots(u_rows, i_diff) for u_rows, i_diff in rows))
 
@@ -356,7 +367,7 @@ def calculate_loss(state: ModelState, batch: TripleBatch, fused: np.ndarray | No
     rows = [_row_parts(users, pos, neg, c, *block) for block in rows]
     # each row gradient is a scatter of parts, added in a fixed order: the
     # pull-back's parts first, then the regularizer's
-    grads = spec.pull_back(state, fused, adjacency, rows)
+    grads = spec.pull_back(state, inputs, rows)
     if lam > 0:
         coef = 2.0 * lam / b
         for name, index in reg:

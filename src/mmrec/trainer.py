@@ -16,20 +16,13 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .data import Dataset, InteractionSet
 from .errors import NoNegativeAvailable, NonFiniteGradient
 from .evaluation import MetricReport, Ranking, evaluate, parse_metric_spec
 from .fileio import atomic_write
-from .models import (
-    GRAPH_KINDS,
-    ModelState,
-    TripleBatch,
-    build_adjacency,
-    calculate_loss,
-    init_params,
-)
+# build_adjacency is unused here but stays bound: mmbench/layers.py wraps it by name
+from .models import ModelInputs, ModelState, TripleBatch, build_adjacency, calculate_loss, init_params
 from .rng import check_seed, stream
 
 OPTIMIZERS = ("adam", "sgd")
@@ -203,17 +196,15 @@ def fit(
     d_p: int | None = None,
     n_layers: int | None = None,
     lambda_reg: float = 0.0,
-    fused: np.ndarray | None = None,
-    adjacency: sp.csr_matrix | None = None,
+    inputs: ModelInputs = ModelInputs(),
     ranking: Ranking | None = None,
 ) -> tuple[ModelState, TrainLog]:
     """Train one model, returning the best-validation parameters and a log.
 
     With an empty validation split there is nothing to select on: early
     stopping is disabled, training runs to max_epochs and the final
-    parameters are returned. A model kind that reads the train graph uses
-    ``adjacency`` when given (it must be ``build_adjacency(dataset.train)``),
-    else builds it.
+    parameters are returned. ``inputs`` must hold what ``kind`` reads, as
+    ``experiment.model_inputs`` builds it; ``fit`` builds nothing itself.
 
     An empty ``ranking`` at least as wide as the stop metric's K (capped at
     the catalog) is ranked into at the last scheduled validation, epoch
@@ -222,11 +213,9 @@ def fit(
     """
     if dataset.train.nnz == 0:
         raise ValueError("train split is empty")
-    d_fused = None if fused is None else fused.shape[1]
+    d_fused = None if inputs.fused is None else inputs.fused.shape[1]
     state = init_params(kind, dataset.n_users, dataset.n_items, d, cfg.seed, d_p=d_p,
                         d_fused=d_fused, n_layers=n_layers, lambda_reg=lambda_reg)
-    if kind in GRAPH_KINDS and adjacency is None:
-        adjacency = build_adjacency(dataset.train)
     opt = OptimizerState.zeros(state)
     log = TrainLog()
     stop_name, stop_k = parse_metric_spec(cfg.stop_metric)
@@ -241,7 +230,7 @@ def fit(
     for epoch in range(1, cfg.max_epochs + 1):
         batch_losses = []
         for batch in make_batches(dataset.train, cfg.batch_size, epoch - 1, cfg.seed):
-            loss, grads = calculate_loss(state, batch, fused, adjacency)
+            loss, grads = calculate_loss(state, batch, inputs)
             batch_losses.append(loss)
             if cfg.optimizer == "adam":
                 adam_step(state, grads, opt, cfg)
@@ -251,7 +240,7 @@ def fit(
 
         if has_validation and epoch % cfg.eval_interval == 0:
             shared = ranking if epoch == last_eval else None
-            report = evaluate(state, dataset, "valid", (stop_k,), fused, adjacency, ranking=shared)
+            report = evaluate(state, dataset, "valid", (stop_k,), inputs, ranking=shared)
             log.evaluations.append((epoch, report))
             value = report.get(stop_name, stop_k)
             if value > best_value:

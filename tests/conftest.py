@@ -14,21 +14,22 @@ from mmrec.data import (
 )
 from mmrec.evaluation import full_sort_predict, mask_trained, top_k
 from mmrec.modality import ModalityTable, fuse
+from mmrec.models import ModelInputs
 
 
-def all_scores(state, fused=None, adjacency=None) -> np.ndarray:
+def all_scores(state, inputs=ModelInputs()) -> np.ndarray:
     """The full n_users x n_items score matrix, as one full_sort_predict call."""
-    return full_sort_predict(state, np.arange(state.n_users), fused, adjacency)
+    return full_sort_predict(state, np.arange(state.n_users), inputs)
 
 
-def topk_lists(state, dataset: Dataset, target: str, k: int, fused=None, adjacency=None):
+def topk_lists(state, dataset: Dataset, target: str, k: int, inputs=ModelInputs()):
     """(user, top-k item indices) for each user with ground truth in
     ``target``, in user-index order, ranked as one chunk through the
     evaluator's public helpers."""
     users = np.flatnonzero(np.diff(getattr(dataset, target).indptr) > 0)
     trained = np.zeros((dataset.n_users, dataset.n_items), dtype=bool)
     trained[dataset.train.pair_arrays()] = True
-    scores = full_sort_predict(state, users, fused, adjacency)
+    scores = full_sort_predict(state, users, inputs)
     lists = top_k(mask_trained(scores, np.nonzero(trained[users])), k)
     return [(int(u), row[row >= 0]) for u, row in zip(users, lists)]
 

@@ -14,6 +14,7 @@ from mmrec.data import FilterParams, Interactions, k_core_filter
 from mmrec.evaluation import evaluate
 from mmrec.experiment import ExperimentConfig, expand_grid, parse_config, run_experiment
 from mmrec.models import (
+    ModelInputs,
     ModelState,
     TripleBatch,
     build_adjacency,
@@ -156,7 +157,7 @@ def _tiny_instance(rng, kind, n_layers):
         triples.append((u, pos, neg))
     arr = np.array(triples)
     return state, TripleBatch(arr[:, 0], arr[:, 1], arr[:, 2]), \
-        (fused if kind != "mf_bpr" else None), adjacency
+        ModelInputs(fused if kind != "mf_bpr" else None, adjacency)
 
 
 def test_criterion_3_gradient_checks():
@@ -168,8 +169,8 @@ def test_criterion_3_gradient_checks():
     for kind, n_layers in (("mf_bpr", None), ("vbpr_mm", None), ("graph_mm", 1), ("graph_mm", 2)):
         for _ in range(6):
             n_instances += 1
-            state, batch, fused, adjacency = _tiny_instance(rng, kind, n_layers)
-            _, grads = calculate_loss(state, batch, fused, adjacency)
+            state, batch, inputs = _tiny_instance(rng, kind, n_layers)
+            _, grads = calculate_loss(state, batch, inputs)
             for name, tensor in state.tensors.items():
                 fd = np.zeros_like(tensor)
                 it = np.nditer(tensor, flags=["multi_index"])
@@ -177,9 +178,9 @@ def test_criterion_3_gradient_checks():
                     idx = it.multi_index
                     orig = tensor[idx]
                     tensor[idx] = orig + h
-                    up, _ = calculate_loss(state, batch, fused, adjacency)
+                    up, _ = calculate_loss(state, batch, inputs)
                     tensor[idx] = orig - h
-                    down, _ = calculate_loss(state, batch, fused, adjacency)
+                    down, _ = calculate_loss(state, batch, inputs)
                     tensor[idx] = orig
                     fd[idx] = (up - down) / (2 * h)
                 denom = np.maximum(1e-6, np.abs(grads[name]) + np.abs(fd))
@@ -211,7 +212,7 @@ def test_criterion_4_reduction_identities():
             {"user_emb": state.tensors["user_emb"], "item_emb": state.tensors["item_emb"]},
         )
         diff = np.max(np.abs(
-            all_scores(state, fused, adjacency if state.kind == "graph_mm" else None)
+            all_scores(state, ModelInputs(fused, adjacency if state.kind == "graph_mm" else None))
             - all_scores(mf)
         ))
         gap = max(gap, float(diff))
@@ -263,9 +264,9 @@ def test_criterion_6_masking_soundness():
     dataset, fused = synthetic_block_dataset(data_seed=5, split_seed=6)
     cfg = TrainConfig(learning_rate=0.05, batch_size=2048, max_epochs=5,
                       eval_interval=5, stop_metric="recall@20", seed=8)
-    state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, fused=fused)
+    state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, inputs=ModelInputs(fused))
     checked = 0
-    for u, topk in topk_lists(state, dataset, "test", 50, fused):
+    for u, topk in topk_lists(state, dataset, "test", 50, ModelInputs(fused)):
         overlap = set(topk.tolist()) & set(dataset.train.row(u).tolist())
         assert not overlap, f"user {u} leaked train items {overlap}"
         checked += 1
@@ -294,8 +295,8 @@ def test_criterion_7_learning_sanity():
         ratios.append(mf.get("recall", k) / baseline)
         assert ratios[-1] >= 3.0, f"split seed {split_seed}: recall ratio only {ratios[-1]:.2f}x"
 
-        vb_state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, fused=fused)
-        vb = evaluate(vb_state, dataset, "test", (10, k), fused)
+        vb_state, _ = fit("vbpr_mm", dataset, cfg, d=8, d_p=4, inputs=ModelInputs(fused))
+        vb = evaluate(vb_state, dataset, "test", (10, k), ModelInputs(fused))
         gains.append(vb.get("ndcg", 10) - mf.get("ndcg", 10))
         print(f"split seed {split_seed}: mf recall@{k} {ratios[-1]:.2f}x random, "
               f"ndcg@10 mf {mf.get('ndcg', 10):.4f} vbpr {vb.get('ndcg', 10):.4f} "

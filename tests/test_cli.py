@@ -162,8 +162,9 @@ class TestEval:
         assert captured.out == ""
         assert captured.err == f"error: fused features have shape (12, 8), {kind} expects 6 columns\n"
 
-    def test_eval_matches_train_report(self, tmp_path, capsys):
-        config = write_toy_workspace(tmp_path)
+    @pytest.mark.parametrize("kind", ["mf_bpr", "vbpr_mm", "graph_mm"])
+    def test_eval_matches_train_report(self, tmp_path, capsys, kind):
+        config = write_toy_workspace(tmp_path, extra_lines=[f"model: {kind}"])
         run(["train", "--config", config, "--out", tmp_path / "out"])
         capsys.readouterr()
         run([
@@ -172,10 +173,31 @@ class TestEval:
             "--data", tmp_path / "out" / "dataset",
             "--split", "test",
             "--topk", "5,10",
+            *([] if kind == "mf_bpr" else ["--config", config]),
         ])
         printed = capsys.readouterr().out
         stored = (tmp_path / "out" / "test_report.tsv").read_text()
         assert printed == stored
+
+    def test_graph_eval_builds_the_adjacency_once_through_the_runner(self, tmp_path, capsys, monkeypatch):
+        config = write_toy_workspace(tmp_path, extra_lines=["model: graph_mm"])
+        run(["train", "--config", config, "--out", tmp_path / "out"])
+        calls = []
+        build = mmrec.models.build_adjacency
+
+        def counted(train):
+            calls.append(1)
+            return build(train)
+
+        monkeypatch.setattr(mmrec.experiment, "build_adjacency", counted)
+        code = run([
+            "eval",
+            "--checkpoint", tmp_path / "out" / "checkpoint",
+            "--data", tmp_path / "out" / "dataset",
+            "--config", config,
+        ])
+        assert code == 0
+        assert len(calls) == 1
 
     def test_eval_refuses_checkpoint_of_another_size(self, tmp_path, capsys):
         save_checkpoint(init_params("mf_bpr", 20, 15, 4, seed=1), tmp_path / "ckpt")

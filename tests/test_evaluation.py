@@ -26,7 +26,8 @@ from mmrec.evaluation import (
 )
 from mmrec.experiment import parse_config, run_single
 from mmrec.models import (
-    FEATURE_KINDS, GRAPH_KINDS, ModelState, build_adjacency, encode, full_sort_predict, init_params,
+    FEATURE_KINDS, GRAPH_KINDS, ModelInputs, ModelState, build_adjacency, encode, full_sort_predict,
+    init_params,
 )
 
 from conftest import all_scores, make_interaction_set, synthetic_block_dataset, topk_lists
@@ -492,7 +493,7 @@ def test_graph_model_is_propagated_once_per_evaluation(monkeypatch):
         return propagate(*args)
 
     monkeypatch.setattr(mmrec.models, "propagate_mean", counted)
-    report = evaluate(state, ds, "test", (5, 20), fused, build_adjacency(ds.train))
+    report = evaluate(state, ds, "test", (5, 20), ModelInputs(fused, build_adjacency(ds.train)))
     assert report.n_evaluated > 2 * 512  # three chunks
     assert len(calls) == 1
 
@@ -525,15 +526,14 @@ def users_of(split):
 def test_reports_sharing_a_ranking_equal_cold_reports(kind):
     ds, fused = synthetic_block_dataset()
     assert users_of(ds.test) <= users_of(ds.valid)  # so the test report ranks no one
-    fused = fused if kind in FEATURE_KINDS else None
-    adjacency = build_adjacency(ds.train) if kind in GRAPH_KINDS else None
+    inputs = ModelInputs(fused if kind in FEATURE_KINDS else None,
+                         build_adjacency(ds.train) if kind in GRAPH_KINDS else None)
     state = init_params(kind, ds.n_users, ds.n_items, 4, seed=2, d_p=3, d_fused=4, n_layers=2)
     ranking = Ranking(ds.n_users, 50)
     # valid, then test from the shared lists, and a prefix of them
     calls = [("valid", (5, 20, 50)), ("test", (5, 20, 50)), ("test", (10,))]
-    shared = [evaluate(state, ds, target, cutoffs, fused, adjacency, ranking=ranking)
-              for target, cutoffs in calls]
-    cold = [evaluate(state, ds, target, cutoffs, fused, adjacency) for target, cutoffs in calls]
+    shared = [evaluate(state, ds, target, cutoffs, inputs, ranking=ranking) for target, cutoffs in calls]
+    cold = [evaluate(state, ds, target, cutoffs, inputs) for target, cutoffs in calls]
     assert shared == cold
 
 
@@ -591,10 +591,10 @@ def test_test_report_ranks_only_users_missing_from_the_ranking(valid_every, monk
 def test_a_fully_ranked_report_encodes_nothing(monkeypatch):
     ds = partly_validated_dataset(1)
     fused = np.random.default_rng(5).normal(size=(ds.n_items, 4))
-    adjacency = build_adjacency(ds.train)
+    inputs = ModelInputs(fused, build_adjacency(ds.train))
     state = init_params("graph_mm", ds.n_users, ds.n_items, 4, seed=3, d_fused=4, n_layers=2)
     ranking = Ranking(ds.n_users, ds.n_items)
-    evaluate(state, ds, "valid", fused=fused, adjacency=adjacency, ranking=ranking)
+    evaluate(state, ds, "valid", inputs=inputs, ranking=ranking)
     calls = []
 
     def counted(name, fn):
@@ -605,10 +605,10 @@ def test_a_fully_ranked_report_encodes_nothing(monkeypatch):
 
     monkeypatch.setattr(mmrec.evaluation, "encode", counted("encode", mmrec.evaluation.encode))
     monkeypatch.setattr(mmrec.models, "propagate_mean", counted("propagate_mean", mmrec.models.propagate_mean))
-    report = evaluate(state, ds, "test", fused=fused, adjacency=adjacency, ranking=ranking)
+    report = evaluate(state, ds, "test", inputs=inputs, ranking=ranking)
     assert calls == []
     monkeypatch.undo()
-    assert report == evaluate(state, ds, "test", fused=fused, adjacency=adjacency)
+    assert report == evaluate(state, ds, "test", inputs=inputs)
 
 
 @pytest.mark.parametrize("kind, inputs, error", [
@@ -623,10 +623,10 @@ def test_a_fully_ranked_report_still_checks_its_inputs(kind, inputs, error):
     given = {"fused": np.ones((ds.n_items, 4)), "adjacency": build_adjacency(ds.train)}
     state = init_params(kind, ds.n_users, ds.n_items, 4, seed=3, d_p=3, d_fused=4, n_layers=2)
     ranking = Ranking(ds.n_users, ds.n_items)
-    evaluate(state, ds, "valid", ranking=ranking, **given)
+    evaluate(state, ds, "valid", inputs=ModelInputs(**given), ranking=ranking)
     assert ranking.ranked.all()
     with pytest.raises(error):
-        evaluate(state, ds, "test", ranking=ranking, **{**given, **inputs})
+        evaluate(state, ds, "test", inputs=ModelInputs(**{**given, **inputs}), ranking=ranking)
 
 
 @pytest.mark.parametrize("n_users", [512, 76])

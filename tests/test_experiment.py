@@ -10,11 +10,14 @@ from mmrec.errors import EmptySplit, MissingFeatures, ParseError, TypeMismatch, 
 from mmrec.evaluation import METRICS
 from mmrec.experiment import (
     ExperimentConfig,
+    _prepare_inputs,
     expand_grid,
+    model_inputs,
     parse_config,
     run_experiment,
 )
-from mmrec.modality import write_matrix
+from mmrec.modality import fuse, write_matrix
+from mmrec.models import MODEL_KINDS, build_adjacency
 
 
 def write_toy_workspace(root, n_users=20, n_items=12, modalities=("text", "image"),
@@ -220,6 +223,20 @@ class TestRunExperiment:
         assert report.results[0].error is None
         assert report.results[0].test_report is not None
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("with_tables", [False, True])
+    @pytest.mark.parametrize("kind", MODEL_KINDS)
+    def test_model_inputs_hold_the_fused_tables_and_the_graph_of_graph_kinds(self, tmp_path, kind, with_tables):
+        dataset, tables, _ = _prepare_inputs(parse_config(write_toy_workspace(tmp_path)))
+        tables = tables if with_tables else []
+        inputs = model_inputs(kind, dataset, tables, "concat")
+        # fused whenever there are tables, mf_bpr included
+        assert (inputs.fused is not None) == with_tables
+        if with_tables:
+            assert np.array_equal(inputs.fused, fuse(tables, "concat"))
+        assert (inputs.adjacency is not None) == (kind == "graph_mm")
+        if kind == "graph_mm":
+            assert np.array_equal(inputs.adjacency.toarray(), build_adjacency(dataset.train).toarray())
 
     def test_grid_rows_and_best(self, tmp_path):
         config = parse_config(

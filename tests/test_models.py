@@ -15,6 +15,7 @@ from mmrec.errors import (
 from mmrec.evaluation import top_k
 from mmrec.modality import write_matrix
 from mmrec.models import (
+    ModelInputs,
     ModelState,
     TripleBatch,
     _scatter_rows,
@@ -51,10 +52,10 @@ def random_instance(rng, kind, n_u=6, n_i=6, d=4, d_p=3, d_f=5, n_layers=None, l
         triples.append((u, pos, neg))
     arr = np.array(triples)
     batch = TripleBatch(arr[:, 0], arr[:, 1], arr[:, 2])
-    return train, fused if kind != "mf_bpr" else None, adjacency, state, batch
+    return train, ModelInputs(fused if kind != "mf_bpr" else None, adjacency), state, batch
 
 
-def finite_difference_grads(state, batch, fused, adjacency, h=1e-5):
+def finite_difference_grads(state, batch, inputs, h=1e-5):
     fd = {}
     for name, tensor in state.tensors.items():
         grad = np.zeros_like(tensor)
@@ -63,9 +64,9 @@ def finite_difference_grads(state, batch, fused, adjacency, h=1e-5):
             idx = it.multi_index
             orig = tensor[idx]
             tensor[idx] = orig + h
-            up, _ = calculate_loss(state, batch, fused, adjacency)
+            up, _ = calculate_loss(state, batch, inputs)
             tensor[idx] = orig - h
-            down, _ = calculate_loss(state, batch, fused, adjacency)
+            down, _ = calculate_loss(state, batch, inputs)
             tensor[idx] = orig
             grad[idx] = (up - down) / (2 * h)
         fd[name] = grad
@@ -126,31 +127,31 @@ class TestScoreAll:
 
     def test_vbpr_zero_proj_reduces_to_mf(self):
         rng = np.random.default_rng(0)
-        _, fused, _, state, _ = random_instance(rng, "vbpr_mm")
+        _, inputs, state, _ = random_instance(rng, "vbpr_mm")
         state.tensors["proj"][:] = 0.0
         mf = ModelState(
             "mf_bpr", state.n_users, state.n_items, state.d,
             {"user_emb": state.tensors["user_emb"], "item_emb": state.tensors["item_emb"]},
         )
-        assert np.max(np.abs(all_scores(state, fused) - all_scores(mf))) < 1e-12
+        assert np.max(np.abs(all_scores(state, inputs) - all_scores(mf))) < 1e-12
 
     def test_graph_zero_layers_zero_proj_reduces_to_mf(self):
         rng = np.random.default_rng(1)
-        _, fused, adj, state, _ = random_instance(rng, "graph_mm", n_layers=0)
+        _, inputs, state, _ = random_instance(rng, "graph_mm", n_layers=0)
         state.tensors["mod_proj"][:] = 0.0
         mf = ModelState(
             "mf_bpr", state.n_users, state.n_items, state.d,
             {"user_emb": state.tensors["user_emb"], "item_emb": state.tensors["item_emb"]},
         )
-        assert np.max(np.abs(all_scores(state, fused, adj) - all_scores(mf))) < 1e-12
+        assert np.max(np.abs(all_scores(state, inputs) - all_scores(mf))) < 1e-12
 
     def test_vbpr_scores_are_the_sum_of_block_products(self):
         # a non-zero projection: <U_u, V_i> + <M_u, f_i P>, one block at a time
         rng = np.random.default_rng(5)
-        _, fused, _, state, _ = random_instance(rng, "vbpr_mm", n_u=5, n_i=7, d=3, d_p=2, d_f=4)
-        t = state.tensors
+        _, inputs, state, _ = random_instance(rng, "vbpr_mm", n_u=5, n_i=7, d=3, d_p=2, d_f=4)
+        fused, t = inputs.fused, state.tensors
         assert np.any(t["proj"] != 0.0)
-        rep = encode(state, fused)
+        rep = encode(state, inputs)
         assert np.array_equal(rep.tensors["user_emb"], np.hstack([t["user_emb"], t["user_mod_emb"]]))
         assert np.array_equal(rep.tensors["item_emb"], np.hstack([t["item_emb"], fused @ t["proj"]]))
         hand = np.array([
@@ -164,7 +165,7 @@ class TestScoreAll:
             ]
             for u in range(state.n_users)
         ])
-        for scores in (all_scores(state, fused), all_scores(rep)):
+        for scores in (all_scores(state, inputs), all_scores(rep)):
             assert np.allclose(scores, hand, rtol=1e-12, atol=1e-12)
 
     def test_missing_features(self):
@@ -179,8 +180,8 @@ class TestScoreAll:
         adj = build_adjacency(make_interaction_set({(0, 0), (1, 1)}, 2, 2))
         batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
         for call in (
-            lambda: encode(state, np.zeros((2, 3)), adj),
-            lambda: calculate_loss(state, batch, np.zeros((2, 3)), adj),
+            lambda: encode(state, ModelInputs(np.zeros((2, 3)), adj)),
+            lambda: calculate_loss(state, batch, ModelInputs(np.zeros((2, 3)), adj)),
         ):
             with pytest.raises(DimensionMismatch, match=r"shape \(2, 3\), .* expects 2 columns"):
                 call()
@@ -190,16 +191,16 @@ class TestScoreAll:
         state = init_params(kind, 2, 2, 2, seed=0, d_p=2, d_fused=2, n_layers=1)
         adj = build_adjacency(make_interaction_set({(0, 0), (1, 1)}, 2, 2))
         with pytest.raises(MissingFeatures, match="fused features cover 3 items, dataset has 2"):
-            encode(state, np.zeros((3, 2)), adj)
+            encode(state, ModelInputs(np.zeros((3, 2)), adj))
 
     def test_missing_adjacency(self):
         state = init_params("graph_mm", 2, 2, 2, seed=0, d_fused=2, n_layers=1)
         with pytest.raises(MissingAdjacency):
-            all_scores(state, np.zeros((2, 2)))
+            all_scores(state, ModelInputs(np.zeros((2, 2))))
 
     def test_scale_free_ranking(self):
         rng = np.random.default_rng(2)
-        _, _, _, state, _ = random_instance(rng, "mf_bpr", n_u=8, n_i=30)
+        _, _, state, _ = random_instance(rng, "mf_bpr", n_u=8, n_i=30)
         scores = all_scores(state)
         for c in (0.5, 2.0, 4.0):
             assert np.array_equal(top_k(scores, 30), top_k(c * scores, 30))
@@ -284,9 +285,9 @@ class TestLoss:
     )
     def test_gradients_match_finite_differences(self, kind, n_layers, lam):
         rng = np.random.default_rng(hash((kind, n_layers, lam)) % 2**32)
-        _, fused, adj, state, batch = random_instance(rng, kind, n_layers=n_layers, lam=lam)
-        _, grads = calculate_loss(state, batch, fused, adj)
-        numeric = finite_difference_grads(state, batch, fused, adj)
+        _, inputs, state, batch = random_instance(rng, kind, n_layers=n_layers, lam=lam)
+        _, grads = calculate_loss(state, batch, inputs)
+        numeric = finite_difference_grads(state, batch, inputs)
         assert max_relative_error(grads, numeric) < 1e-4
 
 
@@ -305,10 +306,10 @@ class TestLoss:
 class TestFullSortPredict:
     def test_matches_encoded_state(self):
         rng = np.random.default_rng(4)
-        _, fused, adj, state, _ = random_instance(rng, "graph_mm", n_layers=2)
+        _, inputs, state, _ = random_instance(rng, "graph_mm", n_layers=2)
         assert np.array_equal(
-            full_sort_predict(state, np.arange(state.n_users), fused, adj),
-            full_sort_predict(encode(state, fused, adj), np.arange(state.n_users)),
+            full_sort_predict(state, np.arange(state.n_users), inputs),
+            full_sort_predict(encode(state, inputs), np.arange(state.n_users)),
         )
 
     def test_repeated_user_rows_identical(self):

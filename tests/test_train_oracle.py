@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import train_oracle as oracle
 from mmrec.errors import NoNegativeAvailable
-from mmrec.models import TripleBatch, build_adjacency, calculate_loss, encode, init_params
+from mmrec.models import ModelInputs, TripleBatch, build_adjacency, calculate_loss, encode, init_params
 from mmrec.rng import Stream, stream
 from mmrec import trainer
 from mmrec.trainer import OptimizerState, TrainConfig, adam_step, fit, make_batches, sgd_step
@@ -212,7 +212,7 @@ def test_init_and_encode_equal_the_oracle(block_data, kind, n_layers):
     adjacency = build_adjacency(dataset.train)
     fused = None if kind == "mf_bpr" else fused
     # an encoding is its representations; the oracle returns an mf_bpr state itself
-    got, want = encode(state, fused, adjacency), oracle.encode(state, fused, adjacency)
+    got, want = encode(state, ModelInputs(fused, adjacency)), oracle.encode(state, fused, adjacency)
     assert states_equal(got, want, fields=())
 
 
@@ -226,7 +226,7 @@ def test_loss_and_gradients_equal_the_oracle(block_data, kind, reg):
     rng = np.random.default_rng(1)
     # repeated users and items, so every row sums several contributions
     batch = TripleBatch(rng.integers(0, 6, 400), rng.integers(0, 9, 400), rng.integers(0, 9, 400))
-    loss, grads = calculate_loss(state, batch, fused, adjacency)
+    loss, grads = calculate_loss(state, batch, ModelInputs(fused, adjacency))
     want_loss, want_grads = oracle.calculate_loss(state, batch, fused, adjacency)
     assert same(loss, want_loss)
     assert list(grads) == list(want_grads)
@@ -266,9 +266,11 @@ def test_fit_equals_the_oracle(block_data, kind, reg, optimizer):
     dataset, fused = block_data
     cfg = TrainConfig(learning_rate=0.05, batch_size=256, max_epochs=5, patience=2,
                       stop_metric="ndcg@10", optimizer=optimizer, seed=9)
-    kwargs = dict(d=8, d_p=3, n_layers=2, lambda_reg=reg, fused=None if kind == "mf_bpr" else fused)
-    state, log = fit(kind, dataset, cfg, **kwargs)
-    want_state, want_log = oracle.fit(kind, dataset, cfg, **kwargs)
+    fused = None if kind == "mf_bpr" else fused
+    adjacency = build_adjacency(dataset.train) if kind == "graph_mm" else None
+    kwargs = dict(d=8, d_p=3, n_layers=2, lambda_reg=reg)
+    state, log = fit(kind, dataset, cfg, inputs=ModelInputs(fused, adjacency), **kwargs)
+    want_state, want_log = oracle.fit(kind, dataset, cfg, fused=fused, **kwargs)
     assert list(state.tensors) == list(want_state.tensors)
     for name in want_state.tensors:
         assert same(state.tensors[name], want_state.tensors[name]), name

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from mmrec.errors import NoNegativeAvailable, NonFiniteGradient
+from mmrec.errors import MissingAdjacency, NoNegativeAvailable, NonFiniteGradient
 from mmrec.evaluation import Ranking, evaluate
-from mmrec.models import init_params
+from mmrec.models import ModelInputs, init_params
 from mmrec.trainer import (
     OptimizerState,
     TrainConfig,
@@ -171,8 +171,8 @@ class TestFit:
         values = iter([0.9] + [0.1] * 50)
         real_evaluate = trainer_mod.evaluate
 
-        def fake_evaluate(state, ds, target, cutoffs, fused=None, adjacency=None, **kwargs):
-            report = real_evaluate(state, ds, target, cutoffs, fused, adjacency)
+        def fake_evaluate(state, ds, target, cutoffs, inputs, **kwargs):
+            report = real_evaluate(state, ds, target, cutoffs, inputs)
             forced = next(values)
             for k in report.cutoffs:
                 report.values["recall"][k] = forced
@@ -193,8 +193,8 @@ class TestFit:
         shared = []
         real_evaluate = trainer_mod.evaluate
 
-        def fake_evaluate(state, ds, target, cutoffs, fused=None, adjacency=None, ranking=None):
-            report = real_evaluate(state, ds, target, cutoffs, fused, adjacency, ranking=ranking)
+        def fake_evaluate(state, ds, target, cutoffs, inputs, ranking=None):
+            report = real_evaluate(state, ds, target, cutoffs, inputs, ranking=ranking)
             shared.append(None if ranking is None else int(ranking.ranked.sum()))
             report.values["recall"][cutoffs[0]] = next(values)
             return report
@@ -238,6 +238,23 @@ class TestFit:
             write_train_log(log, tmp_path / sub / "log.tsv", cfg.stop_metric)
         for rel in ("ckpt/user_emb.mmf8", "ckpt/item_emb.mmf8", "ckpt/meta", "log.tsv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
+
+    def test_graph_model_without_the_graph_is_refused_at_the_first_batch(self, block_data, monkeypatch):
+        import mmrec.trainer as trainer_mod
+
+        dataset, fused = block_data
+        losses = []
+        real_loss = trainer_mod.calculate_loss
+
+        def counted(*args):
+            losses.append(1)
+            return real_loss(*args)
+
+        monkeypatch.setattr(trainer_mod, "calculate_loss", counted)
+        with pytest.raises(MissingAdjacency, match="graph_mm needs the train adjacency"):
+            fit("graph_mm", dataset, TrainConfig(max_epochs=1, seed=1), d=4, n_layers=1,
+                inputs=ModelInputs(fused))
+        assert losses == [1]
 
     def test_empty_train_split_is_refused(self):
         from mmrec.data import Dataset

@@ -67,12 +67,15 @@ from .modality import (
     load_feature_matrix,
     read_header,
 )
-from .models import FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, ModelInputs, build_adjacency, save_checkpoint
+from .models import (FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, ModelInputs, build_adjacency,
+                     check_hyperparameters, save_checkpoint)
 from .rng import check_seed
 from .trainer import TrainConfig, fit, write_train_log
 
 GRID_KEYS = ("batch_size", "d", "d_p", "fusion", "learning_rate", "n_layers", "reg")
 _LIST_KEYS = ("ratios", "topk")
+# the config keys of the model hyperparameters -> their names in mmrec.models
+_MODEL_KEYS = {"d": "d", "d_p": "d_p", "n_layers": "n_layers", "reg": "lambda_reg"}
 
 
 def _token(parse, expected: str):
@@ -227,9 +230,9 @@ def parse_config(path: str | os.PathLike) -> ExperimentConfig:
 def _validate(config: ExperimentConfig) -> None:
     """Each rule over the values, checked under the key it refuses."""
     v = config.values
-    for key, low in (("d", 1), ("d_p", 1), ("n_layers", 0), ("reg", 0)):
-        if not all(x >= low for x in config.grid.get(key, [v[key]])):  # NaN fails too
-            raise TypeMismatch(key, f"must be >= {low}")
+    for key, name in _MODEL_KEYS.items():
+        for x in config.grid.get(key, [v[key]]):
+            _checked(key, check_hyperparameters, **{name: x})
     sel_k = parse_metric_spec(v["selection_metric"])[1]
     if sel_k not in v["topk"]:
         raise TypeMismatch("selection_metric", f"cutoff {sel_k} not in topk {v['topk']}")
@@ -341,31 +344,21 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
         v["model"],
         dataset,
         TrainConfig(**{f.name: v[f.name] for f in fields(TrainConfig)}),
-        d=v["d"],
-        d_p=v["d_p"],
-        n_layers=v["n_layers"],
-        lambda_reg=v["reg"],
+        **{name: v[key] for key, name in _MODEL_KEYS.items()},
         inputs=inputs,
         ranking=ranking,
     )
-    valid_report = (
-        evaluate(state, dataset, "valid", cutoffs, inputs, ranking=ranking)
-        if dataset.valid.nnz > 0
-        else None
-    )
-    test_report = (
-        evaluate(state, dataset, "test", cutoffs, inputs, ranking=ranking)
-        if dataset.test.nnz > 0
-        else None
+    valid_report, test_report = (
+        evaluate(state, dataset, target, cutoffs, inputs, ranking=ranking)
+        if getattr(dataset, target).nnz else None for target in ("valid", "test")
     )
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(state, os.path.join(out_dir, "checkpoint"))
         write_train_log(log, os.path.join(out_dir, "train_log.tsv"), v["stop_metric"])
-        if valid_report is not None:
-            write_metric_report(valid_report, os.path.join(out_dir, "valid_report.tsv"))
-        if test_report is not None:
-            write_metric_report(test_report, os.path.join(out_dir, "test_report.tsv"))
+        for target, report in (("valid", valid_report), ("test", test_report)):
+            if report is not None:
+                write_metric_report(report, os.path.join(out_dir, f"{target}_report.tsv"))
     return state, log, valid_report, test_report
 
 
@@ -403,14 +396,12 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
         result.wall_time = time.perf_counter() - started
         results.append(result)
 
-    best_index = -1
-    best_value = -np.inf
+    # a failed combination has no valid report
+    best_index, best_value = -1, -np.inf
     for idx, result in enumerate(results):
-        if result.error is None and result.valid_report is not None:
-            value = result.valid_report.get(sel_name, sel_k)
-            if value > best_value:
-                best_value = value
-                best_index = idx
+        value = -np.inf if result.valid_report is None else result.valid_report.get(sel_name, sel_k)
+        if value > best_value:
+            best_index, best_value = idx, value
 
     report = SummaryReport(
         grid_keys=sorted(config.grid),

@@ -206,22 +206,32 @@ FEATURE_KINDS = tuple(kind for kind, spec in _KINDS.items() if spec.features)
 GRAPH_KINDS = tuple(kind for kind, spec in _KINDS.items() if spec.graph)
 
 
-def _check_meta(kind, n_users, n_items, d, d_p, n_layers, d_fused) -> None:
-    """Raise ValueError unless the sizes and meta fields suit ``kind``."""
-    if kind not in _KINDS:
-        raise ValueError(f"unknown model kind {kind!r}")
-    if d <= 0 or n_users <= 0 or n_items <= 0:
-        raise ValueError("dimensions and entity counts must be positive")
-    spec = _KINDS[kind]
-    needs = []
-    if "d_p" in spec.meta and (d_p is None or d_p <= 0):
-        needs.append("positive d_p")
+# the model hyperparameter bounds that configs, init_params and checkpoints alike keep
+HYPERPARAMETER_BOUNDS = {"d": 1, "d_p": 1, "n_layers": 0, "lambda_reg": 0}
+
+
+def check_hyperparameters(**params) -> None:
+    """Raise ValueError unless each hyperparameter given is finite and at least its bound."""
+    for name, value in params.items():
+        low = HYPERPARAMETER_BOUNDS[name]
+        if not low <= value < np.inf:  # NaN fails too
+            raise ValueError(f"{name} must be finite and {'positive' if low else '>= 0'}, got {value}")
+
+
+def _check_meta(state: ModelState, d_fused: int | None) -> None:
+    """Raise ValueError unless each hyperparameter the kind reads is given and each one given is in bounds."""
+    spec = _KINDS.get(state.kind)
+    if spec is None:
+        raise ValueError(f"unknown model kind {state.kind!r}")
+    if state.n_users <= 0 or state.n_items <= 0:
+        raise ValueError("entity counts must be positive")
+    params = {name: getattr(state, name) for name in HYPERPARAMETER_BOUNDS}
+    needs = [name for name in ("d", "lambda_reg", *spec.meta) if params[name] is None]
     if spec.features and (d_fused is None or d_fused <= 0):
         needs.append("positive d_fused")
-    if "n_layers" in spec.meta and (n_layers is None or n_layers < 0):
-        needs.append("n_layers >= 0")
     if needs:
-        raise ValueError(f"{kind} needs {' and '.join(needs)}")
+        raise ValueError(f"{state.kind} needs {' and '.join(needs)}")
+    check_hyperparameters(**{name: value for name, value in params.items() if value is not None})
 
 
 def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: int | None = None,
@@ -230,12 +240,13 @@ def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: i
     """Draw fresh parameters, deterministically from (seed, tensor name).
 
     Embeddings are Normal(0, 0.1^2); projection matrices are Xavier-uniform
-    with bound sqrt(6 / (fan_in + fan_out)).
+    with bound sqrt(6 / (fan_in + fan_out)). Any kind refuses, as ValueError,
+    ``d`` or ``d_p`` < 1, ``n_layers`` < 0 and ``lambda_reg`` < 0, NaN or infinite.
     """
-    _check_meta(kind, n_users, n_items, d, d_p, n_layers, d_fused)
-    spec = _KINDS[kind]
-    n_layers = n_layers if "n_layers" in spec.meta else None
     state = ModelState(kind, n_users, n_items, d, {}, lambda_reg, d_p, n_layers, seed)
+    _check_meta(state, d_fused)
+    spec = _KINDS[kind]
+    state.n_layers = n_layers if "n_layers" in spec.meta else None
     for name, shape in _shapes(state, d_fused).items():
         draws = stream(seed, "init", name)
         if spec.tensors[name][0] is None:
@@ -332,6 +343,7 @@ def calculate_loss(state: ModelState, batch: TripleBatch,
 
     Projection matrices contribute to scores, and hence receive gradients,
     but are left out of the regularizer: it covers per-row embeddings only.
+    ``lambda_reg`` is finite and >= 0; at 0 no regularizer row is gathered.
     """
     if len(batch) == 0:
         raise EmptyBatch("cannot compute a loss over zero triples")
@@ -351,13 +363,13 @@ def calculate_loss(state: ModelState, batch: TripleBatch,
     ]
     s = reduce(np.add, (_row_dots(u_rows, i_diff) for u_rows, i_diff in rows))
 
-    # the regularized rows: every tensor with a row axis, at the batch's
-    # indices on that axis, in spec order
-    at = {"users": (users,), "items": (pos, neg)}
-    reg = [(name, index) for name, (axis, _) in spec.tensors.items() if axis for index in at[axis]]
-    gathered = (state.tensors[name][index] for name, index in reg)
-    reg_rows = reduce(np.add, (_row_dots(values, values) for values in gathered))
-    loss = float(np.logaddexp(0.0, -s).mean()) + lam * float(reg_rows.mean())
+    # the regularized rows, which give both the loss term and the gradient parts:
+    # each tensor with a row axis, at the batch's indices on it, in spec order; none at lambda_reg 0
+    at = {"users": (users,), "items": (pos, neg)} if lam > 0 else {}
+    reg = [(name, index) for name, (axis, _) in spec.tensors.items() for index in at.get(axis, ())]
+    reg_rows = [_row_dots(values, values) for values in (state.tensors[name][index] for name, index in reg)]
+    loss = float(np.logaddexp(0.0, -s).mean())
+    loss += lam * float(reduce(np.add, reg_rows).mean()) if reg else 0.0
 
     # d loss / d s_t, including the 1/|B| of the mean
     c = (-expit(-s) / b)[:, None]
@@ -368,10 +380,8 @@ def calculate_loss(state: ModelState, batch: TripleBatch,
     # each row gradient is a scatter of parts, added in a fixed order: the
     # pull-back's parts first, then the regularizer's
     grads = spec.pull_back(state, inputs, rows)
-    if lam > 0:
-        coef = 2.0 * lam / b
-        for name, index in reg:
-            grads[name][1].append((index, coef * state.tensors[name][index]))
+    for name, index in reg:
+        grads[name][1].append((index, 2.0 * lam / b * state.tensors[name][index]))
     n_rows = {"users": state.n_users, "items": state.n_items}
     for name, (axis, _) in spec.tensors.items():
         if axis is not None:
@@ -434,9 +444,9 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
     """Read a checkpoint written by :func:`save_checkpoint`.
 
     A `meta` file that is not UTF-8 or has a missing key or a bad value,
-    meta that :func:`init_params` would refuse, a tensor list that does not
-    fit the model kind, or a tensor that holds NaN or Inf or whose shape
-    disagrees with `meta` raises MalformedCheckpoint.
+    meta that :func:`init_params` would refuse (a negative or non-finite ``lambda_reg``
+    too), a tensor list that does not fit the model kind, or a tensor that
+    holds NaN or Inf or whose shape disagrees with `meta` raises MalformedCheckpoint.
     """
     src = os.fspath(in_dir)
     try:
@@ -465,7 +475,7 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
         state.tensors[name] = tensor
     d_fused = _fused_width(state) if spec.features else None
     try:
-        _check_meta(state.kind, state.n_users, state.n_items, state.d, state.d_p, state.n_layers, d_fused)
+        _check_meta(state, d_fused)
     except ValueError as exc:
         raise MalformedCheckpoint(f"{src}: {exc}") from None
     shapes = _shapes(state, d_fused)

@@ -256,9 +256,8 @@ def fit(
 
     if shares and log.best_epoch != last_eval:
         ranking.ranked[:] = False
-    if best_state is None:
-        best_state = state.copy()
-    return best_state, log
+    # without a validation pick, the final state is returned: nothing else holds it
+    return state if best_state is None else best_state, log
 
 
 def write_train_log(log: TrainLog, path: str | os.PathLike, stop_metric: str = "recall@20") -> None:

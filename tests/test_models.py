@@ -114,6 +114,14 @@ class TestInit:
             init_params("vbpr_mm", 3, 5, 4, seed=1)  # no d_p / d_fused
         with pytest.raises(ValueError):
             init_params("nope", 3, 5, 4, seed=1)
+        # every kind bounds each hyperparameter given, whether it reads it or not
+        for kind, name, value in [
+            ("mf_bpr", "lambda_reg", -1.0), ("mf_bpr", "lambda_reg", math.nan), ("mf_bpr", "lambda_reg", math.inf),
+            ("graph_mm", "lambda_reg", -0.5), ("mf_bpr", "d_p", 0), ("mf_bpr", "n_layers", -1),
+            ("graph_mm", "d_p", -7), ("vbpr_mm", "n_layers", -1),
+        ]:
+            with pytest.raises(ValueError, match=name):
+                init_params(kind, 3, 5, 4, seed=1, **{"d_p": 2, "d_fused": 6, "n_layers": 1, name: value})
 
 
 class TestScoreAll:
@@ -252,6 +260,16 @@ class TestLoss:
         batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
         loss, _ = calculate_loss(state, batch)
         assert loss == pytest.approx(math.log1p(math.exp(-1.0)), abs=1e-12)
+
+    def test_zero_lambda_reg_reads_no_regularizer_row(self):
+        # a touched row whose squared norm overflows: 0.0 * inf would be NaN
+        state = init_params("mf_bpr", 1, 3, 2, seed=0)
+        state.tensors["user_emb"][0] = 1e200
+        state.tensors["item_emb"][:] = [[0.5, 0.25], [0.5, 0.25], [1.0, 1.0]]
+        batch = TripleBatch(np.array([0]), np.array([0]), np.array([1]))
+        loss, grads = calculate_loss(state, batch)
+        assert loss == math.log(2.0)
+        assert all(np.isfinite(g).all() for g in grads.values())
 
     def test_empty_batch(self):
         state = init_params("mf_bpr", 2, 2, 2, seed=0)
@@ -414,6 +432,13 @@ class TestCheckpoint:
         pytest.param("graph_mm", {"n_layers: 2": "n_layers: -1"}, None, "n_layers",
                      id="graph-negative-n_layers"),
         pytest.param("mf_bpr", {"d: 2": "d: 0"}, None, "positive", id="mf-zero-d"),
+        # bounds hold whatever the kind reads, lambda_reg's included
+        pytest.param("mf_bpr", {"d_p: 2": "d_p: 0"}, None, "d_p", id="mf-zero-d_p"),
+        pytest.param("mf_bpr", {"n_layers: \n": "n_layers: -1\n"}, None, "n_layers", id="mf-negative-n_layers"),
+        pytest.param("mf_bpr", {"lambda_reg: 0.0": "lambda_reg: -1"}, None, "lambda_reg", id="mf-negative-lambda"),
+        pytest.param("vbpr_mm", {"lambda_reg: 0.0": "lambda_reg: -2"}, None, "lambda_reg", id="vbpr-negative-lambda"),
+        pytest.param("mf_bpr", {"lambda_reg: 0.0": "lambda_reg: nan"}, None, "lambda_reg", id="mf-nan-lambda"),
+        pytest.param("graph_mm", {"lambda_reg: 0.0": "lambda_reg: inf"}, None, "lambda_reg", id="graph-inf-lambda"),
     ])
     def test_meta_that_init_params_refuses_is_typed(self, tmp_path, kind, edits, tensor, match):
         save_checkpoint(init_params(kind, 3, 4, 2, seed=9, d_p=2, d_fused=5, n_layers=2), tmp_path)

@@ -3,7 +3,7 @@ import pytest
 
 from mmrec.errors import MissingAdjacency, NoNegativeAvailable, NonFiniteGradient
 from mmrec.evaluation import Ranking, evaluate
-from mmrec.models import ModelInputs, init_params
+from mmrec.models import ModelInputs, ModelState, init_params
 from mmrec.trainer import (
     OptimizerState,
     TrainConfig,
@@ -279,6 +279,30 @@ class TestFit:
         assert len(log.epoch_losses) == 3
         assert log.stop_reason == "max_epochs"
         assert log.best_epoch is None
+
+    def test_without_a_validation_pick_the_final_state_is_not_copied(self, block_data, monkeypatch):
+        dataset, _ = block_data
+        copies = []
+        real_copy = ModelState.copy
+
+        def counted(self):
+            copies.append(1)
+            return real_copy(self)
+
+        monkeypatch.setattr(ModelState, "copy", counted)
+        cfg = TrainConfig(max_epochs=2, eval_interval=5, batch_size=4096, seed=1)
+        _, log = fit("mf_bpr", dataset, cfg, d=2)
+        assert log.evaluations == [] and copies == []
+
+    def test_negative_lambda_reg_is_refused_before_the_first_batch(self, block_data, monkeypatch):
+        import mmrec.trainer as trainer_mod
+
+        dataset, _ = block_data
+        batches = []
+        monkeypatch.setattr(trainer_mod, "make_batches", lambda *args: batches.append(args) or [])
+        with pytest.raises(ValueError, match="lambda_reg"):
+            fit("mf_bpr", dataset, TrainConfig(max_epochs=1, seed=1), d=2, lambda_reg=-0.1)
+        assert batches == []
 
 
 def test_write_train_log_format(tmp_path):

@@ -43,7 +43,6 @@ learning_rate: [0.1, 0.02]
 fusion: [concat, sum, mean]
 topk: [5, 10]
 stop_metric: recall@10
-selection_metric: recall@10
 features.text: text.mmf,text_ids.txt
 features.image: image.mmf,image_ids.txt
 features.audio: audio.mmf,audio_ids.txt

@@ -101,8 +101,7 @@ def _cmd_train(args) -> int:
     print(f"trained {state.kind} for {len(log.epoch_losses)} epochs ({log.stop_reason})")
     for name, report in (("valid", valid_report), ("test", test_report)):
         if report is not None:
-            sel = config["selection_metric"]
-            print(f"{name}: see {args.out}/{name}_report.tsv (selection metric {sel})")
+            print(f"{name}: see {args.out}/{name}_report.tsv (stop metric {config['stop_metric']})")
     return 0
 
 
@@ -113,9 +112,9 @@ def _cmd_grid(args) -> int:
     print(f"ran {len(report.results)} combinations, {failed} failed; summary at {args.out}/summary.tsv")
     if report.best_index >= 0:
         best = report.results[report.best_index]
-        name, k = parse_metric_spec(report.selection_metric)
-        print(f"best row {report.best_index}: {best.combo} "
-              f"({report.selection_metric} = {best.valid_report.get(name, k):.6f})")
+        metric = config["stop_metric"]
+        name, k = parse_metric_spec(metric)
+        print(f"best row {report.best_index}: {best.combo} ({metric} = {best.valid_report.get(name, k):.6f})")
         return 0
     print("no combination finished successfully", file=sys.stderr)
     return 1
@@ -132,8 +131,6 @@ def _cmd_eval(args) -> int:
             raise MissingFeatures(f"{state.kind} needs --config with features.<modality> entries")
         config = parse_config(args.config)
         tables, fusion = load_modality_tables(config, dataset.item_map), config["fusion"]
-        if not tables:
-            raise MissingFeatures("config has no features.<modality> entries")
 
     report = evaluate(state, dataset, args.split, cutoffs, model_inputs(state.kind, dataset, tables, fusion))
     sys.stdout.write(format_metric_report(report))

@@ -15,7 +15,8 @@ Each key has one converter, shared by config files, ``MMREC_SEED`` and the
 and hand the tuple to their rule's owner. Values are checked before any
 data is read, and a refused value raises ``TypeMismatch`` on its own key:
 each owner's rule (k-core, seed, ratios, cutoffs, each ``TrainConfig``
-field alone), the model bounds, and a selection cutoff not in ``topk``.
+field alone), the model bounds, and a stop metric whose cutoff is not in
+``topk``: the one validation metric, which picks best epochs and grid rows.
 
 Raw data is preprocessed once, with one split spec that the run also
 saves with the dataset; every combination then trains and evaluates
@@ -104,11 +105,6 @@ _integer, _number = _token(int, "integer"), _token(_finite, "finite number")
 _boolean = _token({"true": True, "false": False}.__getitem__, "true or false")
 
 
-def _metric(token: str) -> str:
-    parse_metric_spec(token)
-    return token
-
-
 def _path_pair(token: str) -> tuple[str, str]:
     parts = tuple(p.strip() for p in token.split(","))
     if len(parts) != 2 or not all(parts):
@@ -135,7 +131,6 @@ _KEY_SPECS: dict[str, tuple] = {
     **{f.name: ({int: _integer, float: _number, str: str}[type(f.default)], f.default)
        for f in fields(TrainConfig)},
     "topk": (lambda tokens: check_cutoffs(map(_integer, tokens)), DEFAULT_CUTOFFS),
-    "selection_metric": (_metric, "recall@20"),
     "fail_fast": (_boolean, False),
     **{f"features.{m}": (_path_pair, None) for m in MODALITIES},
 }
@@ -233,13 +228,13 @@ def _validate(config: ExperimentConfig) -> None:
     for key, name in _MODEL_KEYS.items():
         for x in config.grid.get(key, [v[key]]):
             _checked(key, check_hyperparameters, **{name: x})
-    sel_k = parse_metric_spec(v["selection_metric"])[1]
-    if sel_k not in v["topk"]:
-        raise TypeMismatch("selection_metric", f"cutoff {sel_k} not in topk {v['topk']}")
     _data_params(v)
     for f in fields(TrainConfig):
         for x in config.grid.get(f.name, [v[f.name]]):
             _checked(f.name, TrainConfig, **{f.name: x})
+    stop_k = parse_metric_spec(v["stop_metric"])[1]
+    if stop_k not in v["topk"]:
+        raise TypeMismatch("stop_metric", f"cutoff {stop_k} not in topk {v['topk']}")
 
 
 def _checked(key: str, build, *args, **kwargs):
@@ -281,7 +276,6 @@ class RunResult:
 class SummaryReport:
     grid_keys: list[str]
     cutoffs: tuple[int, ...]
-    selection_metric: str
     results: list[RunResult]
     best_index: int
 
@@ -338,7 +332,7 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     v = config.values
     inputs = model_inputs(v["model"], dataset, tables, v["fusion"])
     cutoffs = v["topk"]
-    # one ranking of the trained model serves its last validation and both reports
+    # one ranking of the trained model, as wide as any cutoff, serves its last validation and both reports
     ranking = Ranking(dataset.n_users, min(cutoffs[-1], dataset.n_items))
     state, log = fit(
         v["model"],
@@ -355,7 +349,7 @@ def run_single(config: ExperimentConfig, dataset, tables, out_dir: str | None = 
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         save_checkpoint(state, os.path.join(out_dir, "checkpoint"))
-        write_train_log(log, os.path.join(out_dir, "train_log.tsv"), v["stop_metric"])
+        write_train_log(log, os.path.join(out_dir, "train_log.tsv"))
         for target, report in (("valid", valid_report), ("test", test_report)):
             if report is not None:
                 write_metric_report(report, os.path.join(out_dir, f"{target}_report.tsv"))
@@ -367,14 +361,14 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
 
     Each combination re-derives all random streams from the config seed, so
     its row is independent of which other combinations run, or in what
-    order. Failing combinations are recorded in an error column and skipped
-    by the best-row selection, unless ``fail_fast`` is set.
+    order. The best row has the highest validation stop metric; a failing
+    combination is recorded with its error, or raised if ``fail_fast`` is set.
     """
     dataset, tables, spec = _prepare_inputs(config)
     if dataset.valid.nnz == 0:
         raise EmptySplit("grid selection needs a non-empty validation split")
     combos = expand_grid(config)
-    sel_name, sel_k = parse_metric_spec(config["selection_metric"])
+    stop_name, stop_k = parse_metric_spec(config["stop_metric"])
 
     out = None if out_dir is None else os.fspath(out_dir)
     if out is not None:
@@ -399,14 +393,13 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     # a failed combination has no valid report
     best_index, best_value = -1, -np.inf
     for idx, result in enumerate(results):
-        value = -np.inf if result.valid_report is None else result.valid_report.get(sel_name, sel_k)
+        value = -np.inf if result.valid_report is None else result.valid_report.get(stop_name, stop_k)
         if value > best_value:
             best_index, best_value = idx, value
 
     report = SummaryReport(
         grid_keys=sorted(config.grid),
         cutoffs=config["topk"],
-        selection_metric=config["selection_metric"],
         results=results,
         best_index=best_index,
     )

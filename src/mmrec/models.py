@@ -32,6 +32,7 @@ the test suite, including differentiation through the graph propagation.
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -211,9 +212,11 @@ HYPERPARAMETER_BOUNDS = {"d": 1, "d_p": 1, "n_layers": 0, "lambda_reg": 0}
 
 
 def check_hyperparameters(**params) -> None:
-    """Raise ValueError unless each hyperparameter given is finite and at least its bound."""
+    """Raise ValueError unless each hyperparameter is finite, >= its bound and, bar lambda_reg, integral."""
     for name, value in params.items():
         low = HYPERPARAMETER_BOUNDS[name]
+        if name != "lambda_reg" and not isinstance(value, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
         if not low <= value < np.inf:  # NaN fails too
             raise ValueError(f"{name} must be finite and {'positive' if low else '>= 0'}, got {value}")
 
@@ -241,12 +244,13 @@ def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: i
 
     Embeddings are Normal(0, 0.1^2); projection matrices are Xavier-uniform
     with bound sqrt(6 / (fan_in + fan_out)). Any kind refuses, as ValueError,
-    ``d`` or ``d_p`` < 1, ``n_layers`` < 0 and ``lambda_reg`` < 0, NaN or infinite.
+    ``d`` or ``d_p`` < 1, ``n_layers`` < 0, any of those not an integer, and ``lambda_reg`` < 0, NaN
+    or infinite. The state keeps ``d_p`` and ``n_layers`` only if the kind reads them.
     """
     state = ModelState(kind, n_users, n_items, d, {}, lambda_reg, d_p, n_layers, seed)
     _check_meta(state, d_fused)
     spec = _KINDS[kind]
-    state.n_layers = n_layers if "n_layers" in spec.meta else None
+    state = replace(state, **{name: None for name in ("d_p", "n_layers") if name not in spec.meta})
     for name, shape in _shapes(state, d_fused).items():
         draws = stream(seed, "init", name)
         if spec.tensors[name][0] is None:

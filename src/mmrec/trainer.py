@@ -3,15 +3,16 @@
 An epoch visits every train pair exactly once as a positive, in an order
 shuffled per (seed, epoch); each positive is paired with one uniformly
 sampled unobserved item. Validation runs every ``eval_interval`` epochs on
-the stopping metric; the best-scoring parameters are kept and returned.
-Only the last scheduled validation ranks into a caller's ``ranking``, kept
-if it picks the returned parameters, so final reports need not rank them again.
+the stop metric, which the log records; the best parameters are returned.
+Only the last scheduled validation ranks into a caller's ``ranking`` (at
+least as wide as the stop cutoff), kept if it picks the returned parameters.
 The loop is strictly sequential, so two runs with the same config and seed
 produce byte-identical logs and checkpoints.
 """
 
 from __future__ import annotations
 
+import numbers
 import os
 from dataclasses import dataclass, field
 
@@ -44,12 +45,12 @@ class TrainConfig:
     seed: int = 2024
 
     def __post_init__(self):
+        for name, low in (("batch_size", 1), ("max_epochs", 0), ("patience", 1), ("eval_interval", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
             raise ValueError("learning_rate must be positive and finite")
-        if min(self.batch_size, self.patience, self.eval_interval) < 1:
-            raise ValueError("batch_size, patience and eval_interval must be >= 1")
-        if self.max_epochs < 0:
-            raise ValueError("max_epochs must be >= 0")
         if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and 0 < self.adam_eps < np.inf):
             raise ValueError("adam parameters out of range")
         if self.optimizer not in OPTIMIZERS:
@@ -76,6 +77,7 @@ class OptimizerState:
 
 @dataclass
 class TrainLog:
+    stop_metric: str
     epoch_losses: list[float] = field(default_factory=list)
     evaluations: list[tuple[int, MetricReport]] = field(default_factory=list)
     best_epoch: int | None = None
@@ -206,22 +208,24 @@ def fit(
     parameters are returned. ``inputs`` must hold what ``kind`` reads, as
     ``experiment.model_inputs`` builds it; ``fit`` builds nothing itself.
 
-    An empty ``ranking`` at least as wide as the stop metric's K (capped at
-    the catalog) is ranked into at the last scheduled validation, epoch
-    ``max_epochs - max_epochs % eval_interval``, and cleared again unless
-    that epoch is the best: it holds lists of the returned parameters or none.
+    An empty ``ranking`` is ranked into at the last scheduled validation,
+    epoch ``max_epochs - max_epochs % eval_interval``, and cleared again
+    unless that epoch is the best: it holds lists of the returned parameters
+    or none. A ranking narrower than the stop metric's K (capped at the
+    catalog) raises ValueError before training.
     """
     if dataset.train.nnz == 0:
         raise ValueError("train split is empty")
+    stop_name, stop_k = parse_metric_spec(cfg.stop_metric)
+    if ranking is not None and ranking.lists.shape[1] < min(stop_k, dataset.n_items):
+        raise ValueError(f"ranking of width {ranking.lists.shape[1]} is narrower than {cfg.stop_metric}")
     d_fused = None if inputs.fused is None else inputs.fused.shape[1]
     state = init_params(kind, dataset.n_users, dataset.n_items, d, cfg.seed, d_p=d_p,
                         d_fused=d_fused, n_layers=n_layers, lambda_reg=lambda_reg)
     opt = OptimizerState.zeros(state)
-    log = TrainLog()
-    stop_name, stop_k = parse_metric_spec(cfg.stop_metric)
+    log = TrainLog(cfg.stop_metric)
     has_validation = dataset.valid.nnz > 0
-    shares = ranking is not None and ranking.lists.shape[1] >= min(stop_k, dataset.n_items)
-    last_eval = cfg.max_epochs - cfg.max_epochs % cfg.eval_interval if shares else -1
+    last_eval = cfg.max_epochs - cfg.max_epochs % cfg.eval_interval
 
     best_state: ModelState | None = None
     best_value = -np.inf
@@ -254,17 +258,17 @@ def fit(
                     log.stop_reason = "early_stop"
                     break
 
-    if shares and log.best_epoch != last_eval:
+    if ranking is not None and log.best_epoch != last_eval:
         ranking.ranked[:] = False
     # without a validation pick, the final state is returned: nothing else holds it
     return state if best_state is None else best_state, log
 
 
-def write_train_log(log: TrainLog, path: str | os.PathLike, stop_metric: str = "recall@20") -> None:
+def write_train_log(log: TrainLog, path: str | os.PathLike) -> None:
     """TSV log: `epoch \\t mean_loss` rows interleaved with
-    `eval \\t epoch \\t metric \\t value` rows in epoch order."""
+    `eval \\t epoch \\t metric \\t value` rows of the log's stop metric, in epoch order."""
     evals = dict((epoch, report) for epoch, report in log.evaluations)
-    name, k = parse_metric_spec(stop_metric)
+    name, k = parse_metric_spec(log.stop_metric)
     with atomic_write(path) as fh:
         for idx, loss in enumerate(log.epoch_losses, start=1):
             fh.write(f"{idx}\t{loss:.6f}\n")

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 import mmrec
+import mmrec.cli
 from mmrec.cli import main
 from mmrec.data import Dataset, SplitSpec, load_dataset, save_dataset
-from mmrec.errors import MalformedDataset
+from mmrec.errors import MalformedDataset, MissingFeatures
 from mmrec.modality import write_matrix
 from mmrec.models import init_params, save_checkpoint
 
@@ -144,6 +145,24 @@ class TestEval:
         assert run(args + ["--config", config]) == 0
         out = capsys.readouterr().out
         assert "ndcg\t10\t" in out
+
+    def test_multimodal_eval_with_a_config_without_features(self, tmp_path, capsys):
+        config = write_toy_workspace(tmp_path / "trained", extra_lines=["model: vbpr_mm"])
+        run(["train", "--config", config, "--out", tmp_path / "out"])
+        bare = write_toy_workspace(tmp_path / "bare", modalities=())
+        capsys.readouterr()
+        argv = [
+            "eval",
+            "--checkpoint", tmp_path / "out" / "checkpoint",
+            "--data", tmp_path / "out" / "dataset",
+            "--config", bare,
+        ]
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ") and "features" in captured.err
+        args = mmrec.cli._build_parser().parse_args([str(a) for a in argv])
+        with pytest.raises(MissingFeatures):
+            mmrec.cli._COMMANDS["eval"](args)
 
     @pytest.mark.parametrize("kind", ["vbpr_mm", "graph_mm"])
     def test_eval_refuses_features_of_another_width(self, tmp_path, capsys, kind):
@@ -368,12 +387,13 @@ class TestBadValuesExit2:
 
     @pytest.mark.parametrize("command", ["train", "grid"])
     def test_selection_cutoff_outside_topk(self, tmp_path, capsys, command):
-        config = write_toy_workspace(tmp_path, extra_lines=["selection_metric: recall@20"])
+        # the stop metric selects the best epoch and the best grid row
+        config = write_toy_workspace(tmp_path, extra_lines=["stop_metric: recall@20"])
         # reading the missing interactions file would exit 1
         (tmp_path / "interactions.tsv").unlink()
         assert run([command, "--config", config, "--out", tmp_path / "out"]) == 2
         err = capsys.readouterr().err
-        assert err == "config error: selection_metric: cutoff 20 not in topk (5, 10)\n"
+        assert err == "config error: stop_metric: cutoff 20 not in topk (5, 10)\n"
         assert not (tmp_path / "out").exists()
 
 

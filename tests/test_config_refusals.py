@@ -1,6 +1,7 @@
 """Every refused config line or flag value: its error type, the key it is
 blamed on, and exit code 2 from ``mmrec``."""
 
+import numpy as np
 import pytest
 
 import mmrec.cli
@@ -16,8 +17,9 @@ CONFIG_REFUSALS = [
     ("reg: abc", TypeMismatch, "reg"),
     ("k: five", TypeMismatch, "k"),
     ("standardize: yes", TypeMismatch, "standardize"),
-    ("selection_metric: recall", TypeMismatch, "selection_metric"),
+    ("selection_metric: recall@20", UnknownKey, "selection_metric"),
     ("stop_metric: hits@5", TypeMismatch, "stop_metric"),
+    ("stop_metric: recall", TypeMismatch, "stop_metric"),
     ("features.text: text.mmf", TypeMismatch, "features.text"),
     ("fusion: product", TypeMismatch, "fusion"),
     ("optimizer: nope", TypeMismatch, "optimizer"),
@@ -44,7 +46,7 @@ CONFIG_REFUSALS = [
     ("n_layers: -1", TypeMismatch, "n_layers"),
     ("reg: -0.1", TypeMismatch, "reg"),
     ("reg: nan", TypeMismatch, "reg"),
-    ("selection_metric: recall@20", TypeMismatch, "selection_metric"),
+    ("stop_metric: recall@20", TypeMismatch, "stop_metric"),
     ("k: 0", TypeMismatch, "k"),
     ("seed: -1", TypeMismatch, "seed"),
     ("learning_rate: [0.05, 0.0]", TypeMismatch, "learning_rate"),
@@ -121,6 +123,16 @@ def test_config_line_is_refused_on_its_key(tmp_path, capsys, line, error, key):
 def test_train_config_refuses_non_finite_adam_eps():
     with pytest.raises(ValueError, match="adam parameters out of range"):
         TrainConfig(adam_eps=float("inf"))
+
+
+@pytest.mark.parametrize("name, value", [
+    ("batch_size", 2.5), ("max_epochs", 2.0), ("patience", "3"), ("eval_interval", 1.5),
+])
+def test_train_config_refuses_a_count_that_is_not_an_integer(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be an integer >= "):
+        TrainConfig(**{name: value})
+    # numpy integers are integers
+    assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
 
 
 def test_undecodable_config_names_its_line(tmp_path, capsys):

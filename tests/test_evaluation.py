@@ -681,21 +681,6 @@ def test_run_single_ranks_each_user_once_for_both_reports(tmp_path, monkeypatch)
         assert (tmp_path / "shared" / name).read_bytes() == (tmp_path / "cold" / name).read_bytes()
 
 
-def test_run_single_shares_nothing_with_a_validation_wider_than_the_reports(tmp_path, monkeypatch):
-    ds = partly_validated_dataset(10)
-    config = single_run_config(
-        tmp_path, monkeypatch, "max_epochs: 1", "topk: [5, 10]", "selection_metric: recall@10",
-        "stop_metric: recall@20",
-    )
-    ranked = counted_chunks(monkeypatch)
-    starts = marked_reports(monkeypatch, ranked)
-    state, _, valid_report, test_report = run_single(config, ds, [])
-    # fit ranked the valid users at width 20, and the reports rank at width 10
-    assert len(ranked[:starts["valid"]]) == len(ranked[starts["valid"]:starts["test"]]) == 2
-    assert valid_report == evaluate(state, ds, "valid", (5, 10))
-    assert test_report == evaluate(state, ds, "test", (5, 10))
-
-
 def test_evaluate_keeps_nothing_once_it_returns():
     ds = partly_validated_dataset(1)
     # a first call on another model, so numpy's own lazy set-up is not counted

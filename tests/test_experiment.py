@@ -10,6 +10,7 @@ from mmrec.errors import EmptySplit, MissingFeatures, ParseError, TypeMismatch, 
 from mmrec.evaluation import METRICS
 from mmrec.experiment import (
     ExperimentConfig,
+    _KEY_SPECS,
     _prepare_inputs,
     expand_grid,
     model_inputs,
@@ -51,7 +52,6 @@ def write_toy_workspace(root, n_users=20, n_items=12, modalities=("text", "image
         "learning_rate: 0.05",
         "topk: [5, 10]",
         "stop_metric: recall@5",
-        "selection_metric: recall@5",
         *feature_keys,
     ]
     overridden = {line.split(":")[0].strip() for line in extra_lines if ":" in line}
@@ -149,10 +149,12 @@ class TestParseConfig:
             parse_config(path)
 
     def test_readme_example_parses_to_the_defaults(self, tmp_path, monkeypatch):
-        # the README's example config spells out every default value
+        # the README's example config spells out every key but two modalities, at its default value
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
             block = fh.read().split("```ini\n", 1)[1].split("```", 1)[0]
+        keys = [line.split(":")[0] for line in block.splitlines() if line and not line.startswith("#")]
+        assert sorted(keys) == sorted(set(_KEY_SPECS) - {"features.audio", "features.video"})
         (tmp_path / "example.cfg").write_text(block, encoding="utf-8")
         (tmp_path / "minimal.cfg").write_text("interactions: interactions.tsv\n", encoding="utf-8")
         monkeypatch.delenv("MMREC_SEED", raising=False)

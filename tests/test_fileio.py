@@ -49,14 +49,14 @@ def test_exception_mid_write_leaves_no_new_file(tmp_path):
 
 def test_train_log_failing_mid_write_keeps_the_previous_log(tmp_path):
     path = tmp_path / "train_log.tsv"
-    write_train_log(TrainLog(epoch_losses=[0.5]), path)
+    write_train_log(TrainLog("recall@20", epoch_losses=[0.5]), path)
     before = path.read_bytes()
     # the epoch-2 evaluation lacks the stop metric's cutoff: the writer has
     # written two rows when the lookup fails
     report = MetricReport(cutoffs=(5,), values={"recall": {5: 0.1}}, n_evaluated=3)
-    log = TrainLog(epoch_losses=[0.4, 0.3], evaluations=[(2, report)])
+    log = TrainLog("recall@20", epoch_losses=[0.4, 0.3], evaluations=[(2, report)])
     with pytest.raises(KeyError):
-        write_train_log(log, path, stop_metric="recall@20")
+        write_train_log(log, path)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path) == ["train_log.tsv"]
 

@@ -119,9 +119,14 @@ class TestInit:
             ("mf_bpr", "lambda_reg", -1.0), ("mf_bpr", "lambda_reg", math.nan), ("mf_bpr", "lambda_reg", math.inf),
             ("graph_mm", "lambda_reg", -0.5), ("mf_bpr", "d_p", 0), ("mf_bpr", "n_layers", -1),
             ("graph_mm", "d_p", -7), ("vbpr_mm", "n_layers", -1),
+            # d, d_p and n_layers are integers, whatever the kind reads
+            ("mf_bpr", "d", 2.5), ("vbpr_mm", "d_p", 1.5), ("mf_bpr", "d_p", 2.0), ("graph_mm", "n_layers", 1.5),
         ]:
             with pytest.raises(ValueError, match=name):
-                init_params(kind, 3, 5, 4, seed=1, **{"d_p": 2, "d_fused": 6, "n_layers": 1, name: value})
+                init_params(kind, 3, 5, **{"d": 4, "seed": 1, "d_p": 2, "d_fused": 6, "n_layers": 1, name: value})
+        # numpy integers are integers
+        state = init_params("vbpr_mm", 3, 5, np.int64(4), seed=1, d_p=np.int32(2), d_fused=6)
+        assert state.tensors["proj"].shape == (6, 2)
 
 
 class TestScoreAll:
@@ -363,6 +368,12 @@ class TestCheckpoint:
         for name in state.tensors:
             assert np.array_equal(loaded.tensors[name], state.tensors[name])
 
+    @pytest.mark.parametrize("kind, d_p, n_layers", [("mf_bpr", "", ""), ("vbpr_mm", "2", ""), ("graph_mm", "", "1")])
+    def test_meta_keeps_only_the_fields_the_kind_reads(self, tmp_path, kind, d_p, n_layers):
+        save_checkpoint(init_params(kind, 4, 6, 3, seed=5, d_p=2, d_fused=4, n_layers=1), tmp_path)
+        lines = (tmp_path / "meta").read_text().splitlines()
+        assert f"d_p: {d_p}" in lines and f"n_layers: {n_layers}" in lines
+
     def test_serialized_bytes_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             save_checkpoint(init_params("mf_bpr", 3, 3, 2, seed=9), tmp_path / sub)
@@ -433,7 +444,7 @@ class TestCheckpoint:
                      id="graph-negative-n_layers"),
         pytest.param("mf_bpr", {"d: 2": "d: 0"}, None, "positive", id="mf-zero-d"),
         # bounds hold whatever the kind reads, lambda_reg's included
-        pytest.param("mf_bpr", {"d_p: 2": "d_p: 0"}, None, "d_p", id="mf-zero-d_p"),
+        pytest.param("mf_bpr", {"d_p: \n": "d_p: 0\n"}, None, "d_p", id="mf-zero-d_p"),
         pytest.param("mf_bpr", {"n_layers: \n": "n_layers: -1\n"}, None, "n_layers", id="mf-negative-n_layers"),
         pytest.param("mf_bpr", {"lambda_reg: 0.0": "lambda_reg: -1"}, None, "lambda_reg", id="mf-negative-lambda"),
         pytest.param("vbpr_mm", {"lambda_reg: 0.0": "lambda_reg: -2"}, None, "lambda_reg", id="vbpr-negative-lambda"),

@@ -235,7 +235,7 @@ class TestFit:
         for sub in ("a", "b"):
             state, log = fit("mf_bpr", dataset, cfg, d=4)
             save_checkpoint(state, tmp_path / sub / "ckpt")
-            write_train_log(log, tmp_path / sub / "log.tsv", cfg.stop_metric)
+            write_train_log(log, tmp_path / sub / "log.tsv")
         for rel in ("ckpt/user_emb.mmf8", "ckpt/item_emb.mmf8", "ckpt/meta", "log.tsv"):
             assert (tmp_path / "a" / rel).read_bytes() == (tmp_path / "b" / rel).read_bytes()
 
@@ -304,18 +304,44 @@ class TestFit:
             fit("mf_bpr", dataset, TrainConfig(max_epochs=1, seed=1), d=2, lambda_reg=-0.1)
         assert batches == []
 
+    def test_narrower_ranking_is_refused_before_the_first_batch(self, block_data, monkeypatch):
+        import mmrec.trainer as trainer_mod
+
+        dataset, _ = block_data
+        # the stop cutoff is capped at the catalog: a ranking of every item serves any K
+        cfg = TrainConfig(max_epochs=1, batch_size=4096, stop_metric=f"recall@{dataset.n_items + 5}", seed=1)
+        ranking = Ranking(dataset.n_users, dataset.n_items)
+        fit("mf_bpr", dataset, cfg, d=2, ranking=ranking)
+        assert ranking.ranked.any()
+        batches = []
+        monkeypatch.setattr(trainer_mod, "make_batches", lambda *args: batches.append(args) or [])
+        with pytest.raises(ValueError, match="ranking of width 19 is narrower than recall@20"):
+            fit("mf_bpr", dataset, TrainConfig(max_epochs=1, seed=1), d=2, ranking=Ranking(dataset.n_users, 19))
+        assert batches == []
+
+    def test_train_log_names_the_metric_fit_stopped_on(self, block_data, tmp_path):
+        dataset, _ = block_data
+        cfg = TrainConfig(max_epochs=2, batch_size=4096, stop_metric="ndcg@10", seed=1)
+        _, log = fit("mf_bpr", dataset, cfg, d=2)
+        write_train_log(log, tmp_path / "log.tsv")
+        rows = [line.split("\t") for line in (tmp_path / "log.tsv").read_text().splitlines() if line[0] == "e"]
+        assert log.stop_metric == "ndcg@10" and len(rows) == 2
+        assert rows == [["eval", str(epoch), "ndcg@10", f"{report.get('ndcg', 10):.6f}"]
+                        for epoch, report in log.evaluations]
+
 
 def test_write_train_log_format(tmp_path):
     from mmrec.evaluation import MetricReport
     from mmrec.trainer import TrainLog
 
     log = TrainLog(
+        "recall@20",
         epoch_losses=[0.7, 0.6],
         evaluations=[(2, MetricReport((20,), {m: {20: 0.5} for m in ("recall", "precision", "ndcg", "map")}, 3))],
         best_epoch=2,
     )
     path = tmp_path / "log.tsv"
-    write_train_log(log, path, "recall@20")
+    write_train_log(log, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "1\t0.700000"
     assert lines[1] == "2\t0.600000"

@@ -159,7 +159,7 @@ def init_params(kind, n_users, n_items, d, seed, d_p=None, d_fused=None, n_layer
         d=d,
         tensors=tensors,
         lambda_reg=lambda_reg,
-        d_p=d_p,
+        d_p=d_p if kind == "vbpr_mm" else None,
         n_layers=n_layers if kind == "graph_mm" else None,
         seed=seed,
     )
@@ -370,7 +370,7 @@ def fit(kind, dataset, cfg, d, d_p=None, n_layers=None, lambda_reg=0.0, fused=No
     )
     adjacency = build_adjacency(dataset.train) if kind == "graph_mm" else None
     opt = OptimizerState.zeros(state)
-    log = TrainLog()
+    log = TrainLog(cfg.stop_metric)
     stop_name, stop_k = parse_metric_spec(cfg.stop_metric)
     has_validation = dataset.valid.nnz > 0
 

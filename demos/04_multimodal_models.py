@@ -69,7 +69,7 @@ runs = [
 ]
 print(f"{'model':10s} {'recall@20':>10s} {'ndcg@10':>10s} {'epochs':>7s}")
 for kind, dims in runs:
-    # the fused features for every kind, and the train graph for graph_mm
+    # the fused features for the kinds that read them, and the train graph for graph_mm
     inputs = model_inputs(kind, dataset, tables, "concat")
     state, log = fit(kind, dataset, cfg, inputs=inputs, **dims)
     report = evaluate(state, dataset, "test", (10, 20), inputs)

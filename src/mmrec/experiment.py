@@ -4,9 +4,10 @@ A config file holds one ``key: value`` pair per line; a line whose first
 non-blank character is ``#`` is a comment, and there are no trailing
 comments. Values are integers, decimals, quoted strings, bare tokens or
 bracketed lists ``[a, b, c]``. A list on a tunable key (learning_rate, reg,
-d, d_p, n_layers, fusion, batch_size) declares a grid axis; the grid is the
-Cartesian product of all axes, ordered with axes sorted by key name and the
-rightmost axis varying fastest. The training keys and their defaults are
+d, d_p, n_layers, fusion, batch_size) that the model kind reads
+(``models.KIND_READS``) declares a grid axis; the grid is the Cartesian
+product of all axes, ordered with axes sorted by key name and the rightmost
+axis varying fastest. The training keys and their defaults are
 ``TrainConfig``'s fields; the default cutoffs are
 ``evaluation.DEFAULT_CUTOFFS``, and ``topk`` is sorted and deduplicated.
 
@@ -15,11 +16,12 @@ Each key has one converter, shared by config files, ``MMREC_SEED`` and the
 and hand the tuple to their rule's owner. Values are checked before any
 data is read, and a refused value raises ``TypeMismatch`` on its own key:
 each owner's rule (k-core, seed, ratios, cutoffs, each ``TrainConfig``
-field alone), the model bounds, and a stop metric whose cutoff is not in
-``topk``: the one validation metric, which picks best epochs and grid rows.
+field alone), the model bounds, then an axis that the kind does not read,
+and a stop metric whose cutoff is not in ``topk``: the one validation
+metric, which picks best epochs and grid rows.
 
-Raw data is preprocessed once, with one split spec that the run also
-saves with the dataset; every combination then trains and evaluates
+Raw data is preprocessed once, and feature files are read only for the
+kinds that read features; every combination then trains and evaluates
 against the same frozen split, with all random streams re-derived from the
 config seed, so each combination reproduces independently of the others.
 The environment variable ``MMREC_SEED`` overrides the config seed.
@@ -68,7 +70,7 @@ from .modality import (
     load_feature_matrix,
     read_header,
 )
-from .models import (FEATURE_KINDS, GRAPH_KINDS, MODEL_KINDS, ModelInputs, build_adjacency,
+from .models import (FEATURE_KINDS, GRAPH_KINDS, KIND_READS, MODEL_KINDS, ModelInputs, build_adjacency,
                      check_hyperparameters, save_checkpoint)
 from .rng import check_seed
 from .trainer import TrainConfig, fit, write_train_log
@@ -228,6 +230,9 @@ def _validate(config: ExperimentConfig) -> None:
     for key, name in _MODEL_KEYS.items():
         for x in config.grid.get(key, [v[key]]):
             _checked(key, check_hyperparameters, **{name: x})
+    unread = sorted(config.grid.keys() & (set().union(*KIND_READS.values()) - KIND_READS[v["model"]]))
+    if unread:
+        raise TypeMismatch(unread[0], f"model {v['model']} does not read {unread[0]}, so it cannot be a grid axis")
     _data_params(v)
     for f in fields(TrainConfig):
         for x in config.grid.get(f.name, [v[f.name]]):
@@ -281,13 +286,13 @@ class SummaryReport:
 
 
 def _prepare_inputs(config: ExperimentConfig):
-    """Parse, filter and split the raw data once; load modality tables.
-    Returns the dataset, the tables and the split spec of the dataset."""
+    """Parse, filter and split the raw data once; load modality tables if the kind reads
+    features. Returns the dataset, the tables (none otherwise) and the split spec of the dataset."""
     if config.values.get("interactions") is None:
         raise TypeMismatch("interactions", "no interactions file configured")
     filter_params, spec = _data_params(config.values)
     dataset = preprocess(read_interactions(config["interactions"]), filter_params, spec)
-    tables = load_modality_tables(config, dataset.item_map)
+    tables = load_modality_tables(config, dataset.item_map) if config["model"] in FEATURE_KINDS else []
     if config["model"] in FEATURE_KINDS and not tables:
         raise MissingFeatures(f"model {config['model']} needs features.<modality> entries")
     return dataset, tables, spec
@@ -321,9 +326,9 @@ def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> 
 
 def model_inputs(kind: str, dataset, tables, fusion: str) -> ModelInputs:
     """What a ``kind`` model reads besides its tensors: the tables fused by
-    ``fusion`` whenever there are any, so that a fusion they do not allow
-    fails every kind alike, and the train adjacency if ``kind`` reads it."""
-    fused = fuse(tables, fusion) if tables else None
+    ``fusion`` if ``kind`` reads features and there are any, and the train
+    adjacency if ``kind`` reads it."""
+    fused = fuse(tables, fusion) if tables and kind in FEATURE_KINDS else None
     return ModelInputs(fused, build_adjacency(dataset.train) if kind in GRAPH_KINDS else None)
 
 
@@ -418,8 +423,6 @@ def write_report(report: SummaryReport, path: str | os.PathLike) -> None:
     timings.tsv sidecar instead.
     """
     def fmt(value) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
         if isinstance(value, float):
             return repr(value)
         return str(value)

@@ -205,6 +205,8 @@ MODEL_KINDS = tuple(_KINDS)
 # the kinds that read fused item features, and those that read the train graph
 FEATURE_KINDS = tuple(kind for kind, spec in _KINDS.items() if spec.features)
 GRAPH_KINDS = tuple(kind for kind, spec in _KINDS.items() if spec.graph)
+# the settings each kind reads beyond d and lambda_reg: its meta fields, and the fusion if it reads features
+KIND_READS = {kind: frozenset(spec.meta) | ({"fusion"} if spec.features else set()) for kind, spec in _KINDS.items()}
 
 
 # the model hyperparameter bounds that configs, init_params and checkpoints alike keep
@@ -221,8 +223,8 @@ def check_hyperparameters(**params) -> None:
             raise ValueError(f"{name} must be finite and {'positive' if low else '>= 0'}, got {value}")
 
 
-def _check_meta(state: ModelState, d_fused: int | None) -> None:
-    """Raise ValueError unless each hyperparameter the kind reads is given and each one given is in bounds."""
+def _check_meta(state: ModelState, d_fused: int | None) -> ModelState:
+    """``state`` without the meta its kind does not read; ValueError unless all it reads is given and all given is in bounds."""
     spec = _KINDS.get(state.kind)
     if spec is None:
         raise ValueError(f"unknown model kind {state.kind!r}")
@@ -235,6 +237,7 @@ def _check_meta(state: ModelState, d_fused: int | None) -> None:
     if needs:
         raise ValueError(f"{state.kind} needs {' and '.join(needs)}")
     check_hyperparameters(**{name: value for name, value in params.items() if value is not None})
+    return replace(state, **{name: None for name in ("d_p", "n_layers") if name not in spec.meta})
 
 
 def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: int | None = None,
@@ -247,10 +250,8 @@ def init_params(kind: str, n_users: int, n_items: int, d: int, seed: int, d_p: i
     ``d`` or ``d_p`` < 1, ``n_layers`` < 0, any of those not an integer, and ``lambda_reg`` < 0, NaN
     or infinite. The state keeps ``d_p`` and ``n_layers`` only if the kind reads them.
     """
-    state = ModelState(kind, n_users, n_items, d, {}, lambda_reg, d_p, n_layers, seed)
-    _check_meta(state, d_fused)
+    state = _check_meta(ModelState(kind, n_users, n_items, d, {}, lambda_reg, d_p, n_layers, seed), d_fused)
     spec = _KINDS[kind]
-    state = replace(state, **{name: None for name in ("d_p", "n_layers") if name not in spec.meta})
     for name, shape in _shapes(state, d_fused).items():
         draws = stream(seed, "init", name)
         if spec.tensors[name][0] is None:
@@ -445,7 +446,7 @@ def save_checkpoint(state: ModelState, out_dir: str | os.PathLike) -> None:
 
 
 def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
-    """Read a checkpoint written by :func:`save_checkpoint`.
+    """Read a checkpoint written by :func:`save_checkpoint`, keeping the meta fields its kind reads.
 
     A `meta` file that is not UTF-8 or has a missing key or a bad value,
     meta that :func:`init_params` would refuse (a negative or non-finite ``lambda_reg``
@@ -479,7 +480,7 @@ def load_checkpoint(in_dir: str | os.PathLike) -> ModelState:
         state.tensors[name] = tensor
     d_fused = _fused_width(state) if spec.features else None
     try:
-        _check_meta(state, d_fused)
+        state = _check_meta(state, d_fused)
     except ValueError as exc:
         raise MalformedCheckpoint(f"{src}: {exc}") from None
     shapes = _shapes(state, d_fused)

@@ -28,6 +28,7 @@ from .rng import check_seed, stream
 
 OPTIMIZERS = ("adam", "sgd")
 _ADAM_BLOCK = 1 << 15  # elements per in-place Adam pass, so its scratch stays in cache
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # torch.optim.Adam's defaults
 
 
 @dataclass(frozen=True)
@@ -39,9 +40,6 @@ class TrainConfig:
     eval_interval: int = 1
     stop_metric: str = "recall@20"
     optimizer: str = "adam"
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
     seed: int = 2024
 
     def __post_init__(self):
@@ -51,8 +49,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
         if not 0 < self.learning_rate < np.inf:  # NaN fails too
             raise ValueError("learning_rate must be positive and finite")
-        if not (0 < self.adam_beta1 < 1 and 0 < self.adam_beta2 < 1 and 0 < self.adam_eps < np.inf):
-            raise ValueError("adam parameters out of range")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"expected one of {OPTIMIZERS}, got {self.optimizer!r}")
         parse_metric_spec(self.stop_metric)
@@ -143,7 +139,7 @@ def adam_step(
     """
     _check_finite(grads)
     opt.t += 1
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, cfg.learning_rate
     bias1 = 1.0 - b1**opt.t
     bias2 = 1.0 - b2**opt.t
     for name, theta in state.tensors.items():

@@ -8,6 +8,7 @@ import pytest
 
 import mmrec
 import mmrec.cli
+import mmrec.experiment
 from mmrec.cli import main
 from mmrec.data import Dataset, SplitSpec, load_dataset, save_dataset
 from mmrec.errors import MalformedDataset, MissingFeatures
@@ -68,6 +69,21 @@ class TestTrain:
     def test_train_rejects_grid_config(self, tmp_path):
         config = write_toy_workspace(tmp_path, extra_lines=["reg: [0.0, 0.1]"])
         assert run(["train", "--config", config, "--out", tmp_path / "out"]) == 2
+
+    def test_mf_bpr_train_reads_no_feature_file(self, tmp_path, monkeypatch):
+        def unread(*args, **kwargs):
+            raise AssertionError("mf_bpr read or fused a feature table")
+
+        plain = write_toy_workspace(tmp_path / "plain", modalities=())
+        assert run(["train", "--config", plain, "--out", tmp_path / "plain_out"]) == 0
+        config = write_toy_workspace(tmp_path / "named", modalities=(), extra_lines=["features.text: none.mmf,none.txt"])
+        monkeypatch.setattr(mmrec.experiment, "load_feature_matrix", unread)
+        monkeypatch.setattr(mmrec.experiment, "fuse", unread)
+        assert run(["train", "--config", config, "--out", tmp_path / "named_out"]) == 0
+        checkpoints = [tmp_path / out / "checkpoint" for out in ("plain_out", "named_out")]
+        assert sorted(os.listdir(checkpoints[0])) == sorted(os.listdir(checkpoints[1]))
+        for name in os.listdir(checkpoints[0]):
+            assert (checkpoints[0] / name).read_bytes() == (checkpoints[1] / name).read_bytes(), name
 
     def test_multimodal_train(self, tmp_path):
         config = write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm"])
@@ -374,7 +390,7 @@ class TestBadValuesExit2:
 
     @pytest.mark.parametrize("line", [
         "topk: [0, 5]",
-        "adam_beta1: 1.5",
+        "n_layers: [1, 3]",
         "k: 0",
         "learning_rate: [0.05, 0.0]",
         "max_epochs: -1",

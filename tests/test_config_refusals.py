@@ -54,10 +54,9 @@ CONFIG_REFUSALS = [
     ("learning_rate: inf", TypeMismatch, "learning_rate"),
     ("learning_rate: -inf", TypeMismatch, "learning_rate"),
     ("reg: inf", TypeMismatch, "reg"),
-    ("adam_eps: inf", TypeMismatch, "adam_eps"),
-    ("adam_beta1: 1.5", TypeMismatch, "adam_beta1"),
-    ("adam_beta2: 1", TypeMismatch, "adam_beta2"),
-    ("adam_eps: 0", TypeMismatch, "adam_eps"),
+    ("adam_beta1: 0.9", UnknownKey, "adam_beta1"),
+    ("adam_beta2: 0.999", UnknownKey, "adam_beta2"),
+    ("adam_eps: 1e-8", UnknownKey, "adam_eps"),
     ("batch_size: 0", TypeMismatch, "batch_size"),
     ("patience: 0", TypeMismatch, "patience"),
     ("eval_interval: 0", TypeMismatch, "eval_interval"),
@@ -120,9 +119,32 @@ def test_config_line_is_refused_on_its_key(tmp_path, capsys, line, error, key):
     assert not (tmp_path / "out").exists()
 
 
-def test_train_config_refuses_non_finite_adam_eps():
-    with pytest.raises(ValueError, match="adam parameters out of range"):
-        TrainConfig(adam_eps=float("inf"))
+# (model kind, a grid axis it does not read): every value would train the same model
+UNREAD_AXES = [
+    ("mf_bpr", "d_p: [3, 5]"),
+    ("graph_mm", "d_p: [3, 5]"),
+    ("mf_bpr", "n_layers: [1, 3]"),
+    ("vbpr_mm", "n_layers: [1, 3]"),
+    ("mf_bpr", "fusion: [concat, sum]"),
+]
+
+
+@pytest.mark.parametrize("kind, line", UNREAD_AXES, ids=[f"{kind}-{line.split(':')[0]}" for kind, line in UNREAD_AXES])
+def test_axis_the_kind_does_not_read_is_refused_on_its_key(tmp_path, capsys, kind, line):
+    path = write_toy_workspace(tmp_path, extra_lines=[f"model: {kind}", line])
+    # reading the missing interactions file would exit 1
+    (tmp_path / "interactions.tsv").unlink()
+    exc = refusal(["grid", "--config", path, "--out", tmp_path / "out"], capsys)
+    key = line.split(":")[0]
+    assert type(exc) is TypeMismatch and exc.key == key
+    assert str(exc) == f"{key}: model {kind} does not read {key}, so it cannot be a grid axis"
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_unread_axis_is_blamed_on_its_bound_first(tmp_path, capsys):
+    path = write_toy_workspace(tmp_path, extra_lines=["model: mf_bpr", "d_p: [4, 0]"])
+    exc = refusal(["grid", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert str(exc) == "d_p: d_p must be finite and positive, got 0"
 
 
 @pytest.mark.parametrize("name, value", [

@@ -1,4 +1,6 @@
+import itertools
 import os
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import mmrec.trainer
 from mmrec.errors import EmptySplit, MissingFeatures, ParseError, TypeMismatch, UnknownKey
 from mmrec.evaluation import METRICS
 from mmrec.experiment import (
+    GRID_KEYS,
     ExperimentConfig,
     _KEY_SPECS,
     _prepare_inputs,
@@ -18,7 +21,7 @@ from mmrec.experiment import (
     run_experiment,
 )
 from mmrec.modality import fuse, write_matrix
-from mmrec.models import MODEL_KINDS, build_adjacency
+from mmrec.models import FEATURE_KINDS, MODEL_KINDS, build_adjacency
 
 
 def write_toy_workspace(root, n_users=20, n_items=12, modalities=("text", "image"),
@@ -70,7 +73,7 @@ class TestParseConfig:
         assert config.grid == {"reg": [0.0, 0.1]}
 
     def test_list_on_tunable_key_declares_axis(self, tmp_path):
-        path = write_toy_workspace(tmp_path, extra_lines=["n_layers: [0, 1]"])
+        path = write_toy_workspace(tmp_path, extra_lines=["model: graph_mm", "n_layers: [0, 1]"])
         assert parse_config(path).grid["n_layers"] == [0, 1]
 
     def test_unknown_key(self, tmp_path):
@@ -163,6 +166,31 @@ class TestParseConfig:
         assert example.grid == {}
         assert example.values == {**parse_config(tmp_path / "minimal.cfg").values, **paths}
 
+    def test_readme_names_the_tunable_keys_and_the_axes_each_kind_reads(self, tmp_path):
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            text = " ".join(fh.read().split())
+        tunable = text.split("Tunable keys: ", 1)[1].split(".", 1)[0]
+        assert sorted(re.findall(r"`(\w+)`", tunable)) == sorted(GRID_KEYS)
+        # "Every kind reads <keys>; beyond those, `<kind>` reads <keys or none>, ..."
+        shared, per_kind = text.split("Every kind reads ", 1)[1].split(".", 1)[0].split("; beyond those, ")
+        reads = {}
+        for clause in re.split(r",(?: and)? (?=`\w+` reads )", per_kind):
+            kind, *keys = re.findall(r"`(\w+)`", clause)
+            reads[kind] = set(re.findall(r"`(\w+)`", shared)) | set(keys)
+        assert sorted(reads) == sorted(MODEL_KINDS)
+        values = {"batch_size": "[16, 32]", "d": "[2, 4]", "d_p": "[2, 3]", "fusion": "[concat, mean]",
+                  "learning_rate": "[0.01, 0.05]", "n_layers": "[1, 2]", "reg": "[0.0, 0.1]"}
+        assert sorted(values) == sorted(GRID_KEYS)
+        for kind, axis in itertools.product(MODEL_KINDS, GRID_KEYS):
+            path = write_toy_workspace(tmp_path / kind / axis, extra_lines=[f"model: {kind}", f"{axis}: {values[axis]}"])
+            if axis in reads[kind]:
+                assert list(parse_config(path).grid) == [axis]
+            else:
+                with pytest.raises(TypeMismatch) as err:
+                    parse_config(path)
+                assert err.value.key == axis, (kind, axis)
+
 
 class TestExpandGrid:
     def config_with(self, grid):
@@ -229,12 +257,13 @@ class TestRunExperiment:
     @pytest.mark.parametrize("with_tables", [False, True])
     @pytest.mark.parametrize("kind", MODEL_KINDS)
     def test_model_inputs_hold_the_fused_tables_and_the_graph_of_graph_kinds(self, tmp_path, kind, with_tables):
-        dataset, tables, _ = _prepare_inputs(parse_config(write_toy_workspace(tmp_path)))
+        config = parse_config(write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm"]))
+        dataset, tables, _ = _prepare_inputs(config)
         tables = tables if with_tables else []
         inputs = model_inputs(kind, dataset, tables, "concat")
-        # fused whenever there are tables, mf_bpr included
-        assert (inputs.fused is not None) == with_tables
-        if with_tables:
+        # fused for the kinds that read features, and only if there are tables: mf_bpr given tables gets none
+        assert (inputs.fused is not None) == (with_tables and kind in FEATURE_KINDS)
+        if inputs.fused is not None:
             assert np.array_equal(inputs.fused, fuse(tables, "concat"))
         assert (inputs.adjacency is not None) == (kind == "graph_mm")
         if kind == "graph_mm":
@@ -261,7 +290,7 @@ class TestRunExperiment:
         assert header == metrics + ["best_epoch", "wall_time", "error"]
 
     def test_byte_identical_reruns(self, tmp_path):
-        path = write_toy_workspace(tmp_path, extra_lines=["fusion: [concat, sum, mean]"])
+        path = write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm", "fusion: [concat, sum, mean]"])
         for sub in ("r1", "r2"):
             run_experiment(parse_config(path), out_dir=tmp_path / sub)
         a, b = tmp_path / "r1", tmp_path / "r2"
@@ -287,24 +316,11 @@ class TestRunExperiment:
                 assert same.valid_report.get(metric, k) == lone.valid_report.get(metric, k)
                 assert same.test_report.get(metric, k) == lone.test_report.get(metric, k)
 
-    def test_noop_axis_gives_identical_metrics(self, tmp_path):
-        # n_layers is unused by mf_bpr, so both rows must agree
-        config = parse_config(write_toy_workspace(tmp_path, extra_lines=["n_layers: [0, 2]"]))
-        report = run_experiment(config)
-        a, b = report.results
-        for k in (5, 10):
-            assert a.valid_report.get("recall", k) == b.valid_report.get("recall", k)
-            assert a.test_report.get("ndcg", k) == b.test_report.get("ndcg", k)
-
     def test_fail_soft_records_error(self, tmp_path):
-        # d_p axis value 0 is caught by config validation, so break one combo
-        # with an out-of-range n_layers for a graph model instead: use a
-        # missing-feature failure by pointing the model at graph_mm without
-        # features in one fusion... simplest: monkey-free approach uses d axis
-        # with a huge value that still works; so instead corrupt one modality
-        # dimension for sum fusion.
+        # config validation refuses bad values before any combination runs, so
+        # one combination fails at fusion instead: sum over unequal widths
         path = write_toy_workspace(
-            tmp_path, modalities=("text",), extra_lines=["fusion: [concat, sum]"]
+            tmp_path, modalities=("text",), extra_lines=["model: vbpr_mm", "fusion: [concat, sum]"]
         )
         # second modality with a different dim: sum fails, concat succeeds
         rng = np.random.default_rng(1)

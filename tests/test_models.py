@@ -374,6 +374,19 @@ class TestCheckpoint:
         lines = (tmp_path / "meta").read_text().splitlines()
         assert f"d_p: {d_p}" in lines and f"n_layers: {n_layers}" in lines
 
+    def test_load_drops_the_meta_the_kind_does_not_read(self, tmp_path):
+        # as in a meta written before init_params dropped them
+        save_checkpoint(init_params("mf_bpr", 3, 4, 2, seed=9), tmp_path / "old")
+        meta = tmp_path / "old" / "meta"
+        meta.write_text(meta.read_text().replace("d_p: \n", "d_p: 64\n").replace("n_layers: \n", "n_layers: 2\n"))
+        loaded = load_checkpoint(tmp_path / "old")
+        assert loaded.d_p is None and loaded.n_layers is None
+        save_checkpoint(loaded, tmp_path / "new")
+        lines = (tmp_path / "new" / "meta").read_text().splitlines()
+        assert "d_p: " in lines and "n_layers: " in lines
+        for name in ("user_emb.mmf8", "item_emb.mmf8"):
+            assert (tmp_path / "new" / name).read_bytes() == (tmp_path / "old" / name).read_bytes()
+
     def test_serialized_bytes_deterministic(self, tmp_path):
         for sub in ("a", "b"):
             save_checkpoint(init_params("mf_bpr", 3, 3, 2, seed=9), tmp_path / sub)

@@ -328,7 +328,8 @@ def _check_finite(grads) -> None:
 def adam_step(state, grads, opt: OptimizerState, cfg):
     _check_finite(grads)
     opt.t += 1
-    b1, b2, eps, lr = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps, cfg.learning_rate
+    # Adam's constants, written out here rather than imported from the code under test
+    b1, b2, eps, lr = 0.9, 0.999, 1e-8, cfg.learning_rate
     bias1 = 1.0 - b1**opt.t
     bias2 = 1.0 - b2**opt.t
     for name, theta in state.tensors.items():

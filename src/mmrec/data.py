@@ -12,7 +12,9 @@ int64 code per row into each (so code order is the lexicographic order of
 the raw IDs), a float64 rating (NaN where absent) and an int64 timestamp
 with a presence mask. Every stage takes such a table and works on whole
 columns; :meth:`Interactions.from_records` builds one from
-:class:`InteractionRecord` objects in memory. The rules:
+:class:`InteractionRecord` objects in memory and refuses a raw ID that
+is not a ``str`` or holds a tab or a newline, which the parser cannot
+produce. The rules:
 
 - parsing takes its lines from :mod:`mmrec.fileio` under mmrec's one line
   rule, and the first line kept is the header. An empty rating or
@@ -47,6 +49,7 @@ a raw ID may hold a lone ``\\r``.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, replace
 from typing import Iterable, TextIO
@@ -101,6 +104,9 @@ class Interactions:
         items = np.array([r.raw_item_id for r in records], dtype=object)
         user_ids, users = np.unique(users, return_inverse=True)
         item_ids, items = np.unique(items, return_inverse=True)
+        for raw_id in (*user_ids, *item_ids):  # the saved maps hold each ID as text within one line
+            if not isinstance(raw_id, str) or "\t" in raw_id or "\n" in raw_id:
+                raise ValueError(f"raw ID {raw_id!r} must be a str without a tab or a newline")
         return cls(
             user_ids,
             item_ids,
@@ -133,8 +139,8 @@ class FilterParams:
     k: int
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"k must be >= 1, got {self.k}")
+        if not isinstance(self.k, numbers.Integral) or self.k < 1:
+            raise ValueError(f"k must be an integer >= 1, got {self.k!r}")
 
 
 def check_ratios(ratios) -> tuple[float, ...]:

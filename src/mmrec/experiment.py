@@ -17,6 +17,7 @@ and hand the tuple to their rule's owner. Values are checked before any
 data is read, and a refused value raises ``TypeMismatch`` on its own key:
 each owner's rule (k-core, seed, ratios, cutoffs, each ``TrainConfig``
 field alone), the model bounds, then an axis that the kind does not read,
+a kind that reads features without a ``features.*`` line (on ``model``),
 and a stop metric whose cutoff is not in ``topk``: the one validation
 metric, which picks best epochs and grid rows.
 
@@ -45,7 +46,6 @@ from .data import (FilterParams, SplitSpec, SPLIT_STRATEGIES, check_ratios, prep
                    save_dataset)
 from .errors import (
     EmptySplit,
-    MissingFeatures,
     ParseError,
     TypeMismatch,
     UnknownKey,
@@ -123,7 +123,6 @@ _KEY_SPECS: dict[str, tuple] = {
     "split": (_member(SPLIT_STRATEGIES), "per_user_random"),
     "ratios": (lambda tokens: check_ratios(map(_number, tokens)), (0.8, 0.1, 0.1)),
     "imputation": (_member(IMPUTATION_POLICIES), "zeros"),
-    "standardize": (_boolean, False),
     "fusion": (_member(FUSION_METHODS), "concat"),
     "model": (_member(MODEL_KINDS), "mf_bpr"),
     "d": (_integer, 64),
@@ -233,6 +232,8 @@ def _validate(config: ExperimentConfig) -> None:
     unread = sorted(config.grid.keys() & (set().union(*KIND_READS.values()) - KIND_READS[v["model"]]))
     if unread:
         raise TypeMismatch(unread[0], f"model {v['model']} does not read {unread[0]}, so it cannot be a grid axis")
+    if v["model"] in FEATURE_KINDS and not config.feature_paths():
+        raise TypeMismatch("model", f"model {v['model']} needs features.<modality> entries")
     _data_params(v)
     for f in fields(TrainConfig):
         for x in config.grid.get(f.name, [v[f.name]]):
@@ -293,8 +294,6 @@ def _prepare_inputs(config: ExperimentConfig):
     filter_params, spec = _data_params(config.values)
     dataset = preprocess(read_interactions(config["interactions"]), filter_params, spec)
     tables = load_modality_tables(config, dataset.item_map) if config["model"] in FEATURE_KINDS else []
-    if config["model"] in FEATURE_KINDS and not tables:
-        raise MissingFeatures(f"model {config['model']} needs features.<modality> entries")
     return dataset, tables, spec
 
 
@@ -315,7 +314,6 @@ def load_modality_tables(config: ExperimentConfig, item_map: dict[str, int]) -> 
             item_map,
             kind=modality,
             policy=config["imputation"],
-            standardize=config["standardize"],
             out=shared[:, start : start + dims[modality]],
         )
         table.features.flags.writeable = False

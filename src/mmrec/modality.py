@@ -10,7 +10,8 @@ Canonical modality order is text < image < audio < video; every operation
 that depends on modality order applies it internally.
 
 Feature files stay float32 in memory; :func:`align_features` widens them to
-float64 a bounded block of rows at a time, straight into its destination.
+float64 in one pass, a bounded block of rows at a time, straight into its
+destination.
 An experiment aligns every modality into column blocks of one shared
 float64 table laid out in canonical order, so concat fusion of those tables
 is that table itself and costs no copy (see :func:`fuse`).
@@ -153,58 +154,27 @@ def load_feature_matrix(matrix_path: str | os.PathLike, ids_path: str | os.PathL
     return FeatureMatrix(values=values, row_ids=row_ids)
 
 
-def _blocked_sum(source: np.ndarray, rows: np.ndarray, prepare=None, summed: bool = True):
-    """Widen ``source[rows]`` to float64 a block of rows at a time, hand each
-    block to ``prepare(start, block)``, which may change it in place, and
-    return the column sums of the prepared rows (None if not ``summed``).
-
-    The sums are byte-identical to ``np.add.reduce(..., axis=0)`` over the
-    whole prepared matrix. For two or more columns numpy adds rows one after
-    another, so each block is reduced with the running sum carried in as the
-    row above it. A single column is summed pairwise, so it is widened and
-    reduced as one block.
-    """
-    n, dim = rows.size, source.shape[1]
-    block_rows = n if dim == 1 else min(n, _BLOCK_ROWS)
-    buf = np.empty((block_rows + 1, dim))  # row 0 holds the carry
-    total = None
-    for start in range(0, n, block_rows):
-        chunk = rows[start : start + block_rows]
-        block = buf[1 : chunk.size + 1]
-        block[...] = source[chunk]
-        if prepare is not None:
-            prepare(start, block)
-        if not summed:
-            continue
-        if total is None:
-            total = np.add.reduce(block, axis=0)
-        else:
-            buf[0] = total
-            np.add.reduce(buf[: chunk.size + 1], axis=0, out=total)
-    return total
-
-
 def align_features(
     fm: FeatureMatrix,
     item_map: dict[str, int],
     kind: str,
     policy: str = "zeros",
-    standardize: bool = False,
     out: np.ndarray | None = None,
 ) -> ModalityTable:
     """Reorder feature rows to dense item indices, imputing missing items.
 
     Rows whose raw ID is not in ``item_map`` are dropped. Items without a
     feature row get an all-zero vector (``zeros`` policy) or the element-wise
-    mean over present rows (``mean`` policy). With ``standardize`` on, each
-    column is shifted to zero mean and scaled to unit variance over the
-    present rows before imputation; constant columns are only centred.
+    mean over present rows (``mean`` policy).
 
     The float64 table is written into ``out`` (an ``(n_items, dim)`` array,
-    typically a column block of a wider table) or into a fresh array. Rows
-    are widened from ``fm.values`` in blocks, so no gathered copy of the
-    present rows is made; means and deviations are byte-identical to
-    ``present.mean(axis=0)`` and ``present.std(axis=0)`` over that copy.
+    typically a column block of a wider table) or into a fresh array. The
+    present rows are widened from ``fm.values`` and scattered in one pass, a
+    block at a time, so no gathered copy of them is made; the mean is
+    byte-identical to ``present.mean(axis=0)`` over that copy. For two or
+    more columns numpy sums rows one after another, so each block is reduced
+    with the running sum carried in as its row 0. A single column is summed
+    pairwise, so it is widened as one block.
     """
     if kind not in _MODALITY_RANK:
         raise ValueError(f"unknown modality {kind!r}")
@@ -228,30 +198,22 @@ def align_features(
     source_rows = np.array(source_rows, dtype=np.intp)
     n_present = source_rows.size
 
-    if standardize:
-        mu = _blocked_sum(fm.values, source_rows) / n_present
-
-        def centred_square(start, block):
-            block -= mu
-            np.square(block, out=block)
-
-        sigma = np.sqrt(_blocked_sum(fm.values, source_rows, centred_square) / n_present)
-        sigma[sigma == 0.0] = 1.0
-
     features = np.empty((n_items, dim)) if out is None else out
-
-    def scatter(start, block):
-        if standardize:
-            block -= mu
-            block /= sigma
-        features[dense_rows[start : start + block.shape[0]]] = block
-
-    total = _blocked_sum(fm.values, source_rows, scatter, summed=policy == "mean")
-    fill = total / n_present if policy == "mean" else np.zeros(dim)
+    block_rows = n_present if dim == 1 else min(n_present, _BLOCK_ROWS)
+    buf = np.empty((block_rows + 1, dim))  # row 0 holds the carried sum
+    total = np.zeros(dim)
+    for start in range(0, n_present, block_rows):
+        chunk = source_rows[start : start + block_rows]
+        block = buf[1 : chunk.size + 1]
+        block[...] = fm.values[chunk]
+        features[dense_rows[start : start + chunk.size]] = block
+        if policy == "mean":  # the first block has no sum to carry in
+            buf[0] = total
+            total = np.add.reduce(buf[: chunk.size + 1] if start else block, axis=0)
 
     mask = np.zeros(n_items, dtype=bool)
     mask[dense_rows] = True
-    features[~mask] = fill
+    features[~mask] = total / n_present
     return ModalityTable(kind=kind, features=features, present_mask=mask)
 
 

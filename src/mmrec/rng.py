@@ -34,6 +34,7 @@ Stream keys used across the library:
 from __future__ import annotations
 
 import hashlib
+import numbers
 
 import numpy as np
 
@@ -54,6 +55,8 @@ def _key_part(part: int | str) -> int:
 
 def check_seed(seed: int) -> int:
     """Validate a user-supplied seed as a 64-bit unsigned integer."""
+    if not isinstance(seed, numbers.Integral):
+        raise ValueError(f"seed must be an integer, got {seed!r}")
     seed = int(seed)
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must fit in an unsigned 64-bit integer, got {seed}")

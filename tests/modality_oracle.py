@@ -1,9 +1,9 @@
 """Reference copy of feature loading, alignment and fusion before blocking.
 
 Here the whole float32 matrix is widened to float64 on load, the present
-rows are gathered into one temporary, means and deviations come from
-``present.mean(axis=0)`` / ``present.std(axis=0)``, and concat fusion always
-copies with ``np.hstack``. The blocked versions in ``mmrec.modality`` must
+rows are gathered into one temporary, the mean imputation comes from
+``present.mean(axis=0)``, and concat fusion always copies with
+``np.hstack``. The blocked versions in ``mmrec.modality`` must
 give byte-identical tables and fused matrices; the tests compare bytes.
 """
 
@@ -41,7 +41,6 @@ def align_features(
     item_map: dict[str, int],
     kind: str,
     policy: str = "zeros",
-    standardize: bool = False,
 ) -> ModalityTable:
     if kind not in _MODALITY_RANK:
         raise ValueError(f"unknown modality {kind!r}")
@@ -62,12 +61,6 @@ def align_features(
         raise AllMissing(f"no retained item has {kind} features")
 
     present = source[source_rows]
-    if standardize:
-        mu = present.mean(axis=0)
-        sigma = present.std(axis=0)
-        sigma[sigma == 0.0] = 1.0
-        present = (present - mu) / sigma
-
     if policy == "mean":
         fill = present.mean(axis=0)
     else:

@@ -5,7 +5,10 @@ import numpy as np
 import pytest
 
 import mmrec.cli
+from mmrec.data import FilterParams, SplitSpec
 from mmrec.errors import ParseError, TypeMismatch, UnknownKey
+from mmrec.models import FEATURE_KINDS
+from mmrec.rng import check_seed
 from mmrec.trainer import TrainConfig
 
 from test_experiment import write_toy_workspace
@@ -16,7 +19,7 @@ from test_experiment import write_toy_workspace
 CONFIG_REFUSALS = [
     ("reg: abc", TypeMismatch, "reg"),
     ("k: five", TypeMismatch, "k"),
-    ("standardize: yes", TypeMismatch, "standardize"),
+    ("standardize: false", UnknownKey, "standardize"),
     ("selection_metric: recall@20", UnknownKey, "selection_metric"),
     ("stop_metric: hits@5", TypeMismatch, "stop_metric"),
     ("stop_metric: recall", TypeMismatch, "stop_metric"),
@@ -141,6 +144,17 @@ def test_axis_the_kind_does_not_read_is_refused_on_its_key(tmp_path, capsys, kin
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("kind", FEATURE_KINDS)
+def test_feature_kind_without_features_is_refused_before_any_read(tmp_path, capsys, kind):
+    path = write_toy_workspace(tmp_path, modalities=(), extra_lines=[f"model: {kind}"])
+    # reading the missing interactions file would exit 1
+    (tmp_path / "interactions.tsv").unlink()
+    exc = refusal(["grid", "--config", path, "--out", tmp_path / "out"], capsys)
+    assert type(exc) is TypeMismatch and exc.key == "model"
+    assert str(exc) == f"model: model {kind} needs features.<modality> entries"
+    assert not (tmp_path / "out").exists()
+
+
 def test_an_unread_axis_is_blamed_on_its_bound_first(tmp_path, capsys):
     path = write_toy_workspace(tmp_path, extra_lines=["model: mf_bpr", "d_p: [4, 0]"])
     exc = refusal(["grid", "--config", path, "--out", tmp_path / "out"], capsys)
@@ -155,6 +169,25 @@ def test_train_config_refuses_a_count_that_is_not_an_integer(name, value):
         TrainConfig(**{name: value})
     # numpy integers are integers
     assert getattr(TrainConfig(**{name: np.int64(3)}), name) == 3
+
+
+# (build from a value of the field, field): a seed or k that is not an integer is refused, not truncated
+INTEGER_FIELDS = [
+    (check_seed, "seed"),
+    (lambda seed: TrainConfig(seed=seed), "seed"),
+    (lambda seed: SplitSpec("per_user_random", (0.8, 0.1, 0.1), seed), "seed"),
+    (FilterParams, "k"),
+]
+
+
+@pytest.mark.parametrize("build, name", INTEGER_FIELDS, ids=["check_seed", "TrainConfig", "SplitSpec", "FilterParams"])
+@pytest.mark.parametrize("value", [2.9, 1.5, 3.0, "12"])
+def test_seed_and_k_refuse_a_value_that_is_not_an_integer(build, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        build(value)
+    # numpy integers are integers
+    build(np.int64(3))
+    build(np.uint64(3))
 
 
 def test_undecodable_config_names_its_line(tmp_path, capsys):

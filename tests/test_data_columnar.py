@@ -329,6 +329,23 @@ def test_saved_dataset_loads_back(tmp_path, records, strategy):
         assert load_dataset(tmp_path / "ds") == result[1]
 
 
+def test_a_table_that_saves_loads_back(tmp_path):
+    # a tab or a newline would split an ID's map line, and a number would load back as a str,
+    # so from_records refuses them; the other separators that str.splitlines knows stay inside an ID
+    for bad in ("a\tb", "d\ne"):
+        for record in (InteractionRecord(bad, "i"), InteractionRecord("u", bad)):
+            with pytest.raises(ValueError, match=re.escape(repr(bad))):
+                table([InteractionRecord("u", "i"), record])
+    with pytest.raises(ValueError, match="raw ID 7 must be a str"):
+        table([InteractionRecord(7, "i")])
+    ids = ["a b", "d\re", "e\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+    spec = SplitSpec("global_random", (0.6, 0.2, 0.2), 5)
+    dataset = preprocess(table([InteractionRecord(u, i) for u in ids for i in ids]), FilterParams(k=1), spec)
+    save_dataset(dataset, spec, tmp_path / "ds")
+    assert load_dataset(tmp_path / "ds") == dataset
+    assert sorted(dataset.user_map) == sorted(ids)
+
+
 def test_a_map_file_loads_in_file_order(tmp_path):
     # any distinct IDs indexed 0..n-1 in order form a valid map file, not
     # only the code-point order that preprocess writes; dicts filled out of

@@ -8,7 +8,7 @@ import pytest
 import mmrec.experiment
 import mmrec.models
 import mmrec.trainer
-from mmrec.errors import EmptySplit, MissingFeatures, ParseError, TypeMismatch, UnknownKey
+from mmrec.errors import EmptySplit, ParseError, TypeMismatch, UnknownKey
 from mmrec.evaluation import METRICS
 from mmrec.experiment import (
     GRID_KEYS,
@@ -357,11 +357,10 @@ class TestRunExperiment:
             run_experiment(parse_config(tmp_path / "config.txt"))
 
     def test_multimodal_model_requires_features(self, tmp_path):
-        config = parse_config(
-            write_toy_workspace(tmp_path, modalities=(), extra_lines=["model: vbpr_mm"])
-        )
-        with pytest.raises(MissingFeatures):
-            run_experiment(config)
+        path = write_toy_workspace(tmp_path, modalities=(), extra_lines=["model: vbpr_mm"])
+        with pytest.raises(TypeMismatch) as err:
+            parse_config(path)
+        assert err.value.key == "model"
 
     def test_requires_validation_split(self, tmp_path):
         config = parse_config(

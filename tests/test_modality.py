@@ -177,14 +177,6 @@ class TestAlign:
         with pytest.raises(AllMissing):
             align_features(fm, self.item_map, "text")
 
-    def test_standardize_over_present_rows(self):
-        fm = FeatureMatrix(np.array([[0.0, 5.0], [2.0, 5.0]]), ["a", "b"])
-        table = align_features(fm, self.item_map, "text", standardize=True)
-        col = table.features[:, 0]
-        assert abs(col.mean()) < 1e-12 and abs(col.std() - 1.0) < 1e-12
-        # constant column is centred but not scaled
-        assert np.array_equal(table.features[:, 1], [0.0, 0.0])
-
     def test_result_is_finite(self):
         fm = FeatureMatrix(np.array([[1e30, -1e30]]), ["a"])
         table = align_features(fm, self.item_map, "text", policy="mean")

@@ -60,20 +60,20 @@ def same_bytes(got, want):
 
 
 @SETTINGS
-@given(case=CASES, policy=st.sampled_from(["zeros", "mean"]), standardize=st.booleans())
-@example(case=make_case(1, 600, 1, 3, 3, []), policy="mean", standardize=True)
-@example(case=make_case(2, 600, 2, 3, 3, ["const", "negzero"]), policy="mean", standardize=True)
-@example(case=make_case(3, 2 * _BLOCK_ROWS + 1, 1024, 0, 2, ["negzero"]), policy="mean", standardize=True)
-@example(case=make_case(4, 40, 1, 0, 0, ["negzero"]), policy="mean", standardize=False)
-def test_align_matches_oracle_bytes(case, policy, standardize):
+@given(case=CASES, policy=st.sampled_from(["zeros", "mean"]))
+@example(case=make_case(1, 600, 1, 3, 3, []), policy="mean")
+@example(case=make_case(2, 600, 2, 3, 3, ["const", "negzero"]), policy="mean")
+@example(case=make_case(3, 2 * _BLOCK_ROWS + 1, 1024, 0, 2, ["negzero"]), policy="mean")
+@example(case=make_case(4, 40, 1, 0, 0, ["negzero"]), policy="mean")
+def test_align_matches_oracle_bytes(case, policy):
     fm, item_map = case
-    want = oracle.align_features(fm, item_map, "image", policy, standardize)
-    got = align_features(fm, item_map, "image", policy, standardize)
+    want = oracle.align_features(fm, item_map, "image", policy)
+    got = align_features(fm, item_map, "image", policy)
     assert same_bytes(got.features, want.features)
     assert np.array_equal(got.present_mask, want.present_mask)
     # written into a column block of a wider table, the bytes are the same
     wide = np.full((len(item_map), fm.dim + 5), np.nan)
-    into = align_features(fm, item_map, "image", policy, standardize, out=wide[:, 2 : 2 + fm.dim])
+    into = align_features(fm, item_map, "image", policy, out=wide[:, 2 : 2 + fm.dim])
     assert into.features.base is wide
     assert same_bytes(np.ascontiguousarray(into.features), want.features)
     assert np.isnan(wide[:, :2]).all() and np.isnan(wide[:, 2 + fm.dim :]).all()
@@ -81,11 +81,10 @@ def test_align_matches_oracle_bytes(case, policy, standardize):
 
 @pytest.mark.parametrize("n_rows, dim", SHAPES)
 @pytest.mark.parametrize("policy", ["zeros", "mean"])
-@pytest.mark.parametrize("standardize", [False, True])
-def test_align_matches_oracle_past_one_block(n_rows, dim, policy, standardize):
+def test_align_matches_oracle_past_one_block(n_rows, dim, policy):
     fm, item_map = make_case(n_rows * dim, n_rows, dim, 4, 4, ["const", "negzero"])
-    want = oracle.align_features(fm, item_map, "text", policy, standardize)
-    got = align_features(fm, item_map, "text", policy, standardize)
+    want = oracle.align_features(fm, item_map, "text", policy)
+    got = align_features(fm, item_map, "text", policy)
     assert same_bytes(got.features, want.features)
 
 
@@ -103,23 +102,21 @@ def write_modalities(root, n_items, dims, seed=0):
     return values
 
 
-def config_for(paths, policy="mean", standardize=True):
-    return ExperimentConfig(
-        values={**paths, "imputation": policy, "standardize": standardize}, grid={}
-    )
+def config_for(paths, policy="mean"):
+    return ExperimentConfig(values={**paths, "imputation": policy}, grid={})
 
 
-@pytest.mark.parametrize("policy, standardize", [("zeros", False), ("mean", True)])
-def test_loaded_tables_share_one_read_only_fused_table(tmp_path, policy, standardize):
+@pytest.mark.parametrize("policy", ["zeros", "mean"])
+def test_loaded_tables_share_one_read_only_fused_table(tmp_path, policy):
     dims = {"video": 2, "image": 5, "text": 1, "audio": 3}
     paths = write_modalities(tmp_path, 40, dims)
     item_map = {f"i{k}": k for k in range(40)}
-    tables = load_modality_tables(config_for(paths, policy, standardize), item_map)
+    tables = load_modality_tables(config_for(paths, policy), item_map)
     fused = fuse(tables, "concat")
 
     want_tables = [
         oracle.align_features(
-            oracle.load_feature_matrix(*paths[f"features.{t.kind}"]), item_map, t.kind, policy, standardize
+            oracle.load_feature_matrix(*paths[f"features.{t.kind}"]), item_map, t.kind, policy
         )
         for t in tables
     ]

@@ -44,7 +44,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", type=Path, help="config file supplying defaults")
     p.add_argument("--interactions", type=Path, help="raw TSV interactions file")
     p.add_argument("--k", help="k-core threshold")
-    p.add_argument("--split", help="per_user_random | global_random | temporal_leave_last")
+    p.add_argument("--split", help="per_user_random | temporal_leave_last")
     p.add_argument("--ratios", type=_comma_list, help="train,valid,test e.g. 0.8,0.1,0.1")
     p.add_argument("--seed", help="split seed")
     p.add_argument("--out", type=Path, required=True, help="dataset output directory")

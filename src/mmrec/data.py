@@ -66,7 +66,7 @@ from .errors import (
 from .fileio import PAD, at_line, atomic_write, line_spans, read_meta, read_padded, write_meta
 from .rng import check_seed, stream
 
-SPLIT_STRATEGIES = ("per_user_random", "global_random", "temporal_leave_last")
+SPLIT_STRATEGIES = ("per_user_random", "temporal_leave_last")
 _INT64 = np.iinfo(np.int64)
 _TRAIN, _VALID, _TEST = 0, 1, 2
 
@@ -576,11 +576,10 @@ def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec
     depend on the seed and on how many rows every earlier user has, not on
     the user alone;
     ``temporal_leave_last`` holds out each user's latest items, ordered by
-    (timestamp, item); ``global_random`` shuffles all rows with the stream
-    ``(seed, "split")`` and cuts by the ratios, then moves every pair of a
-    user left without a train pair back to train. Its int64 sort keys need
-    ``n * max(n, n_items)`` to fit, for ``n`` rows, as
-    :func:`mmrec.trainer.make_batches` needs ``n_users * n_items``.
+    (timestamp, item). Each user's held-out counts come from
+    :func:`_split_counts`. The int64 sort keys need ``n * max(n, n_items)``
+    to fit, for ``n`` rows, as :func:`mmrec.trainer.make_batches` needs
+    ``n_users * n_items``.
     """
     user_map, item_map = maps
     n_users, n_items = len(user_map), len(item_map)
@@ -588,48 +587,39 @@ def split(table: Interactions, maps: tuple[dict[str, int], dict[str, int]], spec
     items = _dense_codes(table.item_ids, table.items, item_map)
     n = len(users)
 
-    if spec.strategy == "global_random":
-        position = np.empty(n, dtype=np.int64)
-        position[stream(spec.seed, "split").permutation(n)] = np.arange(n)
-        b_train = int(math.floor(spec.ratios[0] * n))
-        b_valid = int(math.floor((spec.ratios[0] + spec.ratios[1]) * n))
-        part = np.where(position < b_train, _TRAIN, np.where(position < b_valid, _VALID, _TEST))
-        trained = np.bincount(users[part == _TRAIN], minlength=n_users) > 0
-        part[~trained[users]] = _TRAIN
+    counts = np.bincount(users, minlength=n_users)
+    starts = np.cumsum(counts) - counts
+    if spec.strategy == "per_user_random":
+        # rows with equal keys are the same pair, so their order is moot
+        order = np.argsort(users * n_items + items)
+        # each user's sorted rows in shuffled order; held-out items first.
+        # Stream.permutation is a stable sort of words, so one permutation
+        # of all n rows, ranked within each user's run of rows, is every
+        # user's permutation drawn in turn
+        rank = np.empty(n, dtype=np.int64)
+        rank[stream(spec.seed, "split").permutation(n)] = np.arange(n)
+        rows = order[np.argsort(users[order] * n + rank)]
+        # free the ranks before the split's output arrays are allocated:
+        # held to the end of split, they sat below those arrays in the
+        # heap and raised the peak RSS of the training after it by ~5 MB
+        del rank
+        held = np.empty(n, dtype=np.int64)
+        held[rows] = np.arange(n) - starts[users[rows]]
     else:
-        counts = np.bincount(users, minlength=n_users)
-        starts = np.cumsum(counts) - counts
-        if spec.strategy == "per_user_random":
-            # rows with equal keys are the same pair, so their order is moot
-            order = np.argsort(users * n_items + items)
-            # each user's sorted rows in shuffled order; held-out items first.
-            # Stream.permutation is a stable sort of words, so one permutation
-            # of all n rows, ranked within each user's run of rows, is every
-            # user's permutation drawn in turn
-            rank = np.empty(n, dtype=np.int64)
-            rank[stream(spec.seed, "split").permutation(n)] = np.arange(n)
-            rows = order[np.argsort(users[order] * n + rank)]
-            # free the ranks before the split's output arrays are allocated:
-            # held to the end of split, they sat below those arrays in the
-            # heap and raised the peak RSS of the training after it by ~5 MB
-            del rank
-            held = np.empty(n, dtype=np.int64)
-            held[rows] = np.arange(n) - starts[users[rows]]
-        else:
-            if not table.has_timestamp.all():
-                u = int(users[~table.has_timestamp].min())
-                raise MissingTimestamps(f"user index {u} has interactions without timestamps")
-            # dense ranks, so that no key product can overflow
-            stamps, stamp_rank = np.unique(table.timestamp, return_inverse=True)
-            _, user_time = np.unique(users * len(stamps) + stamp_rank, return_inverse=True)
-            order = np.argsort(user_time * n_items + items)
-            held = np.empty(n, dtype=np.int64)
-            # counted back from each user's latest item
-            held[order] = starts[users[order]] + counts[users[order]] - 1 - np.arange(n)
-        n_test, n_valid = _split_counts(counts, spec.ratios)
-        part = np.where(
-            held < n_test[users], _TEST, np.where(held < (n_test + n_valid)[users], _VALID, _TRAIN)
-        )
+        if not table.has_timestamp.all():
+            u = int(users[~table.has_timestamp].min())
+            raise MissingTimestamps(f"user index {u} has interactions without timestamps")
+        # dense ranks, so that no key product can overflow
+        stamps, stamp_rank = np.unique(table.timestamp, return_inverse=True)
+        _, user_time = np.unique(users * len(stamps) + stamp_rank, return_inverse=True)
+        order = np.argsort(user_time * n_items + items)
+        held = np.empty(n, dtype=np.int64)
+        # counted back from each user's latest item
+        held[order] = starts[users[order]] + counts[users[order]] - 1 - np.arange(n)
+    n_test, n_valid = _split_counts(counts, spec.ratios)
+    part = np.where(
+        held < n_test[users], _TEST, np.where(held < (n_test + n_valid)[users], _VALID, _TRAIN)
+    )
 
     train, valid, test = (
         InteractionSet.from_arrays(users[part == p], items[part == p], n_users, n_items)

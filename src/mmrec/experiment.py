@@ -104,7 +104,6 @@ def _finite(token: str) -> float:
 
 
 _integer, _number = _token(int, "integer"), _token(_finite, "finite number")
-_boolean = _token({"true": True, "false": False}.__getitem__, "true or false")
 
 
 def _path_pair(token: str) -> tuple[str, str]:
@@ -132,7 +131,6 @@ _KEY_SPECS: dict[str, tuple] = {
     **{f.name: ({int: _integer, float: _number, str: str}[type(f.default)], f.default)
        for f in fields(TrainConfig)},
     "topk": (lambda tokens: check_cutoffs(map(_integer, tokens)), DEFAULT_CUTOFFS),
-    "fail_fast": (_boolean, False),
     **{f"features.{m}": (_path_pair, None) for m in MODALITIES},
 }
 
@@ -287,8 +285,9 @@ class SummaryReport:
 
 
 def _prepare_inputs(config: ExperimentConfig):
-    """Parse, filter and split the raw data once; load modality tables if the kind reads
-    features. Returns the dataset, the tables (none otherwise) and the split spec of the dataset."""
+    """Check the config; parse, filter and split the raw data once; load modality tables if the
+    kind reads features. Returns the dataset, the tables (none otherwise) and the split spec."""
+    _validate(config)
     if config.values.get("interactions") is None:
         raise TypeMismatch("interactions", "no interactions file configured")
     filter_params, spec = _data_params(config.values)
@@ -365,7 +364,7 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
     Each combination re-derives all random streams from the config seed, so
     its row is independent of which other combinations run, or in what
     order. The best row has the highest validation stop metric; a failing
-    combination is recorded with its error, or raised if ``fail_fast`` is set.
+    combination is recorded in its row with its error, and the grid goes on.
     """
     dataset, tables, spec = _prepare_inputs(config)
     if dataset.valid.nnz == 0:
@@ -387,8 +386,6 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
             _, log, valid_report, test_report = run_single(concrete, dataset, tables, combo_dir)
             result = RunResult(combo, valid_report, test_report, log.best_epoch, log.stop_reason, 0.0)
         except Exception as exc:
-            if config["fail_fast"]:
-                raise
             result = RunResult(combo, None, None, None, None, 0.0, error=f"{type(exc).__name__}: {exc}")
         result.wall_time = time.perf_counter() - started
         results.append(result)
@@ -414,11 +411,10 @@ def run_experiment(config: ExperimentConfig, out_dir: str | os.PathLike | None =
 
 def write_report(report: SummaryReport, path: str | os.PathLike) -> None:
     """Summary TSV: grid keys, valid_/test_ metric columns per cutoff,
-    best_epoch, wall_time, error, then a final `# best: <row>` line.
+    best_epoch, error, then a final `# best: <row>` line.
 
-    The file is byte-reproducible across identical invocations, so the
-    wall_time column is zero-filled; measured seconds are written to the
-    timings.tsv sidecar instead.
+    The file is byte-reproducible across identical invocations; measured
+    seconds go to the timings.tsv sidecar only.
     """
     def fmt(value) -> str:
         if isinstance(value, float):
@@ -430,7 +426,7 @@ def write_report(report: SummaryReport, path: str | os.PathLike) -> None:
         for metric in METRICS:
             for k in report.cutoffs:
                 columns.append(f"{split}_{metric}@{k}")
-    columns += ["best_epoch", "wall_time", "error"]
+    columns += ["best_epoch", "error"]
 
     lines = ["\t".join(columns)]
     for result in report.results:
@@ -440,7 +436,6 @@ def write_report(report: SummaryReport, path: str | os.PathLike) -> None:
                 for k in report.cutoffs:
                     cells.append("nan" if rep is None else f"{rep.get(metric, k):.6f}")
         cells.append("-1" if result.best_epoch is None else str(result.best_epoch))
-        cells.append("0.000000")
         cells.append("" if result.error is None else result.error.replace("\t", " ").replace("\n", " "))
         lines.append("\t".join(cells))
     lines.append(f"# best: {report.best_index}")

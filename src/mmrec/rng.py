@@ -22,9 +22,8 @@ not words were buffered ahead.
 Stream keys used across the library:
 
 ======================  =====================================================
-``("split",)``          the data split: one shuffle of all rows
-                        (``global_random``), or one per user, drawn in turn
-                        in user index order (``per_user_random``)
+``("split",)``          the ``per_user_random`` split: one shuffle per
+                        user, drawn in turn in user index order
 ``("init", name)``      parameter tensor initialisation, keyed by tensor name
 ``("epoch", e)``        batch shuffling and negative sampling in epoch ``e``
 ``("synthetic", ...)``  toy-data generators in demos and tests

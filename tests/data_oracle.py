@@ -185,7 +185,7 @@ def split(records, maps, spec: SplitSpec) -> Dataset:
             test += [(u, int(i)) for i in shuffled[:n_test]]
             valid += [(u, int(i)) for i in shuffled[n_test:n_test + n_valid]]
             train += [(u, int(i)) for i in shuffled[n_test + n_valid:]]
-    elif spec.strategy == "temporal_leave_last":
+    else:
         for u in range(n_users):
             if any(ts is None for _, ts in by_user[u]):
                 raise MissingTimestamps(f"user index {u} has interactions without timestamps")
@@ -195,18 +195,6 @@ def split(records, maps, spec: SplitSpec) -> Dataset:
             test += [(u, i) for i in items[n - n_test:]]
             valid += [(u, i) for i in items[n - n_test - n_valid:n - n_test]]
             train += [(u, i) for i in items[:n - n_test - n_valid]]
-    else:
-        pairs = [(user_map[r.raw_user_id], item_map[r.raw_item_id]) for r in records]
-        shuffled = [pairs[p] for p in stream(spec.seed, "split").permutation(len(pairs))]
-        n = len(shuffled)
-        b_train = int(math.floor(spec.ratios[0] * n))
-        b_valid = int(math.floor((spec.ratios[0] + spec.ratios[1]) * n))
-        train, valid, test = shuffled[:b_train], shuffled[b_train:b_valid], shuffled[b_valid:]
-        orphans = set(range(n_users)) - {u for u, _ in train}
-        if orphans:
-            train += [(u, i) for u, i in valid + test if u in orphans]
-            valid = [(u, i) for u, i in valid if u not in orphans]
-            test = [(u, i) for u, i in test if u not in orphans]
 
     return Dataset(
         n_users, n_items, user_map, item_map,

@@ -345,6 +345,17 @@ class TestEvalRefusesCorruptDataset:
         with pytest.raises(MalformedDataset, match="meta: line 3"):
             load_dataset(tmp_path / "ds")
 
+    def test_meta_of_a_removed_strategy_still_loads(self, tmp_path, capsys):
+        # load_dataset reads only the sizes from meta, so the strategy it names is not checked
+        self.write(tmp_path)
+        saved = load_dataset(tmp_path / "ds")
+        meta = tmp_path / "ds" / "meta"
+        text = meta.read_text(encoding="utf-8")
+        assert "strategy: per_user_random\n" in text
+        meta.write_text(text.replace("per_user_random", "global_random"), encoding="utf-8")
+        assert load_dataset(tmp_path / "ds") == saved
+        assert run(["eval", "--checkpoint", tmp_path / "ckpt", "--data", tmp_path / "ds"]) == 0
+
     def test_earliest_bad_line_is_reported(self, tmp_path):
         # the field-count check of line 7 does not outrank the range check of line 1
         self.write(tmp_path)

@@ -27,6 +27,8 @@ CONFIG_REFUSALS = [
     ("fusion: product", TypeMismatch, "fusion"),
     ("optimizer: nope", TypeMismatch, "optimizer"),
     ("split: sideways", TypeMismatch, "split"),
+    ("split: global_random", TypeMismatch, "split"),
+    ("fail_fast: false", UnknownKey, "fail_fast"),
     ("model: mf bpr", ParseError, None),
     ("k:", ParseError, None),
     ("reg: [0.1, 0.2", ParseError, None),
@@ -73,6 +75,7 @@ FLAG_REFUSALS = [
     (["preprocess", "--ratios", "0.8,0.2"], TypeMismatch, "ratios"),
     (["preprocess", "--ratios", "0.5,0.6,-0.1"], TypeMismatch, "ratios"),
     (["preprocess", "--split", "sideways"], TypeMismatch, "split"),
+    (["preprocess", "--split", "global_random"], TypeMismatch, "split"),
     (["preprocess", "--k", "0"], TypeMismatch, "k"),
     (["preprocess", "--k", "x"], TypeMismatch, "k"),
     (["preprocess", "--seed", "-1"], TypeMismatch, "seed"),
@@ -188,6 +191,11 @@ def test_seed_and_k_refuse_a_value_that_is_not_an_integer(build, name, value):
     # numpy integers are integers
     build(np.int64(3))
     build(np.uint64(3))
+
+
+def test_split_spec_refuses_a_removed_strategy():
+    with pytest.raises(ValueError, match="^unknown split strategy 'global_random'$"):
+        SplitSpec("global_random", (0.8, 0.1, 0.1), 0)
 
 
 def test_undecodable_config_names_its_line(tmp_path, capsys):

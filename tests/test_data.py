@@ -261,12 +261,6 @@ class TestSplit:
         with pytest.raises(MissingTimestamps):
             split_of(recs, SplitSpec("temporal_leave_last", (0.8, 0.1, 0.1), 0))
 
-    def test_global_random_partition_and_train_guarantee(self):
-        rng = np.random.default_rng(10)
-        recs = random_bipartite_records(rng, 15, 15, 0.3)
-        ds = split_of(recs, SplitSpec("global_random", (0.6, 0.2, 0.2), 5))
-        assert_partition(ds, len(recs))
-
     def test_ratio_validation(self):
         with pytest.raises(ValueError):
             SplitSpec("per_user_random", (0.5, 0.2, 0.2), 0)

@@ -299,7 +299,7 @@ def test_k_core_matches_oracle_and_brute_force(records, k):
 @SETTINGS
 @given(
     records_lists,
-    st.sampled_from(["per_user_random", "global_random", "temporal_leave_last"]),
+    st.sampled_from(["per_user_random", "temporal_leave_last"]),
     st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.25, 0.25), (0.6, 0.0, 0.4), (1.0, 0.0, 0.0)]),
     st.integers(0, 2**64 - 1),
     st.booleans(),
@@ -320,7 +320,7 @@ def test_split_matches_oracle(records, strategy, ratios, seed, stamp_all):
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture],
 )
-@given(records_lists, st.sampled_from(["per_user_random", "global_random"]))
+@given(records_lists, st.sampled_from(["per_user_random", "temporal_leave_last"]))
 def test_saved_dataset_loads_back(tmp_path, records, strategy):
     spec = SplitSpec(strategy, (0.6, 0.2, 0.2), 5)
     result = outcome(preprocess, table(records), FilterParams(k=1), spec)
@@ -339,7 +339,7 @@ def test_a_table_that_saves_loads_back(tmp_path):
     with pytest.raises(ValueError, match="raw ID 7 must be a str"):
         table([InteractionRecord(7, "i")])
     ids = ["a b", "d\re", "e\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
-    spec = SplitSpec("global_random", (0.6, 0.2, 0.2), 5)
+    spec = SplitSpec("per_user_random", (0.6, 0.2, 0.2), 5)
     dataset = preprocess(table([InteractionRecord(u, i) for u in ids for i in ids]), FilterParams(k=1), spec)
     save_dataset(dataset, spec, tmp_path / "ds")
     assert load_dataset(tmp_path / "ds") == dataset
@@ -474,7 +474,7 @@ def test_saved_pairs_are_the_bytes_of_one_format_per_line(tmp_path):
     n = 10**6 + 1
     sets = [InteractionSet.from_arrays(*part.T, n, n) for part in (pairs[::2], pairs[1::2], pairs[:0])]
     # save_dataset writes the maps it is given; only the pair files are read
-    save_dataset(Dataset(n, n, {}, {}, *sets), SplitSpec("global_random", (1, 0, 0), 0), tmp_path)
+    save_dataset(Dataset(n, n, {}, {}, *sets), SplitSpec("per_user_random", (1, 0, 0), 0), tmp_path)
     for name, iset in zip(("train", "valid", "test"), sets):
         rows, cols = iset.pair_arrays()
         want = "".join(map("{}\t{}\n".format, rows.tolist(), cols.tolist()))

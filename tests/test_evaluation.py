@@ -96,6 +96,10 @@ class TestTopK:
         out = top_k(np.array([[0.1, 0.3, 0.2]]), 10)
         assert out.tolist() == [[1, 2, 0]]
 
+    def test_k_below_one_refused(self):
+        with pytest.raises(ValueError, match="^k must be >= 1$"):
+            top_k(np.array([[0.1, 0.3, 0.2]]), 0)
+
     def test_masked_items_never_returned(self):
         assert rank_row(mask_row([0.9, 0.8, 0.7, 0.6], [0, 1]), 4).tolist() == [2, 3]
 
@@ -345,6 +349,12 @@ class TestEvaluate:
         state = init_params("mf_bpr", 3, 5, 2, seed=0)
         with pytest.raises(EmptySplit):
             evaluate(state, ds, "test", (5,))
+
+    def test_target_other_than_valid_or_test_refused(self):
+        ds = manual_dataset(3, 5, {(u, 0) for u in range(3)}, {(u, 1) for u in range(3)})
+        state = init_params("mf_bpr", 3, 5, 2, seed=0)
+        with pytest.raises(ValueError, match="^target split must be valid or test, got 'train'$"):
+            evaluate(state, ds, "train", (5,))
 
     def test_other_heldout_split_not_masked(self):
         # valid items stay scoreable when evaluating test

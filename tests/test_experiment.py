@@ -8,6 +8,7 @@ import pytest
 import mmrec.experiment
 import mmrec.models
 import mmrec.trainer
+from mmrec.data import SPLIT_STRATEGIES
 from mmrec.errors import EmptySplit, ParseError, TypeMismatch, UnknownKey
 from mmrec.evaluation import METRICS
 from mmrec.experiment import (
@@ -20,8 +21,9 @@ from mmrec.experiment import (
     parse_config,
     run_experiment,
 )
-from mmrec.modality import fuse, write_matrix
+from mmrec.modality import FUSION_METHODS, IMPUTATION_POLICIES, fuse, write_matrix
 from mmrec.models import FEATURE_KINDS, MODEL_KINDS, build_adjacency
+from mmrec.trainer import OPTIMIZERS
 
 
 def write_toy_workspace(root, n_users=20, n_items=12, modalities=("text", "image"),
@@ -166,6 +168,25 @@ class TestParseConfig:
         assert example.grid == {}
         assert example.values == {**parse_config(tmp_path / "minimal.cfg").values, **paths}
 
+    def test_readme_choice_lists_name_the_allowed_values(self):
+        # each "# a | b | c" comment lists, by the first word of each segment,
+        # the values that the code allows for the key on the next config line
+        readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+        with open(readme, encoding="utf-8") as fh:
+            lines = fh.read().split("```ini\n", 1)[1].split("```", 1)[0].splitlines()
+        listed = {}
+        for comment, line in zip(lines, lines[1:]):
+            if comment.startswith("#") and "|" in comment and not line.startswith("#"):
+                words = [re.match(r"\w+", part.strip()).group() for part in comment[1:].split("|")]
+                listed[line.split(":")[0]] = words
+        assert listed == {
+            "split": list(SPLIT_STRATEGIES),
+            "imputation": list(IMPUTATION_POLICIES),
+            "fusion": list(FUSION_METHODS),
+            "model": list(MODEL_KINDS),
+            "optimizer": list(OPTIMIZERS),
+        }
+
     def test_readme_names_the_tunable_keys_and_the_axes_each_kind_reads(self, tmp_path):
         readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
         with open(readme, encoding="utf-8") as fh:
@@ -287,7 +308,7 @@ class TestRunExperiment:
         run_experiment(config, out_dir=tmp_path / "out")
         header = (tmp_path / "out" / "summary.tsv").read_text().splitlines()[0].split("\t")
         metrics = [f"{s}_{m}@{k}" for s in ("valid", "test") for m in METRICS for k in (5, 10)]
-        assert header == metrics + ["best_epoch", "wall_time", "error"]
+        assert header == metrics + ["best_epoch", "error"]
 
     def test_byte_identical_reruns(self, tmp_path):
         path = write_toy_workspace(tmp_path, extra_lines=["model: vbpr_mm", "fusion: [concat, sum, mean]"])
@@ -340,21 +361,22 @@ class TestRunExperiment:
         summary = (tmp_path / "out" / "summary.tsv").read_text()
         assert "DimensionMismatch" in summary
 
-    def test_fail_fast_raises(self, tmp_path):
-        path = write_toy_workspace(
-            tmp_path, modalities=("text",), extra_lines=["fusion: [sum]", "fail_fast: true", "model: vbpr_mm"]
-        )
-        rng = np.random.default_rng(1)
-        write_matrix(tmp_path / "image.mmf", rng.normal(size=(12, 5)).astype(np.float32))
-        (tmp_path / "image_ids.txt").write_text(
-            "".join(f"i{i:02d}\n" for i in range(12)), encoding="utf-8"
-        )
-        text = (tmp_path / "config.txt").read_text()
-        (tmp_path / "config.txt").write_text(
-            text + "features.image: image.mmf,image_ids.txt\n", encoding="utf-8"
-        )
-        with pytest.raises(Exception):
-            run_experiment(parse_config(tmp_path / "config.txt"))
+    def test_a_changed_config_is_checked_before_any_data_is_read(self, tmp_path, monkeypatch):
+        # a parsed mf_bpr config without features, then switched to a kind that reads them
+        config = parse_config(write_toy_workspace(tmp_path, modalities=()))
+        config.values["model"] = "vbpr_mm"
+        calls = []
+        read = mmrec.experiment.read_interactions
+
+        def counted(path):
+            calls.append(path)
+            return read(path)
+
+        monkeypatch.setattr(mmrec.experiment, "read_interactions", counted)
+        with pytest.raises(TypeMismatch) as err:
+            run_experiment(config)
+        assert err.value.key == "model"
+        assert calls == []
 
     def test_multimodal_model_requires_features(self, tmp_path):
         path = write_toy_workspace(tmp_path, modalities=(), extra_lines=["model: vbpr_mm"])
@@ -382,14 +404,12 @@ class TestWriteReport:
         values = [float(line.split("\t")[col]) for line in lines[1:-1]]
         assert lines[-1] == f"# best: {int(np.argmax(values))}"
 
-    def test_wall_time_column_zero_filled(self, tmp_path):
+    def test_measured_seconds_go_to_the_timings_sidecar_only(self, tmp_path):
         config = parse_config(write_toy_workspace(tmp_path))
         report = run_experiment(config, out_dir=tmp_path / "out")
         assert report.results[0].wall_time > 0  # measured in memory
-        lines = (tmp_path / "out" / "summary.tsv").read_text().splitlines()
-        header = lines[0].split("\t")
-        col = header.index("wall_time")
-        assert lines[1].split("\t")[col] == "0.000000"
+        header = (tmp_path / "out" / "summary.tsv").read_text().splitlines()[0].split("\t")
+        assert "wall_time" not in header
         timings = (tmp_path / "out" / "timings.tsv").read_text().splitlines()
         assert float(timings[1].split("\t")[1]) > 0
 
@@ -399,4 +419,4 @@ class TestWriteReport:
         header = (tmp_path / "out" / "summary.tsv").read_text().splitlines()[0].split("\t")
         assert header[0] == "reg"
         assert "valid_recall@5" in header and "test_map@10" in header
-        assert header[-3:] == ["best_epoch", "wall_time", "error"]
+        assert header[-2:] == ["best_epoch", "error"]

@@ -19,14 +19,6 @@ from mmrec.cli import main
 FILES = ("meta", "umap.tsv", "imap.tsv", "train.tsv", "valid.tsv", "test.tsv")
 
 GOLDEN = {
-    "global_random": {
-        "meta": "1550367aaf43542c9c66847c4c81c5ae665a8fe13933a406d41cb0ae730ba536",
-        "umap.tsv": "42db09421ce5ee2480fa100978cf05761ab9c09d74459ad13277ed719ada6d60",
-        "imap.tsv": "5e3d893c8b1ed9e2c5aa63cee9ad07ed71c72d7a7c814c94c8d3e814d0f51711",
-        "train.tsv": "951f1e5166f78ea1bd1a663de90391f5299912354fd8bb726ba7ed9361988280",
-        "valid.tsv": "6c434c94e25bb57363fac09a932bb1870aa5db8862d8ba34b99dd484361efb0e",
-        "test.tsv": "58ec218353207dec76155620efc7ba2a23824f49ddaf2f795da9a51eeb659de0",
-    },
     "per_user_random": {
         "meta": "6b7657335a199bc6eb1f24401ecb0d105b5e4fd06492b72bfc1f2985787538f1",
         "umap.tsv": "42db09421ce5ee2480fa100978cf05761ab9c09d74459ad13277ed719ada6d60",

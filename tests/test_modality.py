@@ -182,6 +182,17 @@ class TestAlign:
         table = align_features(fm, self.item_map, "text", policy="mean")
         assert np.isfinite(table.features).all()
 
+    @pytest.mark.parametrize("kwargs, error, message", [
+        ({"kind": "smell"}, ValueError, "unknown modality 'smell'"),
+        ({"kind": "text", "policy": "median"}, ValueError, "unknown imputation policy 'median'"),
+        ({"kind": "text", "out": np.empty((2, 3))}, DimensionMismatch, "text table needs (2, 2), destination is (2, 3)"),
+    ], ids=["modality", "policy", "out"])
+    def test_refusals(self, kwargs, error, message):
+        fm = FeatureMatrix(np.array([[1.0, 2.0]]), ["a"])
+        with pytest.raises(error) as err:
+            align_features(fm, self.item_map, **kwargs)
+        assert str(err.value) == message
+
 
 def table(kind, rows):
     rows = np.asarray(rows, dtype=np.float64)
@@ -227,6 +238,10 @@ class TestFuse:
     def test_empty_list(self):
         with pytest.raises(EmptyList):
             fuse([], "concat")
+
+    def test_unknown_method_refused(self):
+        with pytest.raises(ValueError, match="^unknown fusion method 'product'$"):
+            fuse([table("text", [[1.0, 2.0]])], "product")
 
     def test_row_count_mismatch(self):
         with pytest.raises(DimensionMismatch):

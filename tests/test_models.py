@@ -114,6 +114,9 @@ class TestInit:
             init_params("vbpr_mm", 3, 5, 4, seed=1)  # no d_p / d_fused
         with pytest.raises(ValueError):
             init_params("nope", 3, 5, 4, seed=1)
+        for n_users, n_items in ((0, 5), (3, 0)):
+            with pytest.raises(ValueError, match="^entity counts must be positive$"):
+                init_params("mf_bpr", n_users, n_items, 4, seed=1)
         # every kind bounds each hyperparameter given, whether it reads it or not
         for kind, name, value in [
             ("mf_bpr", "lambda_reg", -1.0), ("mf_bpr", "lambda_reg", math.nan), ("mf_bpr", "lambda_reg", math.inf),

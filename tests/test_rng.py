@@ -59,6 +59,11 @@ def test_negative_key_rejected():
         stream(1, -5)
 
 
+def test_key_part_of_another_type_rejected():
+    with pytest.raises(TypeError, match="^stream key parts must be int or str, got float$"):
+        stream(1, 2.5)
+
+
 def test_check_seed_rejects_out_of_range():
     assert check_seed(2**64 - 1) == 2**64 - 1
     with pytest.raises(ValueError):
